@@ -25,9 +25,8 @@ from .network import NetworkSpec, init_parameters, train
 from .optim import fd_gradient_check, gradient_descent, reduced_gradient
 from .pde import build_advection_problem, make_elliptic_demo
 from .spectral import fundamental_subspaces, svd
-from .stability import (SeirsModel, damped_oscillator, hurwitz_check,
-                        linearize, logistic, r0 as spectral_radius_ratio,
-                        stability_verdict)
+from .stability import (SeirsModel, damped_oscillator, logistic,
+                        r0 as spectral_radius_ratio, stability_verdict)
 from .sturm import constant_coefficient_problem, discretize, solve_modes
 
 EXIT_OK = 0
@@ -61,6 +60,8 @@ def _load_vector(path: str, length: int | None = None) -> np.ndarray:
     vec = np.asarray(data, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"expected a flat JSON array in {path}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"vector in {path} has non-finite entries")
     if length is not None and vec.size != length:
         raise ValueError(f"vector in {path} has length {vec.size}, expected {length}")
     return vec
@@ -211,7 +212,7 @@ def cmd_stability(args) -> int:
         "hurwitz": report.hurwitz,
         "spd_certificate": report.spd_certificate,
         "spectral_abscissa_bound": report.spectral_abscissa_bound,
-        "margin": hurwitz_check(linearize(field, x_eq)).margin,
+        "margin": report.margin,
     }
     if report.r0 is not None:
         payload["r0"] = report.r0

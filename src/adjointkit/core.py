@@ -40,6 +40,8 @@ class InnerProductSpace:
         metric = np.asarray(metric, dtype=float)
         if metric.shape != (self.dim, self.dim):
             raise ValueError(f"metric shape {metric.shape} does not match dim {dim}")
+        if not np.all(np.isfinite(metric)):
+            raise ValueError("metric has non-finite entries")
         scale = np.abs(metric).max()
         if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
             raise ValueError("metric is not symmetric")
@@ -94,6 +96,8 @@ class DenseOperator:
             raise ValueError(
                 f"entries shape {entries.shape} does not match codomain x domain "
                 f"({codomain.dim}, {domain.dim})")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("operator has non-finite entries")
         self.domain = domain
         self.codomain = codomain
         self.entries = _frozen(entries)
@@ -107,6 +111,19 @@ class DenseOperator:
         if x.shape != (self.domain.dim,):
             raise ValueError("input length does not match operator domain")
         return self.entries @ x
+
+    def whitened(self) -> np.ndarray:
+        """The matrix in metric-orthonormal coordinates, ``L_cod^T A L_dom^{-T}``.
+
+        Its Euclidean singular values are those of the operator between
+        the weighted norms.
+        """
+        b = self.entries
+        if not self.domain.is_euclidean:
+            b = np.linalg.solve(self.domain.cholesky, b.T).T
+        if not self.codomain.is_euclidean:
+            b = self.codomain.cholesky.T @ b
+        return b
 
     def __repr__(self):
         return f"DenseOperator({self.shape[0]}x{self.shape[1]})"
@@ -145,34 +162,13 @@ def adjoint(op: DenseOperator) -> DenseOperator:
     return DenseOperator(op.codomain, op.domain, entries)
 
 
-def operator_norm(op: DenseOperator, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Operator norm estimated by power iteration on ``A* A``.
+def operator_norm(op: DenseOperator) -> float:
+    """Operator norm between the weighted norms of domain and codomain.
 
-    The iteration runs in the domain inner product, so the result is the
-    largest singular value with respect to the weighted norms.
+    This is the largest singular value, taken as the spectral norm of
+    the whitened matrix.
     """
-    if not np.any(op.entries):
-        return 0.0
-    a = op.entries
-    m_cod = None if op.codomain.is_euclidean else op.codomain.metric
-    rng = Lcg(0x5EED)
-    x = rng.unit_vector(op.domain)
-    lam = 0.0
-    for _ in range(max_iter):
-        t = a @ x
-        if m_cod is not None:
-            t = m_cod @ t
-        y = op.domain.apply_inverse_metric(a.T @ t)
-        lam_new = op.domain.inner(x, y)
-        nrm = op.domain.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(op.whitened(), 2))
 
 
 def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 42,
@@ -181,7 +177,7 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
 
     ``B`` defaults to the constructed adjoint of ``op``; passing another
     operator measures how badly it fails the adjoint identity.  Defects
-    are normalized by an operator-norm estimate, and the whole procedure
+    are normalized by the larger operator norm, and the whole procedure
     is deterministic for a given seed.
     """
     if trials < 1:
@@ -189,7 +185,7 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     b = adjoint(op) if adjoint_op is None else adjoint_op
     if b.domain.dim != op.codomain.dim or b.codomain.dim != op.domain.dim:
         raise ValueError("candidate adjoint has incompatible shape")
-    scale = max(operator_norm(op, tol=1e-9), operator_norm(b, tol=1e-9))
+    scale = max(operator_norm(op), operator_norm(b))
     if scale == 0.0:
         return AdjointReport(trials=trials, max_defect=0.0)
     rng = Lcg(seed)
@@ -230,29 +226,6 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
             raise ValueError("input vectors are linearly dependent")
         basis.append(w / nrm)
     return np.column_stack(basis)
-
-
-def complete_basis(columns: np.ndarray, space: InnerProductSpace) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of the space.
-
-    Candidate directions are the canonical vectors, picked greedily by
-    largest residual so the completion is deterministic and well
-    conditioned.
-    """
-    basis = [columns[:, j] for j in range(columns.shape[1])]
-    while len(basis) < space.dim:
-        best, best_nrm = None, -1.0
-        for j in range(space.dim):
-            w = np.zeros(space.dim)
-            w[j] = 1.0
-            for _ in range(2):
-                for q in basis:
-                    w = w - space.inner(q, w) * q
-            nrm = space.norm(w)
-            if nrm > best_nrm:
-                best, best_nrm = w, nrm
-        basis.append(best / best_nrm)
-    return np.column_stack(basis) if basis else np.zeros((space.dim, 0))
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -74,8 +74,8 @@ def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
     which is SPD for every ``kappa > 0`` regardless of the rank of
     ``A``.
     """
-    if kappa <= 0.0:
-        raise ValueError("regularization parameter must be positive")
+    if not 0.0 < kappa < np.inf:
+        raise ValueError("regularization parameter must be positive and finite")
     y = np.asarray(y, dtype=float)
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")

@@ -1,26 +1,22 @@
-"""Self-adjoint eigendecomposition and the SVD built from the normal operator.
+"""Self-adjoint eigendecomposition and the SVD in weighted inner products.
 
-The eigensolver is a cyclic Jacobi iteration on the symmetrized matrix.
-For a weighted space with metric ``M = L L^T`` the operator is first
-transformed to ``L^T A L^{-T}``, which is symmetric exactly when ``A``
-is self-adjoint in the metric, and eigenvectors are mapped back through
-``L^{-T}`` so they come out orthonormal in the metric.  The SVD then
-follows the constructive route: eigenpairs of ``A* A`` give the right
-vectors and squared singular values, left vectors are ``A u_i / s_i``,
-and the remaining left directions are an orthonormal completion, which
-automatically spans the null space of ``A*``.
+Both go through one whitening.  With metrics ``M = L L^T`` the operator
+becomes ``B = L_cod^T A L_dom^{-T}`` in metric-orthonormal coordinates;
+``B`` is symmetric exactly when ``A`` is self-adjoint in the metric, and
+its singular values are those of ``A`` between the weighted norms.
+LAPACK (``eigh``, ``svd``) factors ``B`` directly, never the normal
+operator ``A* A``, which would square the condition number, and vectors
+are mapped back through ``L^{-T}`` so they come out orthonormal in the
+metric.  The full codomain basis of the SVD spans the null space of
+``A*`` past the rank.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DenseOperator, InnerProductSpace, adjoint,
-                   adjoint_consistency_check, complete_basis)
-from .errors import NumericalError
+from .core import DenseOperator, InnerProductSpace, adjoint_consistency_check
 
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 100
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
 
@@ -58,60 +54,11 @@ class SubspaceBases:
     null_astar: np.ndarray
 
 
-def _jacobi(sym: np.ndarray):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Convergence
-    is declared when the off-diagonal Frobenius mass drops below
-    1e-14 of the matrix Frobenius norm.
-    """
-    s = np.array(sym, dtype=float)
-    n = s.shape[0]
-    v = np.eye(n)
-    total = np.linalg.norm(s)
-    if total == 0.0:
-        return np.zeros(n), v
-
-    def offdiag():
-        return np.linalg.norm(s - np.diag(np.diag(s)))
-
-    for _ in range(_MAX_SWEEPS):
-        off = offdiag()
-        if off <= _JACOBI_TOL * total:
-            break
-        # entries below this cannot carry the remaining mass; skipping them
-        # keeps every sweep cheap without stalling (some entry always exceeds
-        # off / 2n while the mass is above the convergence target)
-        thresh = off / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                tau = (s[q, q] - s[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                # two-sided rotation in the (p, q) plane
-                sp, sq = s[:, p].copy(), s[:, q].copy()
-                s[:, p] = c * sp - sn * sq
-                s[:, q] = sn * sp + c * sq
-                sp, sq = s[p, :].copy(), s[q, :].copy()
-                s[p, :] = c * sp - sn * sq
-                s[q, :] = sn * sp + c * sq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        raise NumericalError("Jacobi iteration did not converge")
-    return np.diag(s).copy(), v
+def _unwhiten(space: InnerProductSpace, coords: np.ndarray) -> np.ndarray:
+    """Map metric-orthonormal coordinate columns back: ``L^{-T} c``."""
+    if space.is_euclidean:
+        return coords
+    return np.linalg.solve(space.cholesky.T, coords)
 
 
 def eig_self_adjoint(op: DenseOperator) -> EigResult:
@@ -119,8 +66,9 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
 
     The input must map a space to itself and satisfy the adjoint
     identity against itself to 1e-8; otherwise a ``ValueError`` is
-    raised.  Eigenvalues are real and returned descending with
-    metric-orthonormal eigenvectors.
+    raised.  LAPACK ``eigh`` diagonalizes the symmetric part of the
+    whitened matrix ``L^T A L^{-T}``; eigenvalues are returned
+    descending with metric-orthonormal eigenvectors.
     """
     space = op.domain
     if op.codomain.dim != space.dim or not np.array_equal(op.codomain.metric, space.metric):
@@ -129,16 +77,9 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
     if report.max_defect > _SELF_ADJOINT_TOL:
         raise ValueError(
             f"operator is not self-adjoint (defect {report.max_defect:.3e})")
-    if space.is_euclidean:
-        sym = 0.5 * (op.entries + op.entries.T)
-        vals, vecs = _jacobi(sym)
-    else:
-        ell = space.cholesky
-        transformed = ell.T @ np.linalg.solve(ell, op.entries.T).T
-        vals, vecs = _jacobi(0.5 * (transformed + transformed.T))
-        vecs = np.linalg.solve(ell.T, vecs)
-    order = np.argsort(vals)[::-1]
-    return EigResult(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    b = op.whitened()
+    vals, vecs = np.linalg.eigh(0.5 * (b + b.T))
+    return EigResult(eigenvalues=vals[::-1], eigenvectors=_unwhiten(space, vecs[:, ::-1]))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -153,46 +94,27 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
-    """Singular value decomposition through the normal operator.
+    """Singular value decomposition in the weighted inner products.
 
-    Right vectors are eigenvectors of ``A* A``; left vectors for
-    positive singular values are ``A u_i / s_i`` and the rest complete
-    an orthonormal basis of the codomain (hence span the null space of
-    the adjoint).  Signs follow a fixed convention: the dominant entry
-    of each right vector is positive, and left vectors inherit signs
-    through the map.
+    LAPACK factors the whitened matrix ``L_cod^T A L_dom^{-T}`` with
+    full bases, so the left vectors past the rank span the null space
+    of the adjoint.  Singular values are reported as LAPACK computes
+    them, including those below the rank tolerance (default 1e-10 of
+    the largest); only ``rank`` is cut there.  Signs follow a fixed
+    convention: the dominant entry of each right vector is positive,
+    left vectors for ``i < rank`` are recomputed as ``A u_i / s_i`` and
+    so inherit the sign, and the remaining left vectors get the
+    dominant-entry convention of their own.
     """
-    normal = _compose_adjoint(op)
-    eig = eig_self_adjoint(normal)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    # eigenvalues of A*A below the float noise floor of its formation are
-    # indistinguishable from zero; report those singular values as exact zeros
-    if lam.size and lam[0] > 0.0:
-        floor = 64.0 * op.domain.dim * np.finfo(float).eps * lam[0]
-        lam = np.where(lam > floor, lam, 0.0)
-    sig_all = np.sqrt(lam)
-    right = _fix_signs(eig.eigenvectors)
-    sigma1 = sig_all[0] if sig_all.size else 0.0
-    tol = DEFAULT_RANK_TOL_FACTOR * sigma1 if rank_tol is None else float(rank_tol)
-    rank = int(np.sum(sig_all > tol))
-
-    left_cols = []
-    for i in range(rank):
-        left_cols.append(op.matvec(right[:, i]) / sig_all[i])
-    partial = np.column_stack(left_cols) if left_cols else np.zeros((op.codomain.dim, 0))
-    left = complete_basis(partial, op.codomain)
-    if rank < left.shape[1]:
-        left[:, rank:] = _fix_signs(left[:, rank:])
-
-    k = min(op.domain.dim, op.codomain.dim)
-    return SvdResult(sigma=sig_all[:k], right_vectors=right, left_vectors=left,
+    left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
+    right = _fix_signs(_unwhiten(op.domain, right_wt.T))
+    left = _unwhiten(op.codomain, left_w)
+    tol = DEFAULT_RANK_TOL_FACTOR * sigma[0] if rank_tol is None else float(rank_tol)
+    rank = int(np.sum(sigma > tol))
+    left[:, :rank] = (op.entries @ right[:, :rank]) / sigma[:rank]
+    left[:, rank:] = _fix_signs(left[:, rank:])
+    return SvdResult(sigma=sigma, right_vectors=right, left_vectors=left,
                      rank=rank, domain=op.domain, codomain=op.codomain)
-
-
-def _compose_adjoint(op: DenseOperator) -> DenseOperator:
-    """The normal operator ``A* A`` on the domain space."""
-    adj = adjoint(op)
-    return DenseOperator(op.domain, op.domain, adj.entries @ op.entries)
 
 
 def fundamental_subspaces(s: SvdResult) -> SubspaceBases:

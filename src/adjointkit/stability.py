@@ -37,11 +37,16 @@ class HurwitzVerdict:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Joint verdict of the tabulation and the Lyapunov certificate."""
+    """Joint verdict of the tabulation and the Lyapunov certificate.
+
+    ``margin`` is the tabulation's smallest leading-column magnitude, as
+    in ``HurwitzVerdict``.
+    """
     hurwitz: bool
     lyapunov_p: np.ndarray | None
     spd_certificate: bool
     spectral_abscissa_bound: float
+    margin: float
     r0: float | None = None
 
 
@@ -212,29 +217,12 @@ def stability_verdict(f, x_eq, h: float | None = None,
             "too close to the imaginary axis to certify")
     if verdict.hurwitz:
         # Re(lambda) <= -1/(2 lambda_max(P)) for every eigenvalue
-        lam_max = _sym_top_eigenvalue(p)
-        bound = -1.0 / (2.0 * lam_max)
+        bound = -1.0 / (2.0 * np.linalg.eigvalsh(p)[-1])
     else:
         bound = 0.0  # no negative bound exists
     return StabilityReport(hurwitz=verdict.hurwitz, lyapunov_p=p,
                            spd_certificate=spd, spectral_abscissa_bound=bound,
-                           r0=reproduction_number)
-
-
-def _sym_top_eigenvalue(p: np.ndarray, iters: int = 2000) -> float:
-    x = np.ones(p.shape[0]) / np.sqrt(p.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        y = p @ x
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        lam_new = float(x @ (p @ x))
-        if abs(lam_new - lam) <= 1e-13 * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+                           margin=verdict.margin, r0=reproduction_number)
 
 
 @dataclass(frozen=True)

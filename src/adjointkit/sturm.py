@@ -9,8 +9,10 @@ conservative second-order stencil
 which keeps K symmetric for all three boundary treatments: interior
 nodes with zero end values (dirichlet), cell midpoints with ghost
 reflection (neumann), and wraparound indices (periodic).  Modes solve
-the generalized problem ``K v = lambda diag(rho) v`` and are normalized
-in the discrete weighted L2 product ``h * sum(rho u v)``, so for the
+the generalized problem ``K v = lambda diag(rho) v``, folded into the
+symmetric standard problem ``D^{-1/2} K D^{-1/2}`` (``D = diag(rho)``)
+that LAPACK ``eigh`` solves, and are normalized in the discrete
+weighted L2 product ``h * sum(rho u v)``, so for the
 constant-coefficient dirichlet case they reproduce the sine basis
 samples ``sqrt(2) sin(n pi x)`` and the eigenvalues obey the exact
 discrete formula ``(4/h^2) sin^2(n pi h / 2)``.
@@ -19,8 +21,6 @@ discrete formula ``(4/h^2) sin^2(n pi h / 2)``.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spectral import _jacobi
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 
@@ -127,19 +127,16 @@ def discretize(problem: SLProblem) -> Discretization:
 def solve_modes(disc: Discretization, k: int) -> ModeSet:
     """First ``k`` eigenpairs of ``K v = lambda diag(rho) v``, ascending.
 
-    The weight is folded in symmetrically through its square root, the
-    standard problem is Jacobi-diagonalized, and modes are scaled to
-    unit discrete weighted L2 norm.
+    The weight is folded in symmetrically through its square root, LAPACK
+    ``eigh`` solves the standard problem (eigenvalues come out
+    ascending), and modes are scaled to unit discrete weighted L2 norm.
     """
     n = disc.stiffness.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} modes from an {n}-point grid")
     d_half = np.sqrt(disc.rho)
     sym = disc.stiffness / np.outer(d_half, d_half)
-    vals, vecs = _jacobi(0.5 * (sym + sym.T))
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = np.linalg.eigh(sym)
     modes = (vecs / d_half[:, None]) / np.sqrt(disc.h)
     return ModeSet(eigenvalues=vals[:k], modes=modes[:, :k], disc=disc)
 

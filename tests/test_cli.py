@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from adjointkit.cli import main
+from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
+                                  linearize, r0, stability_verdict)
 
 EXAMPLE_RECORD = {"rows": 2, "cols": 3,
                    "entries": [2.0, 0.0, 1.0, 2.0, 4.0 / 3.0, 1.0 / 3.0]}
@@ -66,6 +68,15 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
 
 # -- adjoint-check ---------------------------------------------------------------
 
+def test_adjoint_check_rejects_non_finite_entries(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                           "entries": [1.0, float("nan"), 0.0, 1.0]})
+    code, out, err = run(capsys, "adjoint-check", "--op", op)
+    assert code == 2
+    assert out == ""
+    assert "non-finite entries" in err
+
+
 def test_adjoint_check_deterministic(capsys, tmp_path):
     op = write_json(tmp_path / "op.json", EXAMPLE_RECORD)
     code1, out1, _ = run(capsys, "adjoint-check", "--op", op, "--seed", "7")
@@ -105,6 +116,22 @@ def test_svd_reference_sigma_line(capsys, tmp_path):
     assert "dim N(A*)=0" in out
 
 
+def test_svd_repeated_runs_byte_identical(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", EXAMPLE_RECORD)
+    first = run(capsys, "svd", "--op", op)
+    assert first[0] == 0
+    assert run(capsys, "svd", "--op", op) == first
+
+
+def test_svd_rejects_non_finite_entries(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                           "entries": [1.0, 0.0, float("inf"), 1.0]})
+    code, out, err = run(capsys, "svd", "--op", op)
+    assert code == 2
+    assert out == ""
+    assert "non-finite entries" in err
+
+
 # -- solve / tikhonov / picard ------------------------------------------------------
 
 def test_solve_consistent_system(capsys, tmp_path):
@@ -126,6 +153,23 @@ def test_tikhonov_requires_positive_kappa(capsys, tmp_path):
                          "--kappa", "-1.0")
     assert code == 2
     assert out == ""
+
+
+def test_tikhonov_rejects_non_finite_data(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json",
+                    {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
+    rhs = write_json(tmp_path / "rhs.json", [1.0, float("nan")])
+    code, out, err = run(capsys, "tikhonov", "--op", op, "--rhs", rhs,
+                         "--kappa", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "non-finite entries" in err
+    rhs = write_json(tmp_path / "rhs.json", [1.0, 1.0])
+    for kappa in ("nan", "inf"):
+        code, out, err = run(capsys, "tikhonov", "--op", op, "--rhs", rhs,
+                             "--kappa", kappa)
+        assert code == 2
+        assert out == ""
 
 
 def test_tikhonov_large_kappa_returns_prior(capsys, tmp_path):
@@ -179,6 +223,33 @@ def test_stability_matrix_file(capsys, tmp_path):
     code, out, _ = run(capsys, "stability", "--matrix", rotation)
     assert code == 0
     assert json.loads(out)["hurwitz"] is False
+
+
+def test_stability_stdout_matches_payload_fields(capsys, tmp_path):
+    # the report carries the tabulation margin; stdout is the same text as
+    # when the margin came from a second linearize + hurwitz_check
+    a = np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]])
+    matrix = write_json(tmp_path / "a.json", {"rows": 3, "cols": 3,
+                                              "entries": list(a.ravel())})
+    model = SeirsModel(beta=0.2)
+    cases = [(("--model", "damped-oscillator"), damped_oscillator, np.zeros(2), None),
+             (("--model", "seirs", "--beta", "0.2"), model,
+              model.disease_free_equilibrium, r0(*model.next_generation_split())),
+             (("--matrix", matrix), lambda x: a @ x, np.zeros(3), None)]
+    for argv, field, x_eq, reproduction in cases:
+        code, out, _ = run(capsys, "stability", *argv)
+        assert code == 0
+        report = stability_verdict(field, x_eq)
+        expected = {
+            "hurwitz": report.hurwitz,
+            "spd_certificate": report.spd_certificate,
+            "spectral_abscissa_bound": report.spectral_abscissa_bound,
+            "margin": hurwitz_check(linearize(field, x_eq)).margin,
+        }
+        if reproduction is not None:
+            expected["r0"] = reproduction
+        expected["lyapunov_P"] = [[float(x) for x in row] for row in report.lyapunov_p]
+        assert out == json.dumps(expected) + "\n"
 
 
 def test_stability_needs_exactly_one_source(capsys):

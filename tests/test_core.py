@@ -31,6 +31,13 @@ def test_metric_must_be_positive_definite():
         InnerProductSpace(2, [[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_non_finite_metric_and_entries_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        InnerProductSpace(2, [[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseOperator(euclidean(2), euclidean(2), [[1.0, np.inf], [0.0, 1.0]])
+
+
 def test_inner_examples():
     # orthogonal canonical vectors
     assert inner(euclidean(2), [1.0, 0.0], [0.0, 1.0]) == 0.0
@@ -102,8 +109,8 @@ def test_norm_equality_of_adjoint():
     rng = np.random.default_rng(4)
     for trial in range(8):
         op = random_operator(rng, 6, 5, weighted=trial % 2 == 0)
-        na = operator_norm(op, tol=1e-14, max_iter=20000)
-        nb = operator_norm(adjoint(op), tol=1e-14, max_iter=20000)
+        na = operator_norm(op)
+        nb = operator_norm(adjoint(op))
         assert abs(na - nb) <= 1e-8 * na
 
 

@@ -188,6 +188,21 @@ def test_reconstruction_residuals_over_50_random_matrices():
         assert np.linalg.norm(rec - op.entries) <= 1e-8 * max(nrm, 1e-30)
 
 
+def test_graded_spectrum_to_relative_accuracy():
+    # sigma_12 / sigma_1 = 1e-10; forming A* A would square that ratio below
+    # the float floor and lose the tail of the spectrum
+    rng = np.random.default_rng(2023)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    exact = np.logspace(0.0, -10.0, 12)
+    op = matrix_operator((u * exact) @ v.T)
+    result = svd(op, rank_tol=1e-12)
+    assert result.rank == 12
+    assert np.max(np.abs(result.sigma - exact) / exact) <= 1e-6
+    # values under the default tolerance are reported as computed, not zeroed
+    np.testing.assert_array_equal(svd(op).sigma, result.sigma)
+
+
 def test_rank_nullity_over_random_matrices():
     rng = np.random.default_rng(16)
     for _ in range(20):

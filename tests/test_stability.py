@@ -218,6 +218,20 @@ def test_verdict_pure_growth():
     assert report.spectral_abscissa_bound == 0.0
 
 
+def test_verdict_abscissa_bound_with_close_lyapunov_eigenvalues():
+    # normal matrix: P = diag(-1/(2 Re lambda)), whose top two eigenvalues
+    # differ by under 0.1 %, and the bound is attained exactly
+    def rotation_block(re, im):
+        return np.array([[re, im], [-im, re]])
+    a = np.zeros((4, 4))
+    a[:2, :2] = rotation_block(-0.7635, 1.0)
+    a[2:, 2:] = rotation_block(-0.7640, 2.0)
+    report = stability_verdict(lambda x: a @ x, np.zeros(4))
+    max_re = np.linalg.eigvals(a).real.max()
+    assert report.hurwitz
+    assert report.spectral_abscissa_bound >= max_re - 1e-9 * abs(max_re)
+
+
 def test_verdict_logistic_both_equilibria():
     assert stability_verdict(logistic, np.array([1.0])).hurwitz
     assert not stability_verdict(logistic, np.array([0.0])).hurwitz
