@@ -76,7 +76,11 @@ def _emit(text: str, output: str | None):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload) + "\n"
+    try:
+        return json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("result has non-finite values, which JSON cannot "
+                             "carry") from None
 
 
 def _fmt(x: float) -> str:
@@ -178,6 +182,8 @@ def cmd_train(args) -> int:
             raise ValueError('each sample needs "x" and "a_obs" arrays') from None
         if x.shape != (sizes[0],) or a_obs.shape != (sizes[-1],):
             raise ValueError("sample shapes do not match the network sizes")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(a_obs))):
+            raise ValueError("training sample has non-finite entries")
         samples.append((x, a_obs))
     params = init_parameters(spec, seed=args.seed)
     _, history = train(spec, params, samples, iters=args.iters, step=args.step)

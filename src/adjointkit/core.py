@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .rand import Lcg
 
 _SYM_TOL = 1e-12
@@ -178,7 +179,8 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     ``B`` defaults to the constructed adjoint of ``op``; passing another
     operator measures how badly it fails the adjoint identity.  Defects
     are normalized by the larger operator norm, and the whole procedure
-    is deterministic for a given seed.
+    is deterministic for a given seed.  Raises ``NumericalError`` when
+    the norm or a defect overflows, rather than certifying the operator.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -186,6 +188,8 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     if b.domain.dim != op.codomain.dim or b.codomain.dim != op.domain.dim:
         raise ValueError("candidate adjoint has incompatible shape")
     scale = max(operator_norm(op), operator_norm(b))
+    if not np.isfinite(scale):
+        raise NumericalError("operator norm overflows; adjoint defects cannot be measured")
     if scale == 0.0:
         return AdjointReport(trials=trials, max_defect=0.0)
     rng = Lcg(seed)
@@ -195,7 +199,10 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
         v = rng.unit_vector(op.codomain)
         lhs = op.codomain.inner(op.matvec(u), v)
         rhs = op.domain.inner(u, b.matvec(v))
-        worst = max(worst, abs(lhs - rhs) / scale)
+        defect = abs(lhs - rhs) / scale
+        if not np.isfinite(defect):
+            raise NumericalError("adjoint defect is not finite")
+        worst = max(worst, defect)
     return AdjointReport(trials=trials, max_defect=worst)
 
 

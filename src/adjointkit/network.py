@@ -9,17 +9,20 @@ the adjoint system is solved by one backward sweep
     y_top = target - output,
     y_i   = W_{i+1}^T (act'(pre_{i+1}) o y_{i+1}),
 
-and the parameter gradients follow layer by layer.  The
-``as_constrained_problem`` adapter exposes the same passes through the
-generic optimizer interface, sharing the per-layer arithmetic so both
-routes produce identical floats.
+and the parameter gradients follow layer by layer.  ``forward``,
+``adjoint_pass`` and ``gradients`` spell this out for one sample.
+``NetworkTrainingProblem`` runs the same sweeps on a batch of samples
+stored as matrix columns, and ``train`` is ``gradient_descent`` on it,
+so training has one forward and one backward sweep per batch and the
+optimizer's Armijo line search.  On one column the two routes produce
+identical floats.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import ConstrainedProblem
+from .optim import ConstrainedProblem, gradient_descent
 from .rand import Lcg
 
 _ACTIVATIONS = {
@@ -144,15 +147,6 @@ def adjoint_pass(spec: NetworkSpec, params: Parameters, trace: ForwardTrace,
     return AdjointTrace(adjoints=tuple(ys))
 
 
-def _layer_gradients(spec, params, trace, y_next, layer):
-    """Parameter gradient of one layer given its outgoing adjoint."""
-    slope = spec.act_prime(trace.preactivations[layer])
-    masked = y_next * slope
-    grad_w = -np.outer(masked, trace.activations[layer])
-    grad_b = -masked
-    return grad_w, grad_b
-
-
 def gradients(spec: NetworkSpec, params: Parameters, trace: ForwardTrace,
               adjoints: AdjointTrace) -> Parameters:
     """Loss gradients with respect to every weight and bias.
@@ -162,10 +156,9 @@ def gradients(spec: NetworkSpec, params: Parameters, trace: ForwardTrace,
     """
     gw, gb = [], []
     for i in range(spec.num_layers):
-        grad_w, grad_b = _layer_gradients(spec, params, trace,
-                                          adjoints.adjoints[i + 1], i)
-        gw.append(grad_w)
-        gb.append(grad_b)
+        masked = adjoints.adjoints[i + 1] * spec.act_prime(trace.preactivations[i])
+        gw.append(-np.outer(masked, trace.activations[i]))
+        gb.append(-masked)
     return Parameters(gw, gb)
 
 
@@ -206,102 +199,98 @@ def parameter_count(spec: NetworkSpec) -> int:
     return sum(sizes[i + 1] * (sizes[i] + 1) for i in range(spec.num_layers))
 
 
-class NetworkTrainingProblem(ConstrainedProblem):
-    """Single-sample training cast as an equality-constrained problem.
+def _ravel(blocks) -> np.ndarray:
+    return np.concatenate([block.ravel() for block in blocks])
 
-    State: all activations concatenated (input layer included).
-    Control: flattened weights and biases.  The layer structure makes
-    the adjoint solve one backward substitution, which this class shares
-    with ``adjoint_pass`` so the two gradient routes agree bit for bit.
+
+class NetworkTrainingProblem(ConstrainedProblem):
+    """Full-batch training cast as an equality-constrained problem.
+
+    The samples are columns: ``x`` has shape ``(n0, m)`` and ``a_obs``
+    shape ``(nL, m)``, and a single sample is a batch of one column.
+    State: the ``(size, m)`` activation blocks, input layer included,
+    raveled and concatenated layer by layer.  Control: flattened weights
+    and biases.  Objective: the half squared error summed over the
+    batch.  The layer structure makes the adjoint solve one backward
+    substitution, the sweep of ``adjoint_pass`` applied to every column
+    at once, so on one column the two gradient routes agree bit for bit.
     """
 
     def __init__(self, spec: NetworkSpec, x, a_obs):
         self.spec = spec
         self.x = np.asarray(x, dtype=float)
         self.a_obs = np.asarray(a_obs, dtype=float)
-        self.state_dim = sum(spec.layer_sizes)
+        sizes = spec.layer_sizes
+        m = self.x.shape[1] if self.x.ndim == 2 else 0
+        if m < 1 or self.x.shape[0] != sizes[0] or self.a_obs.shape != (sizes[-1], m):
+            raise ValueError("samples must be columns: x of shape (n0, m) and "
+                             "a_obs of shape (nL, m) with m >= 1")
+        self.state_dim = sum(sizes) * m
         self.control_dim = parameter_count(spec)
-        self._offsets = np.cumsum((0,) + spec.layer_sizes)
+        self._offsets = np.cumsum((0,) + sizes) * m
 
     def _split_state(self, u):
-        return [u[self._offsets[i]:self._offsets[i + 1]]
-                for i in range(len(self.spec.layer_sizes))]
+        m = self.x.shape[1]
+        return [u[lo:hi].reshape(-1, m)
+                for lo, hi in zip(self._offsets, self._offsets[1:])]
 
-    def _trace_from_state(self, u, params):
-        acts = self._split_state(u)
-        pres = [w @ acts[i] + b
-                for i, (w, b) in enumerate(zip(params.weights, params.biases))]
-        return ForwardTrace(activations=tuple(acts), preactivations=tuple(pres))
-
-    def residual(self, u, z):
+    def _layers(self, u, z):
+        """Parameters, activation blocks and pre-activations at ``(u, z)``."""
         params = unflatten_parameters(self.spec, z)
         acts = self._split_state(u)
-        blocks = [acts[0] - self.x]
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            blocks.append(acts[i + 1] - self.spec.act(w @ acts[i] + b))
-        return np.concatenate(blocks)
+        pres = [w @ a + b[:, None]
+                for w, b, a in zip(params.weights, params.biases, acts)]
+        return params, acts, pres
+
+    def residual(self, u, z):
+        _, acts, pres = self._layers(u, z)
+        return _ravel([acts[0] - self.x]
+                      + [a - self.spec.act(t) for a, t in zip(acts[1:], pres)])
 
     def solve_forward(self, z):
         params = unflatten_parameters(self.spec, z)
-        trace = forward(self.spec, params, self.x)
-        return np.concatenate(trace.activations)
+        acts = [self.x]
+        for w, b in zip(params.weights, params.biases):
+            acts.append(self.spec.act(w @ acts[-1] + b[:, None]))
+        return _ravel(acts)
 
     def apply_state_jacobian(self, u, z, du):
-        params = unflatten_parameters(self.spec, z)
-        trace = self._trace_from_state(u, params)
+        params, _, pres = self._layers(u, z)
         d = self._split_state(du)
-        blocks = [d[0]]
-        for i, w in enumerate(params.weights):
-            slope = self.spec.act_prime(trace.preactivations[i])
-            blocks.append(d[i + 1] - slope * (w @ d[i]))
-        return np.concatenate(blocks)
+        return _ravel([d[0]] + [d_next - self.spec.act_prime(t) * (w @ d_i)
+                                for d_i, d_next, w, t
+                                in zip(d, d[1:], params.weights, pres)])
 
     def apply_state_adjoint(self, u, z, y):
-        params = unflatten_parameters(self.spec, z)
-        trace = self._trace_from_state(u, params)
+        params, _, pres = self._layers(u, z)
         ys = self._split_state(y)
-        blocks = []
-        for i in range(len(ys)):
-            block = ys[i].copy()
-            if i < self.spec.num_layers:
-                slope = self.spec.act_prime(trace.preactivations[i])
-                block -= params.weights[i].T @ (slope * ys[i + 1])
-            blocks.append(block)
-        return np.concatenate(blocks)
+        return _ravel([y_i - w.T @ (self.spec.act_prime(t) * y_next)
+                       for y_i, y_next, w, t in zip(ys, ys[1:], params.weights, pres)]
+                      + [ys[-1]])
 
     def solve_adjoint(self, u, z, rhs):
         # identity diagonal blocks: a single backward substitution
-        params = unflatten_parameters(self.spec, z)
-        trace = self._trace_from_state(u, params)
-        r = self._split_state(rhs)
-        n_layers = self.spec.num_layers
-        ys = [None] * (n_layers + 1)
-        ys[n_layers] = r[n_layers]
-        for i in range(n_layers - 1, -1, -1):
-            slope = self.spec.act_prime(trace.preactivations[i])
-            ys[i] = r[i] + params.weights[i].T @ (slope * ys[i + 1])
-        return np.concatenate(ys)
+        params, _, pres = self._layers(u, z)
+        ys = self._split_state(rhs)
+        for i in range(self.spec.num_layers - 1, -1, -1):
+            ys[i] = ys[i] + params.weights[i].T @ (self.spec.act_prime(pres[i]) * ys[i + 1])
+        return _ravel(ys)
 
     def apply_control_adjoint(self, u, z, y):
-        params = unflatten_parameters(self.spec, z)
-        trace = self._trace_from_state(u, params)
-        ys = self._split_state(y)
+        _, acts, pres = self._layers(u, z)
         parts = []
-        for i in range(self.spec.num_layers):
-            grad_w, grad_b = _layer_gradients(self.spec, params, trace, ys[i + 1], i)
-            parts.append(grad_w.ravel())
-            parts.append(grad_b)
-        return np.concatenate(parts)
+        for a, t, y_next in zip(acts, pres, self._split_state(y)[1:]):
+            masked = y_next * self.spec.act_prime(t)
+            parts += [-(masked @ a.T), -masked.sum(axis=1)]
+        return _ravel(parts)
 
     def objective(self, u, z):
-        out = self._split_state(u)[-1]
-        diff = self.a_obs - out
-        return 0.5 * float(diff @ diff)
+        diff = self.a_obs - self._split_state(u)[-1]
+        return 0.5 * float(np.vdot(diff, diff))
 
     def objective_grad_state(self, u, z):
         g = np.zeros(self.state_dim)
-        out = self._split_state(u)[-1]
-        g[self._offsets[-2]:] = out - self.a_obs
+        g[self._offsets[-2]:] = (self._split_state(u)[-1] - self.a_obs).ravel()
         return g
 
     def objective_grad_control(self, u, z):
@@ -309,51 +298,20 @@ class NetworkTrainingProblem(ConstrainedProblem):
 
 
 def as_constrained_problem(spec: NetworkSpec, x, a_obs) -> NetworkTrainingProblem:
-    """Expose one training sample through the generic optimizer interface."""
-    return NetworkTrainingProblem(spec, x, a_obs)
+    """Expose one training sample, as a batch of one column, to the optimizer."""
+    return NetworkTrainingProblem(spec, np.reshape(x, (-1, 1)), np.reshape(a_obs, (-1, 1)))
 
 
 def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
           step: float = 1.0, tol: float = 0.0):
-    """Full-batch descent on the summed per-sample loss with Armijo halving.
+    """Full-batch ``gradient_descent`` on the summed per-sample loss.
 
-    ``samples`` is a sequence of (x, a_obs) pairs.  Returns the trained
-    parameters and the per-iteration history rows (k, loss, grad_norm,
-    step).
+    ``samples`` is a sequence of (x, a_obs) pairs, stacked as the columns
+    of one ``NetworkTrainingProblem``.  Returns the trained parameters and
+    the per-iteration history rows (k, loss, grad_norm, step).  A failed
+    Armijo line search raises ``NumericalError``.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    z = flatten_parameters(params)
-
-    def total_loss_grad(zvec):
-        p = unflatten_parameters(spec, zvec)
-        total = 0.0
-        grad = np.zeros_like(zvec)
-        for x, a_obs in samples:
-            f, g = loss_gradients(spec, p, x, a_obs)
-            total += f
-            grad += flatten_parameters(g)
-        return total, grad
-
-    def total_loss(zvec):
-        p = unflatten_parameters(spec, zvec)
-        return sum(loss(forward(spec, p, x), a_obs) for x, a_obs in samples)
-
-    history = []
-    for k in range(iters):
-        f_curr, g = total_loss_grad(z)
-        gnorm = float(np.linalg.norm(g))
-        history.append((k, f_curr, gnorm, 0.0))
-        if gnorm <= tol:
-            break
-        alpha = step
-        for _ in range(60):
-            candidate = z - alpha * g
-            if total_loss(candidate) <= f_curr - 1e-4 * alpha * gnorm * gnorm:
-                break
-            alpha *= 0.5
-        else:
-            break
-        history[-1] = (k, f_curr, gnorm, alpha)
-        z = candidate
-    return unflatten_parameters(spec, z), history
+    x, a_obs = (np.column_stack(side) for side in zip(*samples))
+    result = gradient_descent(NetworkTrainingProblem(spec, x, a_obs),
+                              flatten_parameters(params), step, iters, tol)
+    return unflatten_parameters(spec, result.z), result.history

@@ -104,8 +104,11 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     convention: the dominant entry of each right vector is positive,
     left vectors for ``i < rank`` are recomputed as ``A u_i / s_i`` and
     so inherit the sign, and the remaining left vectors get the
-    dominant-entry convention of their own.
+    dominant-entry convention of their own.  A NaN, negative or infinite
+    ``rank_tol`` raises ``ValueError``.
     """
+    if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be a finite non-negative number, got {rank_tol}")
     left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
     right = _fix_signs(_unwhiten(op.domain, right_wt.T))
     left = _unwhiten(op.codomain, left_w)

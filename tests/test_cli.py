@@ -9,6 +9,8 @@ from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
 
 EXAMPLE_RECORD = {"rows": 2, "cols": 3,
                    "entries": [2.0, 0.0, 1.0, 2.0, 4.0 / 3.0, 1.0 / 3.0]}
+# finite entries whose norm overflows
+OVERFLOW_RECORD = {"rows": 2, "cols": 2, "entries": [1e308, 1e308, 1e308, 1e308]}
 
 
 def write_json(path, payload):
@@ -77,6 +79,15 @@ def test_adjoint_check_rejects_non_finite_entries(capsys, tmp_path):
     assert "non-finite entries" in err
 
 
+def test_adjoint_check_overflowing_operator_exit_3(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", OVERFLOW_RECORD)
+    code, out, err = run(capsys, "adjoint-check", "--op", op)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "numerical-failure"
+    assert "max_defect" not in payload
+
+
 def test_adjoint_check_deterministic(capsys, tmp_path):
     op = write_json(tmp_path / "op.json", EXAMPLE_RECORD)
     code1, out1, _ = run(capsys, "adjoint-check", "--op", op, "--seed", "7")
@@ -130,6 +141,27 @@ def test_svd_rejects_non_finite_entries(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-finite entries" in err
+
+
+def test_svd_overflowing_operator_exit_3(capsys, tmp_path):
+    # sigma_1 overflows to inf, which JSON cannot carry
+    op = write_json(tmp_path / "op.json", OVERFLOW_RECORD)
+    code, out, err = run(capsys, "svd", "--op", op)
+    assert code == 3
+    assert "Infinity" not in out
+    payload = json.loads(out)
+    assert payload["error"] == "numerical-failure"
+    assert "non-finite" in payload["detail"]
+
+
+def test_svd_rejects_nan_and_negative_rank_tol(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                           "entries": [1.0, 0.0, 0.0, 1.0]})
+    for flag in ("--rank-tol=nan", "--rank-tol=-1"):
+        code, out, err = run(capsys, "svd", "--op", op, flag)
+        assert code == 2
+        assert out == ""
+        assert "rank_tol" in err
 
 
 # -- solve / tikhonov / picard ------------------------------------------------------
@@ -305,6 +337,28 @@ def test_train_rejects_bad_samples(capsys, tmp_path):
     data_file = write_json(tmp_path / "data.json", [{"x": [1.0]}])
     code, out, err = run(capsys, "train", "--spec", "2,2", "--data", data_file)
     assert code == 2
+
+
+def test_train_rejects_non_finite_samples(capsys, tmp_path):
+    data_file = write_json(tmp_path / "data.json",
+                           [{"x": [0.1, float("nan")], "a_obs": [0.2]},
+                            {"x": [0.3, 0.4], "a_obs": [0.5]}])
+    code, out, err = run(capsys, "train", "--spec", "2,2,1", "--data", data_file,
+                         "--iters", "3")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_train_repeated_runs_byte_identical(capsys, tmp_path):
+    rng = np.random.default_rng(81)
+    data = [{"x": list(rng.uniform(-1, 1, 2)),
+             "a_obs": list(rng.uniform(-1, 1, 1))} for _ in range(8)]
+    data_file = write_json(tmp_path / "data.json", data)
+    first = run(capsys, "train", "--spec", "2,4,1", "--data", data_file, "--iters", "20")
+    assert first[0] == 0
+    assert run(capsys, "train", "--spec", "2,4,1", "--data", data_file,
+               "--iters", "20") == first
 
 
 # -- pdeopt ---------------------------------------------------------------------------

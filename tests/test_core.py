@@ -6,6 +6,7 @@ from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
                         operator_from_record, operator_norm,
                         operator_to_record, orthonormalize)
 from adjointkit.core import DenseOperator
+from adjointkit.errors import NumericalError
 from adjointkit.rand import Lcg
 
 
@@ -145,6 +146,18 @@ def test_consistency_check_deterministic():
     r1 = adjoint_consistency_check(op, trials=30, seed=13)
     r2 = adjoint_consistency_check(op, trials=30, seed=13)
     assert r1.max_defect == r2.max_defect
+
+
+def test_consistency_check_refuses_overflowing_operator():
+    # the norm overflows; a defect of 0.0 would certify garbage
+    op = matrix_operator(np.full((2, 2), 1e308))
+    with pytest.raises(NumericalError, match="overflows"):
+        adjoint_consistency_check(op, trials=100, seed=42)
+    # finite norms, but (A u)^T M_cod overflows inside the inner product
+    op = matrix_operator(np.full((2, 2), 1e10), None, np.diag([1e300, 1e300]))
+    with pytest.raises(NumericalError, match="not finite"):
+        adjoint_consistency_check(op, trials=100, seed=42,
+                                  adjoint_op=matrix_operator(np.zeros((2, 2))))
 
 
 def test_consistency_check_rejects_bad_trials():

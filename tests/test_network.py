@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from adjointkit.network import (AdjointTrace, NetworkSpec, Parameters,
+from adjointkit.errors import NumericalError
+from adjointkit.network import (AdjointTrace, NetworkSpec,
+                                NetworkTrainingProblem, Parameters,
                                 adjoint_pass, as_constrained_problem,
                                 flatten_parameters, forward, gradients,
                                 init_parameters, loss, loss_gradients,
@@ -239,6 +241,34 @@ def test_backprop_equals_reduced_space_three_layers():
     assert report.forward_residual_norm == 0.0
 
 
+def test_batched_problem_matches_sum_of_single_sample_passes():
+    # samples as columns, against the per-sample backprop of loss_gradients
+    spec = NetworkSpec((2, 16, 16, 1))
+    params = init_parameters(spec, seed=51)
+    rng = np.random.default_rng(52)
+    xs = rng.uniform(-1.0, 1.0, (16, 2))
+    targets = rng.uniform(-1.0, 1.0, (16, 1))
+    total_loss, total_grad = 0.0, np.zeros(parameter_count(spec))
+    for x, a_obs in zip(xs, targets):
+        f, g = loss_gradients(spec, params, x, a_obs)
+        total_loss += f
+        total_grad += flatten_parameters(g)
+    problem = NetworkTrainingProblem(spec, xs.T, targets.T)
+    report = reduced_gradient(problem, flatten_parameters(params))
+    assert report.f_value == pytest.approx(total_loss, rel=1e-13)
+    assert (np.abs(report.gradient - total_grad).max()
+            <= 1e-13 * np.abs(total_grad).max())
+    assert report.forward_residual_norm == 0.0
+
+
+def test_batched_problem_rejects_mismatched_columns():
+    spec = NetworkSpec((2, 3, 1))
+    with pytest.raises(ValueError, match="columns"):
+        NetworkTrainingProblem(spec, np.zeros((2, 4)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="columns"):
+        NetworkTrainingProblem(spec, np.zeros(2), np.zeros(1))
+
+
 def test_constrained_problem_fd_check():
     spec = NetworkSpec((2, 3, 1))
     problem = as_constrained_problem(spec, np.array([0.3, 0.7]), np.array([-0.2]))
@@ -269,6 +299,17 @@ def test_training_reduces_loss_monotonically():
     assert len(losses) == 200
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
+
+
+def test_training_raises_on_failed_line_search():
+    # a NaN target makes every Armijo trial fail; training must not
+    # return a NaN history as if it had finished
+    spec = NetworkSpec((2, 3, 1))
+    params = init_parameters(spec, seed=9)
+    samples = [(np.array([0.1, 0.2]), np.array([float("nan")])),
+               (np.array([0.3, 0.4]), np.array([0.5]))]
+    with pytest.raises(NumericalError, match="line search"):
+        train(spec, params, samples, iters=5)
 
 
 def test_spec_validation():

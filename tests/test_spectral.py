@@ -111,6 +111,14 @@ def test_svd_identity():
     assert result.rank == 3
 
 
+def test_svd_rejects_nan_and_negative_rank_tol():
+    op = matrix_operator(np.eye(2))
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="rank_tol"):
+            svd(op, rank_tol=bad)
+    assert svd(op, rank_tol=0.0).rank == 2
+
+
 def test_svd_rank_one_outer_product():
     rng = np.random.default_rng(12)
     a, b = rng.standard_normal(4), rng.standard_normal(3)
