@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace
-from .spectral import SvdResult, fundamental_subspaces, svd
+from .spectral import SvdResult, null_defect, svd
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,7 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray,
         rows.append(PicardRow(index=i + 1, sigma=float(dec.sigma[i]),
                               coeff=float(coeff), ratio=float(ratio),
                               cumulative=float(cumulative)))
-    null = fundamental_subspaces(dec).null_astar
-    y_norm = op.codomain.norm(y)
-    if y_norm == 0.0:
-        defect = 0.0
-    else:
-        comps = [op.codomain.inner(null[:, j], y) for j in range(null.shape[1])]
-        defect = float(np.sqrt(np.sum(np.square(comps))) / y_norm)
-    return PicardTable(rows=tuple(rows), null_defect=defect)
+    return PicardTable(rows=tuple(rows), null_defect=null_defect(dec, y))
 
 
 def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,

@@ -141,8 +141,8 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     until roundoff takes over.
     """
     z = np.asarray(z, dtype=float)
-    if any(h <= 0.0 for h in steps):
-        raise ValueError("finite-difference steps must be positive")
+    if not all(0.0 < h < np.inf for h in steps):
+        raise ValueError("finite-difference steps must be positive and finite")
     grad = reduced_gradient(problem, z).gradient
     out = {}
     for h in steps:
@@ -165,8 +165,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     ``f(z - a g) <= f - 1e-4 a |g|^2`` passes, so the recorded objective
     values are strictly decreasing.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError("step must be positive and finite")
     z = np.asarray(z0, dtype=float).copy()
     history = []
     f_curr = None

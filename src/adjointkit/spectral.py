@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace, adjoint_consistency_check
+from .errors import NumericalError
 
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
@@ -105,11 +106,16 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     left vectors for ``i < rank`` are recomputed as ``A u_i / s_i`` and
     so inherit the sign, and the remaining left vectors get the
     dominant-entry convention of their own.  A NaN, negative or infinite
-    ``rank_tol`` raises ``ValueError``.
+    ``rank_tol`` raises ``ValueError``; a non-finite singular value (an
+    operator whose norm overflows) raises ``NumericalError``, since no
+    rank tolerance can be derived from it.
     """
     if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be a finite non-negative number, got {rank_tol}")
     left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalError("singular values are non-finite "
+                             "(the operator norm overflows)")
     right = _fix_signs(_unwhiten(op.domain, right_wt.T))
     left = _unwhiten(op.codomain, left_w)
     tol = DEFAULT_RANK_TOL_FACTOR * sigma[0] if rank_tol is None else float(rank_tol)
@@ -131,6 +137,20 @@ def fundamental_subspaces(s: SvdResult) -> SubspaceBases:
     )
 
 
+def null_defect(s: SvdResult, y: np.ndarray) -> float:
+    """Relative norm ``|P_{N(A*)} y| / |y|`` of the data outside the range.
+
+    The left singular vectors past the rank are a metric-orthonormal
+    basis of ``N(A*)``, so the component is read off their inner
+    products with ``y``.
+    """
+    y_norm = s.codomain.norm(y)
+    if y_norm == 0.0:
+        return 0.0
+    coeffs = s.left_vectors[:, s.rank:].T @ (s.codomain.metric @ y)
+    return float(np.linalg.norm(coeffs) / y_norm)
+
+
 def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> dict:
     """Existence test for ``A u = y`` via the null space of the adjoint.
 
@@ -141,14 +161,7 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
     y = np.asarray(y, dtype=float)
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
-    y_norm = op.codomain.norm(y)
-    if y_norm == 0.0:
-        return {"solvable": True, "defect": 0.0}
-    bases = fundamental_subspaces(svd(op))
-    null_astar = bases.null_astar
-    coeffs = np.array([op.codomain.inner(null_astar[:, j], y)
-                       for j in range(null_astar.shape[1])])
-    defect = float(np.sqrt(np.sum(coeffs ** 2)) / y_norm)
+    defect = null_defect(svd(op), y)
     return {"solvable": bool(defect <= tol), "defect": defect}
 
 

@@ -160,14 +160,13 @@ def linearize(f, x_eq: np.ndarray, h: float | None = None) -> np.ndarray:
     return jac
 
 
-def r0(f_matrix: np.ndarray, v_matrix: np.ndarray, tol: float = 1e-10,
-       max_iter: int = 10000) -> float:
-    """Spectral radius of ``F V^{-1}`` by power iteration.
+def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
+    """Spectral radius of ``F V^{-1}``: its largest eigenvalue modulus.
 
-    Assumes the next-generation matrix is (entrywise) nonnegative so the
-    dominant eigenvalue is real; a warning is issued when negative
-    entries show up, since the splitting is then epidemiologically
-    suspect.
+    LAPACK computes every eigenvalue, so imprimitive next-generation
+    matrices (host-vector models) need no special care.  A warning is
+    issued when negative entries show up, since the splitting is then
+    epidemiologically suspect.
     """
     f_matrix = np.asarray(f_matrix, dtype=float)
     v_matrix = np.asarray(v_matrix, dtype=float)
@@ -178,25 +177,12 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray, tol: float = 1e-10,
         k = np.linalg.solve(v_matrix.T, f_matrix.T).T
     except np.linalg.LinAlgError:
         raise NumericalError("transition matrix V is singular") from None
+    if not np.all(np.isfinite(k)):
+        raise NumericalError("next-generation matrix is not finite")
     if k.min() < -1e-12 * max(np.abs(k).max(), 1.0):
         warnings.warn("next-generation matrix has negative entries; "
                       "the F/V splitting may be invalid", RuntimeWarning)
-    if not np.any(k):
-        return 0.0
-    x = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = k @ x
-        nrm = np.linalg.norm(y)
-        if nrm <= 1e-300:
-            return 0.0
-        x_new = y / nrm
-        lam_new = float(x_new @ (k @ x_new))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
-            return abs(lam_new)
-        x, lam = x_new, lam_new
-    raise NumericalError("power iteration for the reproduction number "
-                         "did not converge")
+    return float(np.abs(np.linalg.eigvals(k)).max())
 
 
 def stability_verdict(f, x_eq, h: float | None = None,

@@ -1,21 +1,22 @@
 """Discretized Sturm-Liouville eigenproblems on (0, 1).
 
-The operator ``-(p v')' + q v = lambda rho v`` is discretized with the
-conservative second-order stencil
+The operator ``-(p v')' + q v = lambda rho v`` keeps its factored form
+``D* p D + q`` on the grid:
 
-    (K v)_i = [p_{i+1/2} (v_i - v_{i+1}) + p_{i-1/2} (v_i - v_{i-1})] / h^2
-              + q_i v_i,
+    K = D^T diag(p_half) D / h^2 + diag(q),
 
-which keeps K symmetric for all three boundary treatments: interior
-nodes with zero end values (dirichlet), cell midpoints with ghost
-reflection (neumann), and wraparound indices (periodic).  Modes solve
-the generalized problem ``K v = lambda diag(rho) v``, folded into the
-symmetric standard problem ``D^{-1/2} K D^{-1/2}`` (``D = diag(rho)``)
-that LAPACK ``eigh`` solves, and are normalized in the discrete
-weighted L2 product ``h * sum(rho u v)``, so for the
-constant-coefficient dirichlet case they reproduce the sine basis
-samples ``sqrt(2) sin(n pi x)`` and the eigenvalues obey the exact
-discrete formula ``(4/h^2) sin^2(n pi h / 2)``.
+where row ``i`` of the difference matrix ``D`` takes the jump of ``v``
+across flux interface ``i`` and ``p_half`` samples ``p`` there, so K is
+symmetric by construction.  The boundary condition only picks the grid,
+the interfaces and ``D``: interior nodes with zero end values
+(dirichlet), cell midpoints with no flux through the ends (neumann),
+and interfaces wrapping around (periodic).  Modes solve the generalized
+problem ``K v = lambda diag(rho) v``, folded into the symmetric standard
+problem ``W^{-1/2} K W^{-1/2}`` (``W = diag(rho)``) that LAPACK ``eigh``
+solves, and are normalized in the discrete weighted L2 product
+``h * sum(rho u v)``, so for the constant-coefficient dirichlet case
+they reproduce the sine basis samples ``sqrt(2) sin(n pi x)`` and the
+eigenvalues obey the exact discrete formula ``(4/h^2) sin^2(n pi h / 2)``.
 """
 
 from dataclasses import dataclass
@@ -73,54 +74,38 @@ class ModeSet:
 
 
 def discretize(problem: SLProblem) -> Discretization:
-    """Assemble the conservative stencil for the chosen boundary condition."""
+    """Assemble ``K = D^T diag(p_half) D / h^2 + diag(q)``.
+
+    ``D`` maps node values to their differences across the flux
+    interfaces of the chosen boundary condition.  The coefficients are
+    evaluated point by point, so scalar-only callables work.
+    """
     n = problem.n
     if problem.bc == "dirichlet":
+        # interface i sits between nodes i-1 and i; the end values are zero
         h = 1.0 / (n + 1)
         grid = (np.arange(n) + 1.0) * h
-        flux_nodes = np.concatenate([[grid[0] - 0.5 * h],
-                                     0.5 * (grid[:-1] + grid[1:]),
-                                     [grid[-1] + 0.5 * h]])
-        p_half = np.asarray([problem.p(x) for x in flux_nodes], dtype=float)
-        k = np.zeros((n, n))
-        for i in range(n):
-            k[i, i] = (p_half[i] + p_half[i + 1]) / h ** 2 + problem.q(grid[i])
-            if i > 0:
-                k[i, i - 1] = -p_half[i] / h ** 2
-            if i < n - 1:
-                k[i, i + 1] = -p_half[i + 1] / h ** 2
+        interfaces = (np.arange(n + 1) + 0.5) * h
+        d = np.eye(n + 1, n) - np.eye(n + 1, n, -1)
     elif problem.bc == "neumann":
-        # cell midpoints; ghost reflection zeroes the boundary fluxes
+        # cell midpoints; no flux through the ends
         h = 1.0 / n
         grid = (np.arange(n) + 0.5) * h
         interfaces = np.arange(1, n) * h
-        p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
-        k = np.zeros((n, n))
-        for i in range(n):
-            k[i, i] = problem.q(grid[i])
-            if i > 0:
-                k[i, i] += p_half[i - 1] / h ** 2
-                k[i, i - 1] = -p_half[i - 1] / h ** 2
-            if i < n - 1:
-                k[i, i] += p_half[i] / h ** 2
-                k[i, i + 1] = -p_half[i] / h ** 2
-    else:  # periodic
+        d = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+    else:  # periodic: interface i sits between nodes i and i+1 (mod n)
         h = 1.0 / n
         grid = np.arange(n) * h
-        interfaces = (np.arange(n) + 0.5) * h  # interface i sits between i and i+1
-        p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
-        k = np.zeros((n, n))
-        for i in range(n):
-            right = p_half[i]
-            left = p_half[(i - 1) % n]
-            k[i, i] = (left + right) / h ** 2 + problem.q(grid[i])
-            k[i, (i + 1) % n] += -right / h ** 2
-            k[i, (i - 1) % n] += -left / h ** 2
+        interfaces = (np.arange(n) + 0.5) * h
+        d = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
+    q = np.asarray([problem.q(x) for x in grid], dtype=float)
     rho = np.asarray([problem.rho(x) for x in grid], dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("weight function must be strictly positive on the grid")
     if np.any(p_half <= 0.0):
         raise ValueError("diffusion coefficient must be strictly positive")
+    k = d.T @ (p_half[:, None] * d) / h ** 2 + np.diag(q)
     return Discretization(stiffness=k, rho=rho, grid=grid, h=h, bc=problem.bc)
 
 

@@ -229,6 +229,18 @@ def test_picard_csv_shape(capsys, tmp_path):
     assert lines[-1].startswith("# null_defect=")
 
 
+def test_solve_and_picard_overflowing_operator_exit_3(capsys, tmp_path):
+    # sigma_1 = inf leaves no rank tolerance; [1, 1] lies in the range
+    op = write_json(tmp_path / "op.json", OVERFLOW_RECORD)
+    rhs = write_json(tmp_path / "rhs.json", [1.0, 1.0])
+    for command in ("solve", "picard"):
+        code, out, err = run(capsys, command, "--op", op, "--rhs", rhs)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"] == "numerical-failure"
+        assert "non-finite" in payload["detail"]
+
+
 # -- stability / r0 -----------------------------------------------------------------
 
 def test_stability_logistic_equilibria(capsys):
@@ -300,6 +312,16 @@ def test_r0_seir_blocks(capsys, tmp_path):
     assert json.loads(out)["r0"] == pytest.approx(beta / gamma, rel=1e-8)
 
 
+def test_r0_host_vector_split(capsys, tmp_path):
+    f = write_json(tmp_path / "f.json",
+                   {"rows": 2, "cols": 2, "entries": [0.0, 0.9, 0.1, 0.0]})
+    v = write_json(tmp_path / "v.json",
+                   {"rows": 2, "cols": 2, "entries": [0.2, 0.0, 0.0, 0.5]})
+    code, out, _ = run(capsys, "r0", "--F", f, "--V", v)
+    assert code == 0
+    assert json.loads(out)["r0"] == pytest.approx(0.9486832980505139, abs=1e-12)
+
+
 # -- sturm ----------------------------------------------------------------------------
 
 def test_sturm_csv_eigenvalues(capsys):
@@ -359,6 +381,20 @@ def test_train_repeated_runs_byte_identical(capsys, tmp_path):
     assert first[0] == 0
     assert run(capsys, "train", "--spec", "2,4,1", "--data", data_file,
                "--iters", "20") == first
+
+
+def test_descent_rejects_non_finite_step(capsys, tmp_path):
+    data_file = write_json(tmp_path / "data.json",
+                           [{"x": [0.1, 0.2], "a_obs": [0.3]}])
+    for step in ("nan", "inf"):
+        code, out, err = run(capsys, "train", "--spec", "2,2,1", "--data", data_file,
+                             "--iters", "3", "--step", step)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+        code, out, err = run(capsys, "pdeopt", "--problem", "elliptic", "--descend",
+                             "--step", step)
+        assert (code, out) == (2, "")
+        assert "finite" in err
 
 
 # -- pdeopt ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adjointkit import adjoint, matrix_operator, svd
+from adjointkit import (DenseOperator, InnerProductSpace, adjoint,
+                        matrix_operator, solvability_check, svd)
 from adjointkit.leastsq import (instability_demo, integration_operator,
                                 normal_solve, picard_diagnostic,
                                 tikhonov_solve)
@@ -175,6 +176,23 @@ def test_picard_null_space_data():
     table = picard_diagnostic(op, y)
     assert all(row.coeff <= 1e-12 for row in table.rows)
     assert table.null_defect == pytest.approx(1.0, abs=1e-12)
+
+
+def test_picard_null_defect_matches_solvability_and_weighted_residual():
+    rng = np.random.default_rng(61)
+    entries = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))  # rank 2
+    g_dom, g_cod = rng.standard_normal((4, 4)), rng.standard_normal((5, 5))
+    m_dom, m_cod = g_dom @ g_dom.T + 4 * np.eye(4), g_cod @ g_cod.T + 5 * np.eye(5)
+    op = DenseOperator(InnerProductSpace(4, m_dom), InnerProductSpace(5, m_cod), entries)
+    y = rng.standard_normal(5)
+    table = picard_diagnostic(op, y)
+    assert table.null_defect == solvability_check(op, y)["defect"]
+    # relative residual of weighted least squares, in the codomain metric
+    l_cod = np.linalg.cholesky(m_cod)
+    x = np.linalg.lstsq(l_cod.T @ entries, l_cod.T @ y, rcond=None)[0]
+    r = entries @ x - y
+    expected = np.sqrt(r @ m_cod @ r) / np.sqrt(y @ m_cod @ y)
+    assert table.null_defect == pytest.approx(expected, rel=1e-10)
 
 
 # -- instability_demo --------------------------------------------------------------

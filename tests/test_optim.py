@@ -193,6 +193,14 @@ def test_descent_validates_step():
         gradient_descent(ControlOnly(), np.zeros(2), step=-1.0, iters=5, tol=1e-8)
 
 
+def test_descent_and_fd_check_reject_non_finite_steps():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            gradient_descent(ControlOnly(), np.zeros(2), step=bad, iters=5, tol=1e-8)
+        with pytest.raises(ValueError, match="finite"):
+            fd_gradient_check(ControlOnly(), np.zeros(2), steps=(1e-3, bad))
+
+
 def test_kkt_residuals_at_converged_point():
     rng = np.random.default_rng(33)
     b = rng.standard_normal((3, 2))

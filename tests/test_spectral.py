@@ -5,6 +5,7 @@ from adjointkit import (DenseOperator, InnerProductSpace, adjoint, euclidean,
                         eig_self_adjoint, fundamental_subspaces,
                         matrix_operator, operator_norm, orthogonal_projector,
                         solvability_check, svd)
+from adjointkit.errors import NumericalError
 
 # four-decimal reference decomposition of [[2, 0, 1], [2, 4/3, 1/3]],
 # frozen from an independent eigendecomposition of A A^T and A^T A
@@ -117,6 +118,15 @@ def test_svd_rejects_nan_and_negative_rank_tol():
         with pytest.raises(ValueError, match="rank_tol"):
             svd(op, rank_tol=bad)
     assert svd(op, rank_tol=0.0).rank == 2
+
+
+def test_svd_overflowing_operator_raises():
+    # finite entries whose norm overflows: no rank tolerance can be derived
+    op = matrix_operator(np.full((2, 2), 1e308))
+    with pytest.raises(NumericalError, match="non-finite"):
+        svd(op)
+    with pytest.raises(NumericalError, match="non-finite"):
+        solvability_check(op, np.ones(2))
 
 
 def test_svd_rank_one_outer_product():

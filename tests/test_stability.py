@@ -203,6 +203,25 @@ def test_r0_matches_polynomial_root_oracle():
         assert r0(k_target, v) == pytest.approx(oracle, abs=1e-8)
 
 
+def test_r0_host_vector_split():
+    # F V^{-1} = [[0, 1.8], [0.5, 0]] is imprimitive: its dominant
+    # eigenvalues +-sqrt(0.9) share their modulus
+    f = np.array([[0.0, 0.9], [0.1, 0.0]])
+    v = np.diag([0.2, 0.5])
+    assert r0(f, v) == pytest.approx(np.sqrt(0.9), rel=1e-12)
+
+
+def test_r0_cross_infection_matrices():
+    for k12, k21 in [(1.2, 1.5), (0.3, 2.0), (4.0, 0.01), (0.7, 0.2)]:
+        k = np.array([[0.0, k12], [k21, 0.0]])
+        assert r0(k, np.eye(2)) == pytest.approx(np.sqrt(k12 * k21), rel=1e-12)
+
+
+def test_r0_non_finite_next_generation_matrix_raises():
+    with pytest.raises(NumericalError, match="not finite"):
+        r0(np.array([[1e10, 0.0], [0.0, 0.0]]), np.diag([1e-300, 1.0]))
+
+
 # -- stability_verdict ---------------------------------------------------------------
 
 def test_verdict_damped_oscillator():

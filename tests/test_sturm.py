@@ -43,6 +43,48 @@ def test_stiffness_symmetric_with_variable_coefficients():
     assert np.abs(disc.stiffness - disc.stiffness.T).max() <= 1e-12
 
 
+def flux_interfaces(bc, n):
+    """Node positions and the (left, right) node pair of each flux interface.
+
+    ``None`` stands for a zero end value at x = 0 or x = 1 (dirichlet).
+    """
+    if bc == "dirichlet":
+        nodes = [(j + 1) / (n + 1) for j in range(n)]
+        return nodes, [(j - 1 if j > 0 else None, j if j < n else None)
+                       for j in range(n + 1)]
+    if bc == "neumann":
+        return [(j + 0.5) / n for j in range(n)], [(j, j + 1) for j in range(n - 1)]
+    return [j / n for j in range(n)], [(j, (j + 1) % n) for j in range(n)]
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+def test_stiffness_obeys_discrete_green_identity(bc):
+    # v^T K v = sum p_half (jump of v)^2 / h^2 + sum q v^2, D built here
+    def p(x):
+        return 1.0 + 0.5 * np.sin(3.0 * x) ** 2
+
+    def q(x):
+        return 1.0 + x
+
+    n = 23
+    disc = discretize(SLProblem(p=p, q=q, rho=lambda x: 2.0 - x * x, bc=bc, n=n))
+    nodes, pairs = flux_interfaces(bc, n)
+    np.testing.assert_allclose(disc.grid, nodes, rtol=0, atol=1e-15)
+    h = disc.h
+    v = np.random.default_rng(71).standard_normal(n)
+    flux = 0.0
+    for left, right in pairs:
+        x_left = 0.0 if left is None else nodes[left]
+        x_right = 1.0 if right is None else nodes[right]
+        if x_right < x_left:  # periodic wraparound: x = 0 is also x = 1
+            x_right += 1.0
+        jump = (0.0 if right is None else v[right]) - (0.0 if left is None else v[left])
+        flux += p(0.5 * (x_left + x_right)) * jump ** 2
+    expected = flux / h ** 2 + sum(q(x) * vi ** 2 for x, vi in zip(nodes, v))
+    assert v @ disc.stiffness @ v == pytest.approx(expected, rel=1e-12)
+    assert np.array_equal(disc.stiffness, disc.stiffness.T)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="boundary"):
         SLProblem(p=lambda x: 1.0, q=lambda x: 0.0, rho=lambda x: 1.0, bc="robin")
