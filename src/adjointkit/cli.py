@@ -84,6 +84,8 @@ def _json_text(payload) -> str:
 
 
 def _fmt(x: float) -> str:
+    if not np.isfinite(x):
+        raise NumericalError("result has non-finite values")
     return f"{float(x):.17g}"
 
 
@@ -251,9 +253,9 @@ def cmd_sturm(args) -> int:
 
 def _build_pde_problem(args):
     if args.problem == "advection":
-        problem = build_advection_problem(args.n, args.beta)
-        z = np.array([args.z])
-        return problem, z
+        if not np.isfinite(args.z):
+            raise ValueError("advection control value --z must be finite")
+        return build_advection_problem(args.n, args.beta), np.array([args.z])
     problem, _ = make_elliptic_demo(args.n, g0=args.g0, g1=args.g1,
                                     kappa=args.kappa)
     return problem, np.zeros(problem.control_dim)

@@ -167,6 +167,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
     history = []
     f_curr = None

@@ -69,8 +69,8 @@ class AdvectionControlProblem(ConstrainedProblem):
     def __init__(self, n: int, beta: float):
         if n < 2:
             raise ValueError("need at least two grid cells")
-        if beta <= 0.0:
-            raise ValueError("transport velocity must be positive")
+        if not 0.0 < beta < np.inf:
+            raise ValueError("transport velocity must be positive and finite")
         self.n = int(n)
         self.beta = float(beta)
         self.h = 1.0 / n
@@ -142,6 +142,8 @@ class EllipticInversionProblem(ConstrainedProblem):
                  kappa: float = 0.0, z_prior=None):
         if n < 3:
             raise ValueError("need at least three interior nodes")
+        if not (np.isfinite(g0) and np.isfinite(g1)):
+            raise ValueError("boundary data g0 and g1 must be finite")
         self.n = int(n)
         self.g0 = float(g0)
         self.g1 = float(g1)
@@ -154,8 +156,8 @@ class EllipticInversionProblem(ConstrainedProblem):
         self.kappa = float(kappa)
         self.z_prior = (np.zeros(n + 1) if z_prior is None
                         else np.asarray(z_prior, dtype=float))
-        if self.kappa < 0.0:
-            raise ValueError("penalty weight must be nonnegative")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError("penalty weight must be nonnegative and finite")
         self.grid = (np.arange(n) + 1.0) * self.h
         self.midpoints = (np.arange(n + 1) + 0.5) * self.h
 
@@ -269,6 +271,3 @@ def elliptic_stiffness_operator(n: int, z) -> "DenseOperator":
     """Interior stiffness matrix wrapped as a Euclidean dense operator."""
     problem = EllipticInversionProblem(n, 0.0, 0.0, np.zeros(n))
     return matrix_operator(problem.stiffness_matrix(np.asarray(z, dtype=float)))
-
-
-PROBLEM_NAMES = ("advection", "elliptic")

@@ -174,8 +174,7 @@ def orthogonal_projector(basis: np.ndarray, space: InnerProductSpace) -> DenseOp
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != space.dim:
         raise ValueError("basis must be columns of length space.dim")
-    gram = np.array([[space.inner(basis[:, i], basis[:, j])
-                      for j in range(basis.shape[1])] for i in range(basis.shape[1])])
+    gram = basis.T @ space.metric @ basis
     if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise ValueError("basis is not orthonormal in the space metric")
     entries = basis @ basis.T

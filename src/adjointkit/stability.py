@@ -7,13 +7,15 @@ recursion).  The certificate route solves the Lyapunov equation
 
     P A + A^T P + Q = 0
 
-as a dense Kronecker system and checks that P is symmetric positive
-definite, which holds exactly for Hurwitz A.  Verdicts chain the two:
-linearize, tabulate, certify, and insist the answers agree.  The basic
-reproduction number of a compartmental model is the spectral radius of
-F V^{-1} from the user-supplied new-infection/transition splitting; it
-crosses one exactly when the disease-free linearization loses
-stability.
+by the Bartels-Stewart method (a real Schur form and a triangular
+Sylvester solve, one LAPACK-backed scipy call) and checks that P is
+symmetric positive definite, which holds exactly for Hurwitz A.
+Verdicts chain the two: linearize, tabulate, certify, and insist the
+answers agree; only a singular Lyapunov equation counts as "no
+certificate".  The basic reproduction number of a compartmental model
+is the spectral radius of F V^{-1} from the user-supplied
+new-infection/transition splitting; it crosses one exactly when the
+disease-free linearization loses stability.
 """
 
 import warnings
@@ -50,31 +52,34 @@ class StabilityReport:
     r0: float | None = None
 
 
+class SingularLyapunovError(NumericalError):
+    """A and -A share an eigenvalue, so the Lyapunov equation is singular."""
+
+
 def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``P A + A^T P + Q = 0`` for symmetric P.
 
-    Vectorized as ``(A^T (x) I + I (x) A^T) vec(P) = -vec(Q)`` in
-    column-major layout, dense, so the dimension is capped.  The system
-    is singular exactly when A and -A share an eigenvalue, which covers
-    every boundary (imaginary-axis) case.
+    Bartels-Stewart: real Schur form of A, then LAPACK ``trsyl``; O(n^3).
+    Singular exactly when A and -A share an eigenvalue, which covers
+    every boundary (imaginary-axis) case; scipy only warns then.
     """
+    from scipy.linalg import solve_continuous_lyapunov
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise ValueError("matrices must be square and share a dimension")
     if n > MAX_LYAPUNOV_DIM:
-        raise ValueError(f"dense Lyapunov solve capped at n={MAX_LYAPUNOV_DIM}")
+        raise ValueError(f"Lyapunov solve capped at n={MAX_LYAPUNOV_DIM}")
     if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
         raise ValueError("Q must be symmetric")
-    eye = np.eye(n)
-    system = np.kron(a.T, eye) + np.kron(eye, a.T)
-    try:
-        vec_p = np.linalg.solve(system, -q.reshape(n * n, order="F"))
-    except np.linalg.LinAlgError:
-        raise NumericalError("Lyapunov system is singular "
-                             "(A and -A share an eigenvalue)") from None
-    p = vec_p.reshape(n, n, order="F")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*eigenvalue pair", RuntimeWarning)
+        try:
+            p = solve_continuous_lyapunov(a.T, -q)
+        except RuntimeWarning:
+            raise SingularLyapunovError("Lyapunov system is singular "
+                                        "(A and -A share an eigenvalue)") from None
     p = 0.5 * (p + p.T)
     residual = np.linalg.norm(p @ a + a.T @ p + q)
     if residual > _LYAP_RESIDUAL_TOL * np.linalg.norm(q):
@@ -195,8 +200,8 @@ def stability_verdict(f, x_eq, h: float | None = None,
     try:
         p = lyapunov_solve(a, np.eye(a.shape[0]))
         spd = is_spd(p)
-    except NumericalError:
-        p = None
+    except SingularLyapunovError:
+        pass  # A and -A share an eigenvalue, so A is not Hurwitz
     if verdict.hurwitz != spd:
         raise NumericalError(
             "tabulation and Lyapunov certificate disagree; the spectrum is "

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from adjointkit.cli import main
+from adjointkit.cli import _csv, main
+from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
                                   linearize, r0, stability_verdict)
 
@@ -296,6 +297,22 @@ def test_stability_stdout_matches_payload_fields(capsys, tmp_path):
         assert out == json.dumps(expected) + "\n"
 
 
+def test_stability_matrix_failed_residual_gate_exit_3(capsys, tmp_path):
+    # Hurwitz but strongly non-normal: the Lyapunov residual gate rejects
+    # the certificate, which must not be read as "not Hurwitz"
+    rng = np.random.default_rng(7)
+    eigs = -rng.uniform(0.3, 3.0, 48)
+    q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+    a = q @ (np.diag(eigs) + np.triu(rng.standard_normal((48, 48)), 1)) @ q.T
+    matrix = write_json(tmp_path / "a.json", {"rows": 48, "cols": 48,
+                                              "entries": list(a.ravel())})
+    code, out, _ = run(capsys, "stability", "--matrix", matrix)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "numerical-failure"
+    assert "residual" in payload["detail"]
+
+
 def test_stability_needs_exactly_one_source(capsys):
     code, out, err = run(capsys, "stability")
     assert code == 2
@@ -398,6 +415,27 @@ def test_descent_rejects_non_finite_step(capsys, tmp_path):
 
 
 # -- pdeopt ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("--problem", "elliptic", "--check-gradient", "--kappa", "nan"),
+    ("--problem", "advection", "--beta", "nan"),
+    ("--problem", "advection", "--descend", "--z", "nan", "--iters", "2"),
+    ("--problem", "elliptic", "--g0", "nan"),
+    ("--problem", "elliptic", "--g1", "inf"),
+    ("--problem", "elliptic", "--descend", "--tol", "nan"),
+], ids=["kappa", "beta", "z", "g0", "g1", "tol"])
+def test_pdeopt_rejects_non_finite_flag(capsys, argv):
+    code, out, err = run(capsys, "pdeopt", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_csv_refuses_non_finite_values():
+    assert _csv([(0, 1.5)], "k,f") == "k,f\n0,1.5\n"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NumericalError, match="non-finite"):
+            _csv([(0, bad)], "k,f")
+
 
 def test_pdeopt_advection_gradient_check(capsys):
     code, out, _ = run(capsys, "pdeopt", "--problem", "advection",

@@ -201,6 +201,12 @@ def test_descent_and_fd_check_reject_non_finite_steps():
             fd_gradient_check(ControlOnly(), np.zeros(2), steps=(1e-3, bad))
 
 
+def test_descent_rejects_nan_and_negative_tol():
+    for bad in (float("nan"), -1e-8):
+        with pytest.raises(ValueError, match="tol"):
+            gradient_descent(ControlOnly(), np.zeros(2), step=0.5, iters=5, tol=bad)
+
+
 def test_kkt_residuals_at_converged_point():
     rng = np.random.default_rng(33)
     b = rng.standard_normal((3, 2))

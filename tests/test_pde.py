@@ -111,6 +111,12 @@ def test_advection_validates_inputs():
         build_advection_problem(5, -1.0)
 
 
+def test_advection_rejects_non_finite_velocity():
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            build_advection_problem(5, beta)
+
+
 # -- elliptic problem ----------------------------------------------------------------
 
 def test_elliptic_harmonic_lift():
@@ -189,6 +195,16 @@ def test_elliptic_validates_inputs():
         build_elliptic_problem(2, 0.0, 1.0, np.zeros(2))
     with pytest.raises(ValueError):
         build_elliptic_problem(5, 0.0, 1.0, np.zeros(4))
+
+
+def test_elliptic_rejects_non_finite_penalty_and_boundary_data():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            build_elliptic_problem(5, 0.0, 1.0, np.zeros(5), kappa=bad)
+        with pytest.raises(ValueError, match="finite"):
+            build_elliptic_problem(5, bad, 1.0, np.zeros(5))
+        with pytest.raises(ValueError, match="finite"):
+            build_elliptic_problem(5, 0.0, bad, np.zeros(5))
 
 
 # -- discrete inf-sup -----------------------------------------------------------------

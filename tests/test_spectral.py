@@ -335,3 +335,9 @@ def test_projector_idempotent_self_adjoint_pythagorean():
 def test_projector_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         orthogonal_projector(np.array([[1.0], [1.0]]), euclidean(2))
+
+
+def test_projector_checks_orthonormality_in_the_space_metric():
+    space = InnerProductSpace(5, spd_metric(np.random.default_rng(20), 5))
+    with pytest.raises(ValueError, match="orthonormal"):
+        orthogonal_projector(np.eye(5)[:, :2], space)

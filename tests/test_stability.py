@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import adjointkit
 
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, characteristic_polynomial,
@@ -32,12 +40,31 @@ def lyapunov_quadrature_oracle(a, q, t_final=40.0, dt=2e-3):
     return p
 
 
-def matrix_with_spectrum(rng, eigenvalues):
+def kronecker_lyapunov_oracle(a, q):
+    """Dense ``(A^T (x) I + I (x) A^T) vec(P) = -vec(Q)``, column-major.
+
+    O(n^6) time and O(n^4) memory, so only for small n; independent of
+    the Schur-based solve it checks.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    system = np.kron(a.T, eye) + np.kron(eye, a.T)
+    vec_p = np.linalg.solve(system, -q.reshape(n * n, order="F"))
+    return vec_p.reshape(n, n, order="F")
+
+
+def matrix_with_spectrum(rng, eigenvalues, upper_scale=1.0):
     """Real matrix with the prescribed real spectrum via a random similarity."""
     n = len(eigenvalues)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    upper = np.triu(rng.standard_normal((n, n)), 1)
+    upper = upper_scale * np.triu(rng.standard_normal((n, n)), 1)
     return q @ (np.diag(eigenvalues) + upper) @ q.T
+
+
+def non_normal_hurwitz_48():
+    """Hurwitz, strongly non-normal: the Lyapunov residual gate rejects it."""
+    rng = np.random.default_rng(7)
+    return matrix_with_spectrum(rng, -rng.uniform(0.3, 3.0, 48))
 
 
 # -- lyapunov_solve --------------------------------------------------------------
@@ -76,6 +103,39 @@ def test_lyapunov_singular_on_shared_eigenvalue():
     a = np.diag([1.0, -1.0])
     with pytest.raises(NumericalError, match="singular"):
         lyapunov_solve(a, np.eye(2))
+
+
+def test_lyapunov_singular_emits_no_warning():
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="singular"):
+            lyapunov_solve(rotation, np.eye(2))
+    assert caught == []
+
+
+def test_lyapunov_matches_kronecker_oracle():
+    rng = np.random.default_rng(56)
+    for n in range(2, 17):
+        for trial in range(5):
+            eigs = -rng.uniform(0.3, 3.0, n)
+            if trial % 2:
+                eigs[rng.integers(0, n)] = rng.uniform(0.3, 2.0)
+            a = matrix_with_spectrum(rng, eigs, upper_scale=1.0 / np.sqrt(n))
+            q_raw = rng.standard_normal((n, n))
+            q = q_raw @ q_raw.T + np.eye(n)
+            p = lyapunov_solve(a, q)
+            oracle = kronecker_lyapunov_oracle(a, q)
+            assert np.abs(p - oracle).max() <= 1e-8 * np.abs(p).max()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(adjointkit.__file__).resolve().parents[1])
+    code = "import sys, adjointkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_lyapunov_rejects_oversize_and_asymmetric_q():
@@ -249,6 +309,14 @@ def test_verdict_abscissa_bound_with_close_lyapunov_eigenvalues():
     max_re = np.linalg.eigvals(a).real.max()
     assert report.hurwitz
     assert report.spectral_abscissa_bound >= max_re - 1e-9 * abs(max_re)
+
+
+def test_verdict_raises_when_residual_gate_fails():
+    # only a singular Lyapunov system may mean "no certificate"; a failed
+    # residual gate on a Hurwitz matrix is no verdict at all
+    a = non_normal_hurwitz_48()
+    with pytest.raises(NumericalError, match="residual"):
+        stability_verdict(lambda x: a @ x, np.zeros(48))
 
 
 def test_verdict_logistic_both_equilibria():
