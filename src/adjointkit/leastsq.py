@@ -1,7 +1,8 @@
 """Least squares, Tikhonov regularization, and ill-posedness diagnostics.
 
 The minimum-norm least-squares solution is assembled from the singular
-system, ``x = sum_i (y, v_i) / s_i * u_i`` over the retained triplets.
+system, ``x = sum_i (y, v_i) / s_i * u_i`` over the retained triplets,
+with the coefficients ``(y, v_i)`` taken from ``left_coefficients``.
 Tikhonov replaces the normal equations with the shifted system
 ``(A* A + kappa I) x = A* y + kappa x0``, which stays well conditioned
 as the spectrum of ``A`` decays.  A discretized integration operator is
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace
-from .spectral import SvdResult, null_defect, svd
+from .spectral import SvdResult, left_coefficients, null_defect, svd
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,8 @@ def normal_solve(op: DenseOperator, y: np.ndarray,
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
     dec = svd(op) if decomposition is None else decomposition
-    x = np.zeros(op.domain.dim)
-    for i in range(dec.rank):
-        coeff = op.codomain.inner(y, dec.left_vectors[:, i]) / dec.sigma[i]
-        x += coeff * dec.right_vectors[:, i]
-    return x
+    r = dec.rank
+    return dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
 
 
 def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
@@ -107,16 +105,13 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray,
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
     dec = svd(op) if decomposition is None else decomposition
-    rows = []
-    cumulative = 0.0
-    for i in range(dec.rank):
-        coeff = abs(op.codomain.inner(y, dec.left_vectors[:, i]))
-        ratio = coeff / dec.sigma[i]
-        cumulative += ratio * ratio
-        rows.append(PicardRow(index=i + 1, sigma=float(dec.sigma[i]),
-                              coeff=float(coeff), ratio=float(ratio),
-                              cumulative=float(cumulative)))
-    return PicardTable(rows=tuple(rows), null_defect=null_defect(dec, y))
+    sigma = dec.sigma[:dec.rank]
+    coeff = np.abs(left_coefficients(dec, y)[:dec.rank])
+    ratio = coeff / sigma
+    rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(),
+               np.cumsum(ratio * ratio).tolist())
+    return PicardTable(rows=tuple(PicardRow(i + 1, *row) for i, row in enumerate(rows)),
+                       null_defect=null_defect(dec, y))
 
 
 def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,

@@ -146,12 +146,14 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
     return HurwitzVerdict(hurwitz=bool(np.all(first_col > 0.0)), margin=margin)
 
 
-def linearize(f, x_eq: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of the vector field at an equilibrium."""
+def linearize(f, x_eq: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of the vector field at an equilibrium.
+
+    The step is ``1e-5 (1 + |x_eq|)``.
+    """
     x_eq = np.asarray(x_eq, dtype=float)
     n = x_eq.size
-    if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
+    h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
     f0 = np.asarray(f(x_eq), dtype=float)
     if np.linalg.norm(f0) > _EQUILIBRIUM_TOL:
         raise ValueError(
@@ -190,10 +192,10 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(k)).max())
 
 
-def stability_verdict(f, x_eq, h: float | None = None,
+def stability_verdict(f, x_eq,
                       reproduction_number: float | None = None) -> StabilityReport:
     """Linearize, tabulate, and certify; the two routes must agree."""
-    a = linearize(f, x_eq, h)
+    a = linearize(f, x_eq)
     verdict = hurwitz_check(a)
     p = None
     spd = False

@@ -127,13 +127,12 @@ def solve_modes(disc: Discretization, k: int) -> ModeSet:
 
 
 def fourier_coefficients(f: np.ndarray, modes: ModeSet) -> np.ndarray:
-    """Expansion coefficients ``c_n = h sum(rho f v_n)`` of sampled data."""
+    """Expansion coefficients ``c_n = h sum(rho f v_n)``, all as ``V^T (h rho f)``."""
     f = np.asarray(f, dtype=float)
     disc = modes.disc
     if f.shape != disc.grid.shape:
         raise ValueError("sample length does not match the grid")
-    return np.array([disc.weighted_inner(f, modes.modes[:, j])
-                     for j in range(modes.modes.shape[1])])
+    return modes.modes.T @ (disc.h * disc.rho * f)
 
 
 def reconstruct(coefficients: np.ndarray, modes: ModeSet,

@@ -203,6 +203,30 @@ def test_orthonormalize_rejects_dependent_input():
         orthonormalize([np.array([1.0, 2.0]), np.array([2.0, 4.0])], euclidean(2))
 
 
+def test_orthonormalize_rejects_more_vectors_than_dimension():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="dependent"):
+        orthonormalize([rng.standard_normal(3) for _ in range(4)], euclidean(3))
+
+
+def test_orthonormalize_twelve_monomials_nested_and_orthonormal():
+    m = 2000
+    h = 2.0 / m
+    x = -1.0 + (np.arange(m) + 0.5) * h
+    space = InnerProductSpace(m, np.diag(np.full(m, h)))
+    vecs = np.column_stack([x ** k for k in range(12)])
+    basis = orthonormalize(list(vecs.T), space)
+    # h * (Q^T Q) rather than Q^T (M Q): the dense product's 2000-term sums
+    # alone are off by about 5e-14 on the diagonal
+    gram = h * (basis.T @ basis)
+    assert np.abs(gram - np.eye(12)).max() <= 1e-14
+    # the first j columns span the first j inputs: the change of basis
+    # V = Q T is upper triangular with a positive diagonal
+    t = basis.T @ space.metric @ vecs
+    assert np.abs(np.tril(t, -1)).max() <= 1e-13 * np.abs(t).max()
+    assert np.all(np.diag(t) > 0.0)
+
+
 def test_orthonormalize_span_preserved():
     rng = np.random.default_rng(8)
     vecs = [rng.standard_normal(5) for _ in range(3)]

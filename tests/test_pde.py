@@ -13,6 +13,56 @@ from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
 
 # -- tridiagonal_solve ------------------------------------------------------------
 
+def thomas_oracle(lower, diag, upper, rhs):
+    """Array-indexed Thomas elimination, the bit-for-bit reference."""
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (lower, diag, upper, rhs))
+    n = b.size
+    cp = np.zeros(n)
+    dp = np.zeros(n)
+    cp[0] = c[0] / b[0]
+    dp[0] = d[0] / b[0]
+    for i in range(1, n):
+        denom = b[i] - a[i] * cp[i - 1]
+        cp[i] = c[i] / denom
+        dp[i] = (d[i] - a[i] * dp[i - 1]) / denom
+    x = np.zeros(n)
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+def test_tridiagonal_bitwise_equal_to_oracle():
+    rng = np.random.default_rng(72)
+    for trial in range(300):
+        n = 1 + trial % 100
+        if trial % 3 == 0:  # the conservative SPD stencil of the elliptic problem
+            coeff = np.exp(rng.standard_normal(n + 1))
+            diag = coeff[:-1] + coeff[1:]
+            lower = np.concatenate([[0.0], -coeff[1:-1]])
+            upper = np.concatenate([-coeff[1:-1], [0.0]])
+        elif trial % 3 == 1:  # the constant second-difference stencil
+            lower, diag, upper = -np.ones(n), np.full(n, 2.0), -np.ones(n)
+        else:  # general diagonally dominant, either sign on the diagonal
+            lower = rng.standard_normal(n)
+            upper = rng.standard_normal(n)
+            sign = rng.choice([-1.0, 1.0], n)
+            diag = sign * (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n))
+        rhs = rng.standard_normal(n)
+        x = tridiagonal_solve(lower, diag, upper, rhs)
+        ref = thomas_oracle(lower, diag, upper, rhs)
+        assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+
+
+def test_tridiagonal_ignores_corner_entries():
+    rng = np.random.default_rng(73)
+    lower, upper, rhs = (rng.standard_normal(6) for _ in range(3))
+    diag = 4.0 + rng.uniform(size=6)
+    x = tridiagonal_solve(lower, diag, upper, rhs)
+    lower[0], upper[-1] = np.nan, np.nan
+    np.testing.assert_array_equal(tridiagonal_solve(lower, diag, upper, rhs), x)
+
+
 def test_tridiagonal_identity():
     rhs = np.array([3.0, -1.0, 2.0])
     x = tridiagonal_solve(np.zeros(3), np.ones(3), np.zeros(3), rhs)
@@ -42,6 +92,13 @@ def test_tridiagonal_scalar_division():
 def test_tridiagonal_zero_pivot():
     with pytest.raises(NumericalError, match="pivot"):
         tridiagonal_solve(np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2))
+
+
+def test_tridiagonal_nan_band_raises():
+    for diag, lower in [([0.0, np.nan], [0.0, 0.0]), ([1.0, np.nan], [0.0, 0.0]),
+                        ([2.0, 2.0], [0.0, np.nan])]:
+        with pytest.raises(NumericalError, match="pivot"):
+            tridiagonal_solve(lower, diag, np.zeros(2), np.ones(2))
 
 
 # -- advection problem --------------------------------------------------------------
