@@ -11,6 +11,7 @@ for every seeded subcommand.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -306,13 +307,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache
+def build_parser(seed: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adjointkit",
         description="Adjoint-consistent operators: SVD, regularized inversion, "
                     "reduced gradients, backprop, ODE stability, Sturm modes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("adjoint-check", help="randomized adjoint identity report")
     p.add_argument("--op", required=True, help="operator JSON file")
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
+        parser = build_parser(_default_seed())
     except ValueError as exc:  # bad ADJOINTKIT_SEED
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

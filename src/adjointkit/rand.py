@@ -3,6 +3,8 @@
 Consistency reports and seeded demos must produce identical numbers on
 every platform, so randomness is drawn from a fixed 64-bit LCG rather
 than from library generators whose streams may change between releases.
+``floats`` draws a block at once, ``s_i = a^i s_0 + c (1 + a + ... + a^(i-1))``
+in wrapping ``uint64`` arrays: the stream of ``next_u64``, bit for bit.
 """
 
 import numpy as np
@@ -27,16 +29,11 @@ class Lcg:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def floats(self, k: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:
-        span = high - low
-        return np.array([low + span * self.uniform() for _ in range(k)])
+        powers = np.cumprod(np.r_[1, np.full(k, _MULT)].astype(np.uint64))  # a^0 ... a^k
+        states = powers * np.uint64(self._state) + (np.cumsum(powers) - powers) * np.uint64(_INC)
+        self._state = int(states[-1])
+        return low + (high - low) * ((states[1:] >> np.uint64(11)) * 2.0**-53)
 
     def matrix(self, rows: int, cols: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:
         return self.floats(rows * cols, low, high).reshape(rows, cols)
 
-    def unit_vector(self, space) -> np.ndarray:
-        """Vector of unit norm in the metric of ``space``."""
-        while True:
-            v = self.floats(space.dim)
-            nrm = space.norm(v)
-            if nrm > 1e-8:
-                return v / nrm

@@ -7,12 +7,11 @@ seed, so a failing run always reproduces.
 import numpy as np
 
 from .core import DenseOperator, adjoint, adjoint_consistency_check, matrix_operator
-from .errors import NumericalError
 from .optim import fd_gradient_check
 from .pde import build_advection_problem, make_elliptic_demo
 from .rand import Lcg
 from .spectral import svd
-from .stability import hurwitz_check, is_spd, lyapunov_solve
+from .stability import SingularLyapunovError, hurwitz_check, is_spd, lyapunov_solve
 from .sturm import (constant_coefficient_problem, dirichlet_eigenvalue_formula,
                     discretize, solve_modes)
 
@@ -86,7 +85,7 @@ def lyapunov_suite(seed: int = 42, cases: int = 50):
         tabulated = hurwitz_check(a).hurwitz
         try:
             certified = is_spd(lyapunov_solve(a, np.eye(n)))
-        except NumericalError:
+        except SingularLyapunovError:
             certified = False
         disagreements += int(tabulated != certified)
     return disagreements == 0, f"{disagreements} disagreements over {cases} matrices"

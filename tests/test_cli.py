@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adjointkit.cli import _csv, main
+import adjointkit
+from adjointkit.cli import _csv, build_parser, main
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
                                   linearize, r0, stability_verdict)
@@ -113,6 +118,55 @@ def test_bad_env_seed_rejected(capsys, monkeypatch):
     monkeypatch.setenv("ADJOINTKIT_SEED", "not-a-number")
     code, out, err = run(capsys, "selftest", "--suite", "svd")
     assert code == 2
+    for argv in (["adjoint-check", "--op", "x.json"], ["svd", "--op", "x.json"],
+                 ["sturm"], ["r0", "--F", "f.json", "--V", "v.json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "ADJOINTKIT_SEED" in err
+
+
+def test_env_seed_change_between_calls_takes_effect(capsys, tmp_path, monkeypatch):
+    # one probe pair in weighted metrics, so the roundoff-sized defect
+    # differs between the two seeds
+    op = write_json(tmp_path / "op.json", {
+        **EXAMPLE_RECORD, "domain_metric": [3.0, 1.0, 0.0, 1.0, 2.0, 0.5, 0.0, 0.5, 1.0],
+        "codomain_metric": [2.0, 0.3, 0.3, 1.0]})
+    outputs = {}
+    for seed in ("1", "2"):
+        monkeypatch.setenv("ADJOINTKIT_SEED", seed)
+        code, outputs[seed], _ = run(capsys, "adjoint-check", "--op", op, "--trials", "1")
+        assert code == 0
+    monkeypatch.delenv("ADJOINTKIT_SEED")
+    for seed in ("1", "2"):
+        code, out, _ = run(capsys, "adjoint-check", "--op", op, "--trials", "1",
+                           "--seed", seed)
+        assert code == 0
+        assert outputs[seed] == out
+    assert outputs["1"] != outputs["2"]
+
+
+def test_parser_built_once_per_seed(capsys, monkeypatch):
+    monkeypatch.setenv("ADJOINTKIT_SEED", "31337")
+    run(capsys, "selftest", "--suite", "svd")
+    misses = build_parser.cache_info().misses
+    for _ in range(3):
+        code, _, _ = run(capsys, "selftest", "--suite", "svd")
+        assert code == 0
+    assert build_parser.cache_info().misses == misses
+
+
+def test_adjoint_check_tiny_spd_metric_returns(tmp_path):
+    # the metric norms of the probes are about 1e-10, far below any fixed floor
+    op = write_json(tmp_path / "op.json", {"rows": 1, "cols": 1, "entries": [1.0],
+                                            "domain_metric": [1e-20],
+                                            "codomain_metric": [1e-20]})
+    src = str(Path(adjointkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "adjointkit.cli", "adjoint-check",
+                           "--op", op], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["max_defect"] <= 1e-12
 
 
 # -- svd -------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,65 @@ def test_consistency_check_rejects_bad_trials():
     op = matrix_operator(np.eye(2))
     with pytest.raises(ValueError):
         adjoint_consistency_check(op, trials=0)
+
+
+def per_pair_defects(op, b, trials, seed):
+    """One pair at a time: row k of the stream is u_k, then v_k."""
+    rows = Lcg(seed).matrix(trials, op.domain.dim + op.codomain.dim)
+    scale = max(operator_norm(op), operator_norm(b))
+    out = []
+    for row in rows:
+        u, v = row[:op.domain.dim], row[op.domain.dim:]
+        u, v = u / op.domain.norm(u), v / op.codomain.norm(v)
+        lhs = op.codomain.inner(op.matvec(u), v)
+        rhs = op.domain.inner(u, b.matvec(v))
+        out.append(abs(lhs - rhs) / scale)
+    return out
+
+
+def test_consistency_check_matches_per_pair_loop():
+    # 300 trials span two probe blocks; a corrupted adjoint gives O(1) defects
+    rng = np.random.default_rng(8)
+    op = random_operator(rng, 5, 4, weighted=True)
+    bad = adjoint(op).entries + 0.1 * rng.standard_normal((4, 5))
+    corrupt = DenseOperator(op.codomain, op.domain, bad)
+    for trials in (1, 255, 256, 257, 300):
+        report = adjoint_consistency_check(op, trials=trials, seed=3, adjoint_op=corrupt)
+        expected = max(per_pair_defects(op, corrupt, trials, seed=3))
+        assert report.max_defect == pytest.approx(expected, rel=1e-12)
+
+
+def test_consistency_check_memory_does_not_grow_with_trials():
+    rng = np.random.default_rng(9)
+    op = random_operator(rng, 48, 48, weighted=True)
+    tracemalloc.start()
+    try:
+        report = adjoint_consistency_check(op, trials=20000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_defect <= 1e-12
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("dim, scale", [(1, 1e-20), (2, 1e-17)])
+def test_consistency_check_tiny_spd_metric(dim, scale):
+    # the metric norms of the probes are far below 1e-8, yet the metric is SPD
+    op = matrix_operator(np.eye(dim), scale * np.eye(dim), scale * np.eye(dim))
+    assert adjoint_consistency_check(op, trials=100, seed=42).max_defect <= 1e-12
+    op = matrix_operator(np.eye(dim), scale * np.eye(dim))
+    assert adjoint_consistency_check(op, trials=100, seed=42).max_defect <= 1e-12
+
+
+def test_consistency_check_all_zero_probe_scores_zero():
+    # inverting the first LCG step gives a seed whose first draw is exactly 0.0
+    seed = 9773598507722681344
+    assert Lcg(seed).floats(1)[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = adjoint_consistency_check(matrix_operator([[2.0]]), trials=5, seed=seed)
+    assert np.isfinite(report.max_defect)
+    assert report.max_defect <= 1e-12
 
 
 # -- orthonormalization --------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import adjointkit
 
+from adjointkit import selftest
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, characteristic_polynomial,
                                   damped_oscillator, hurwitz_check, is_spd,
@@ -317,6 +318,16 @@ def test_verdict_raises_when_residual_gate_fails():
     a = non_normal_hurwitz_48()
     with pytest.raises(NumericalError, match="residual"):
         stability_verdict(lambda x: a @ x, np.zeros(48))
+
+
+def test_lyapunov_suite_raises_on_non_singular_failure(monkeypatch):
+    # only a singular Lyapunov system may count as "not certified"
+    def failed_gate(a, q):
+        raise NumericalError("Lyapunov residual gate failed")
+
+    monkeypatch.setattr(selftest, "lyapunov_solve", failed_gate)
+    with pytest.raises(NumericalError, match="residual"):
+        selftest.lyapunov_suite(seed=42, cases=4)
 
 
 def test_verdict_logistic_both_equilibria():
