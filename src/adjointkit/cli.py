@@ -216,15 +216,15 @@ def cmd_stability(args) -> int:
         field, x_eq = model, model.disease_free_equilibrium
     else:
         raise ValueError(f"unknown model {args.model!r}")
-    report = stability_verdict(field, x_eq, reproduction_number=reproduction)
+    report = stability_verdict(field, x_eq)
     payload = {
         "hurwitz": report.hurwitz,
         "spd_certificate": report.spd_certificate,
         "spectral_abscissa_bound": report.spectral_abscissa_bound,
         "margin": report.margin,
     }
-    if report.r0 is not None:
-        payload["r0"] = report.r0
+    if reproduction is not None:
+        payload["r0"] = reproduction
     if report.lyapunov_p is not None:
         payload["lyapunov_P"] = [[float(x) for x in row] for row in report.lyapunov_p]
     _emit(_json_text(payload), args.output)

@@ -64,8 +64,6 @@ class InnerProductSpace:
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("vector length does not match space dimension")
-        if self.is_euclidean:
-            return float(x @ y)
         return float(x @ self.metric @ y)
 
     def norm(self, x: np.ndarray) -> float:
@@ -73,8 +71,6 @@ class InnerProductSpace:
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
         """Solve ``M w = x`` through the cached Cholesky factor."""
-        if self.is_euclidean:
-            return np.asarray(x, dtype=float)
         w = np.linalg.solve(self._chol, x)
         return np.linalg.solve(self._chol.T, w)
 
@@ -120,12 +116,8 @@ class DenseOperator:
         Its Euclidean singular values are those of the operator between
         the weighted norms.
         """
-        b = self.entries
-        if not self.domain.is_euclidean:
-            b = np.linalg.solve(self.domain.cholesky, b.T).T
-        if not self.codomain.is_euclidean:
-            b = self.codomain.cholesky.T @ b
-        return b
+        b = np.linalg.solve(self.domain.cholesky, self.entries.T).T
+        return self.codomain.cholesky.T @ b
 
     def __repr__(self):
         return f"DenseOperator({self.shape[0]}x{self.shape[1]})"
@@ -154,13 +146,10 @@ def inner(space: InnerProductSpace, x, y) -> float:
 def adjoint(op: DenseOperator) -> DenseOperator:
     """Adjoint operator, ``M_dom^{-1} A^T M_cod`` with swapped spaces.
 
-    The domain metric is inverted through triangular solves on its
-    Cholesky factor; no explicit matrix inverse is formed.
+    The domain metric is inverted by two solves with its Cholesky factor
+    (``apply_inverse_metric``); no explicit matrix inverse is formed.
     """
-    a_t = op.entries.T
-    if not op.codomain.is_euclidean:
-        a_t = a_t @ op.codomain.metric
-    entries = op.domain.apply_inverse_metric(a_t) if not op.domain.is_euclidean else a_t
+    entries = op.domain.apply_inverse_metric(op.entries.T @ op.codomain.metric)
     return DenseOperator(op.codomain, op.domain, entries)
 
 
@@ -236,7 +225,7 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
                          "(more vectors than the dimension)")
     basis = np.column_stack(cols)
     for sweep in range(2):
-        w = basis if space.is_euclidean else space.cholesky.T @ basis
+        w = space.cholesky.T @ basis
         r = np.linalg.qr(w, mode="r")
         r *= np.sign(np.diag(r))[:, None]
         floor = _DEP_TOL * np.linalg.norm(w, axis=0).max()

@@ -203,18 +203,14 @@ class EllipticInversionProblem(ConstrainedProblem):
 
     def objective(self, u, z):
         misfit = u - self.u_obs
-        value = 0.5 * self.h * float(misfit @ misfit)
-        if self.kappa > 0.0:
-            value += 0.5 * self.kappa * self.h * float(z @ z)
-        return value
+        return (0.5 * self.h * float(misfit @ misfit)
+                + 0.5 * self.kappa * self.h * float(z @ z))
 
     def objective_grad_state(self, u, z):
         return self.h * (u - self.u_obs)
 
     def objective_grad_control(self, u, z):
-        if self.kappa > 0.0:
-            return self.kappa * self.h * z
-        return np.zeros(self.control_dim)
+        return self.kappa * self.h * z
 
     def stiffness_matrix(self, z) -> np.ndarray:
         lower, diag, upper, _ = self._bands(z)

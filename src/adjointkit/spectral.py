@@ -58,8 +58,6 @@ class SubspaceBases:
 
 def _unwhiten(space: InnerProductSpace, coords: np.ndarray) -> np.ndarray:
     """Map metric-orthonormal coordinate columns back: ``L^{-T} c``."""
-    if space.is_euclidean:
-        return coords
     return np.linalg.solve(space.cholesky.T, coords)
 
 
@@ -177,7 +175,4 @@ def orthogonal_projector(basis: np.ndarray, space: InnerProductSpace) -> DenseOp
     gram = basis.T @ space.metric @ basis
     if gram.size and np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise ValueError("basis is not orthonormal in the space metric")
-    entries = basis @ basis.T
-    if not space.is_euclidean:
-        entries = entries @ space.metric
-    return DenseOperator(space, space, entries)
+    return DenseOperator(space, space, basis @ basis.T @ space.metric)

@@ -49,7 +49,6 @@ class StabilityReport:
     spd_certificate: bool
     spectral_abscissa_bound: float
     margin: float
-    r0: float | None = None
 
 
 class SingularLyapunovError(NumericalError):
@@ -192,8 +191,7 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(k)).max())
 
 
-def stability_verdict(f, x_eq,
-                      reproduction_number: float | None = None) -> StabilityReport:
+def stability_verdict(f, x_eq) -> StabilityReport:
     """Linearize, tabulate, and certify; the two routes must agree."""
     a = linearize(f, x_eq)
     verdict = hurwitz_check(a)
@@ -215,7 +213,7 @@ def stability_verdict(f, x_eq,
         bound = 0.0  # no negative bound exists
     return StabilityReport(hurwitz=verdict.hurwitz, lyapunov_p=p,
                            spd_certificate=spd, spectral_abscissa_bound=bound,
-                           margin=verdict.margin, r0=reproduction_number)
+                           margin=verdict.margin)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ import pytest
 from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
                         euclidean, inner, matrix_operator,
                         operator_from_record, operator_norm,
-                        operator_to_record, orthonormalize)
+                        operator_to_record, orthogonal_projector, orthonormalize)
 from adjointkit.core import DenseOperator
 from adjointkit.errors import NumericalError
 from adjointkit.rand import Lcg
+from adjointkit.spectral import _unwhiten
 
 
 def random_operator(rng, m, n, weighted=False):
@@ -66,6 +67,24 @@ def test_inner_symmetry_and_dimension_error():
 def test_euclidean_adjoint_is_transpose():
     op = matrix_operator([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(adjoint(op).entries, [[1.0, 3.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (5, 1), (3, 7), (9, 6), (12, 12), (39, 20)])
+def test_identity_metric_maps_return_their_input_exactly(m, n):
+    # Euclidean spaces take the general Cholesky route; with L = I every
+    # solve and product must give back the input's values, not just close ones
+    rng = np.random.default_rng(1000 * m + n)
+    op = random_operator(rng, m, n)
+    space = op.codomain
+    x, y = rng.standard_normal((2, m))
+    coords = rng.standard_normal((m, 3))
+    q = np.linalg.qr(rng.standard_normal((m, min(m, 3))))[0]
+    assert np.array_equal(op.whitened(), op.entries)
+    assert np.array_equal(adjoint(op).entries, op.entries.T)
+    assert np.array_equal(space.inner(x, y), x @ y)
+    assert np.array_equal(space.apply_inverse_metric(x), x)
+    assert np.array_equal(_unwhiten(space, coords), coords)
+    assert np.array_equal(orthogonal_projector(q, space).entries, q @ q.T)
 
 
 def test_weighted_codomain_adjoint_matches_transpose_times_metric():
