@@ -25,7 +25,7 @@ from .leastsq import normal_solve, picard_diagnostic, tikhonov_solve
 from .network import NetworkSpec, init_parameters, train
 from .optim import fd_gradient_check, gradient_descent, reduced_gradient
 from .pde import build_advection_problem, make_elliptic_demo
-from .spectral import fundamental_subspaces, svd
+from .spectral import svd
 from .stability import (SeirsModel, damped_oscillator, logistic,
                         r0 as spectral_radius_ratio, stability_verdict)
 from .sturm import constant_coefficient_problem, discretize, solve_modes
@@ -112,7 +112,6 @@ def cmd_adjoint_check(args) -> int:
 def cmd_svd(args) -> int:
     op = _load_operator(args.op)
     dec = svd(op, rank_tol=args.rank_tol)
-    bases = fundamental_subspaces(dec)
     payload = {
         "sigma": [float(s) for s in dec.sigma],
         "rank": dec.rank,
@@ -121,12 +120,9 @@ def cmd_svd(args) -> int:
     }
     text = _json_text(payload)
     text += "sigma: " + ",".join(f"{s:.4f}" for s in dec.sigma) + "\n"
-    m, n = op.shape
-    text += (f"subspaces: dim R(A)={bases.range_a.shape[1]}, "
-             f"dim N(A)={bases.null_a.shape[1]}, "
-             f"dim R(A*)={bases.range_astar.shape[1]}, "
-             f"dim N(A*)={bases.null_astar.shape[1]} "
-             f"(n={n}, m={m})\n")
+    (m, n), r = op.shape, dec.rank
+    text += (f"subspaces: dim R(A)={r}, dim N(A)={n - r}, dim R(A*)={r}, "
+             f"dim N(A*)={m - r} (n={n}, m={m})\n")
     _emit(text, args.output)
     return EXIT_OK
 
@@ -277,9 +273,8 @@ def cmd_pdeopt(args) -> int:
               args.output)
         return EXIT_OK
     # field dump: state, adjoint, and gradient sampled on a common grid
-    u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
-    grad = reduced_gradient(problem, z).gradient
+    report = reduced_gradient(problem, z)
+    u, y, grad = report.state, report.multiplier, report.gradient
     if args.problem == "advection":
         xs = np.arange(problem.state_dim) * problem.h
         v = np.concatenate([[y[0]], y[1:] / problem.h])

@@ -96,6 +96,8 @@ class ReducedGradientReport:
     gradient: np.ndarray
     forward_residual_norm: float
     adjoint_residual_norm: float
+    state: np.ndarray
+    multiplier: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,22 +108,32 @@ class DescentResult:
     iterations: int = 0
 
 
+def _kkt_blocks(problem: ConstrainedProblem, u, z, y, grad_state):
+    """KKT blocks ``grad_u f + c_u^T y`` (adjoint) and ``grad_z f + c_z^T y`` (control)."""
+    return (grad_state + problem.apply_state_adjoint(u, z, y),
+            problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y))
+
+
+def _gradient_at_state(problem: ConstrainedProblem, u, z) -> ReducedGradientReport:
+    """Adjoint solve and gradient assembly at a state that solves ``c(u, z) = 0``."""
+    gu = problem.objective_grad_state(u, z)
+    y = problem.solve_adjoint(u, z, -gu)
+    adjoint_block, gradient = _kkt_blocks(problem, u, z, y, gu)
+    return ReducedGradientReport(
+        f_value=float(problem.objective(u, z)), gradient=gradient,
+        forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
+        adjoint_residual_norm=float(np.linalg.norm(adjoint_block)),
+        state=u, multiplier=y)
+
+
 def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradientReport:
     """Objective value and total control gradient at ``z``.
 
-    Runs forward solve, adjoint solve, and gradient assembly, and
-    reports the residual norms of both linear systems actually achieved.
+    One forward solve, one adjoint solve and the gradient assembly; the
+    report also carries the state, the multiplier and both residual norms.
     """
     z = np.asarray(z, dtype=float)
-    u = problem.solve_forward(z)
-    forward_norm = float(np.linalg.norm(problem.residual(u, z)))
-    gu = problem.objective_grad_state(u, z)
-    y = problem.solve_adjoint(u, z, -gu)
-    adjoint_norm = float(np.linalg.norm(problem.apply_state_adjoint(u, z, y) + gu))
-    gradient = problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
-    return ReducedGradientReport(
-        f_value=float(problem.objective(u, z)), gradient=gradient,
-        forward_residual_norm=forward_norm, adjoint_residual_norm=adjoint_norm)
+    return _gradient_at_state(problem, problem.solve_forward(z), z)
 
 
 def reduced_objective(problem: ConstrainedProblem, z: np.ndarray) -> float:
@@ -163,18 +175,20 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
     Each iteration halves the step until the sufficient-decrease test
     ``f(z - a g) <= f - 1e-4 a |g|^2`` passes, so the recorded objective
-    values are strictly decreasing.
+    values are strictly decreasing.  Each trial costs one forward solve;
+    the next gradient is assembled at the accepted trial's state.
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     z = np.asarray(z0, dtype=float).copy()
     history = []
-    f_curr = None
     for k in range(iters):
-        try:
-            report = reduced_gradient(problem, z)
+        try:  # from k = 1 on, u is the state the line search accepted
+            report = _gradient_at_state(problem, problem.solve_forward(z) if k == 0 else u, z)
         except NumericalError as exc:
             raise NumericalError(f"forward solve failed at iteration {k}: {exc}") from None
         g = report.gradient
@@ -186,8 +200,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
         alpha = step
         for _ in range(MAX_BACKTRACKS):
             candidate = z - alpha * g
-            f_new = reduced_objective(problem, candidate)
-            if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
+            u = problem.solve_forward(candidate)
+            if problem.objective(u, candidate) <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
                 break
             alpha *= 0.5
         else:
@@ -205,11 +219,8 @@ def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
     if u.shape != (problem.state_dim,) or z.shape != (problem.control_dim,) \
             or y.shape != (problem.state_dim,):
         raise ValueError("inconsistent dimensions for KKT evaluation")
-    forward = float(np.linalg.norm(problem.residual(u, z)))
-    adjoint_block = problem.objective_grad_state(u, z) \
-        + problem.apply_state_adjoint(u, z, y)
-    control_block = problem.objective_grad_control(u, z) \
-        + problem.apply_control_adjoint(u, z, y)
-    return {"forward": forward,
+    adjoint_block, control_block = _kkt_blocks(
+        problem, u, z, y, problem.objective_grad_state(u, z))
+    return {"forward": float(np.linalg.norm(problem.residual(u, z))),
             "adjoint": float(np.linalg.norm(adjoint_block)),
             "control": float(np.linalg.norm(control_block))}

@@ -81,28 +81,32 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
     return EigResult(eigenvalues=vals[::-1], eigenvectors=_unwhiten(space, vecs[:, ::-1]))
 
 
+def _dominant_signs(vectors: np.ndarray) -> np.ndarray:
+    """One +-1 per column: the sign of its largest-magnitude entry."""
+    rows = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[rows, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    rows = np.argmax(np.abs(vectors), axis=0)
-    lead = vectors[rows, np.arange(vectors.shape[1])]
-    return np.where(lead < 0.0, -vectors, vectors)
+    return vectors * _dominant_signs(vectors)
 
 
 def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     """Singular value decomposition in the weighted inner products.
 
     LAPACK factors the whitened matrix ``L_cod^T A L_dom^{-T}`` with
-    full bases, so the left vectors past the rank span the null space
-    of the adjoint.  Singular values are reported as LAPACK computes
-    them, including those below the rank tolerance (default 1e-10 of
-    the largest); only ``rank`` is cut there.  Signs follow a fixed
-    convention: the dominant entry of each right vector is positive,
-    left vectors for ``i < rank`` are recomputed as ``A u_i / s_i`` and
-    so inherit the sign, and the remaining left vectors get the
-    dominant-entry convention of their own.  A NaN, negative or infinite
-    ``rank_tol`` raises ``ValueError``; a non-finite singular value (an
-    operator whose norm overflows) raises ``NumericalError``, since no
-    rank tolerance can be derived from it.
+    full bases, and both bases are LAPACK's own, mapped back through
+    ``L^{-T}``: no vector is rebuilt from ``A u / s`` or ``A* A``, so the
+    pairs ``A u_i = s_i v_i`` hold to working accuracy however small
+    ``s_i`` is.  All min(m, n) singular values are reported as computed;
+    the rank tolerance (default 1e-10 of the largest) only cuts ``rank``.
+    Signs: each right vector's dominant entry is positive, its left
+    partner (``i < min(m, n)``) takes the same flip, and the left vectors
+    past min(m, n) get the dominant-entry convention of their own.  A
+    NaN, negative or infinite ``rank_tol`` raises ``ValueError``; a
+    non-finite singular value (the operator norm overflows) raises
+    ``NumericalError``, since no rank tolerance can be derived from it.
     """
     if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be a finite non-negative number, got {rank_tol}")
@@ -110,14 +114,14 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("singular values are non-finite "
                              "(the operator norm overflows)")
-    right = _fix_signs(_unwhiten(op.domain, right_wt.T))
+    right = _unwhiten(op.domain, right_wt.T)
+    signs = _dominant_signs(right)
     left = _unwhiten(op.codomain, left_w)
+    left[:, :sigma.size] *= signs[:sigma.size]
+    left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
     tol = DEFAULT_RANK_TOL_FACTOR * sigma[0] if rank_tol is None else float(rank_tol)
-    rank = int(np.sum(sigma > tol))
-    left[:, :rank] = (op.entries @ right[:, :rank]) / sigma[:rank]
-    left[:, rank:] = _fix_signs(left[:, rank:])
-    return SvdResult(sigma=sigma, right_vectors=right, left_vectors=left,
-                     rank=rank, domain=op.domain, codomain=op.codomain)
+    return SvdResult(sigma=sigma, right_vectors=right * signs, left_vectors=left,
+                     rank=int(np.sum(sigma > tol)), domain=op.domain, codomain=op.codomain)
 
 
 def fundamental_subspaces(s: SvdResult) -> SubspaceBases:

@@ -70,6 +70,8 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError("matrices must be square and share a dimension")
     if n > MAX_LYAPUNOV_DIM:
         raise ValueError(f"Lyapunov solve capped at n={MAX_LYAPUNOV_DIM}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
+        raise ValueError("matrices have non-finite entries")
     if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
         raise ValueError("Q must be symmetric")
     with warnings.catch_warnings():
@@ -125,6 +127,8 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
         raise ValueError("matrix must be square")
     if n > MAX_LYAPUNOV_DIM:
         raise ValueError(f"tabulation capped at n={MAX_LYAPUNOV_DIM}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     coeffs = characteristic_polynomial(a)
     tol = 1e-10 * max(np.abs(coeffs).max(), 1.0)
 
@@ -140,7 +144,7 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
                               - rows[i - 1, 0] * rows[i, j + 1]) / rows[i, 0]
     first_col = rows[:n + 1, 0]
     margin = float(np.abs(first_col).min())
-    if np.any(np.abs(first_col) <= tol):
+    if margin <= tol:
         return HurwitzVerdict(hurwitz=False, margin=0.0, boundary=True)
     return HurwitzVerdict(hurwitz=bool(np.all(first_col > 0.0)), margin=margin)
 
@@ -148,15 +152,15 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
 def linearize(f, x_eq: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the vector field at an equilibrium.
 
-    The step is ``1e-5 (1 + |x_eq|)``.
+    The step is ``1e-5 (1 + |x_eq|)``.  A residual ``|f(x_eq)|`` above
+    1e-8, or NaN, raises ``ValueError``.
     """
     x_eq = np.asarray(x_eq, dtype=float)
     n = x_eq.size
     h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
-    f0 = np.asarray(f(x_eq), dtype=float)
-    if np.linalg.norm(f0) > _EQUILIBRIUM_TOL:
-        raise ValueError(
-            f"point is not an equilibrium (|f| = {np.linalg.norm(f0):.3e})")
+    residual = np.linalg.norm(np.asarray(f(x_eq), dtype=float))
+    if not residual <= _EQUILIBRIUM_TOL:
+        raise ValueError(f"point is not an equilibrium (|f| = {residual:.3e})")
     jac = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
@@ -261,12 +265,21 @@ class SeirsModel:
     State (s, e, i, r) as population fractions.  The disease-free
     equilibrium is (1, 0, 0, 0); the new-infection/transition splitting
     of its infected block gives R0 = beta sigma / ((mu+sigma)(mu+gamma)).
+    Every rate must be finite and non-negative, with ``mu + sigma`` and
+    ``mu + gamma`` positive; otherwise ``ValueError`` is raised.
     """
     beta: float = 0.3
     sigma: float = 0.5
     gamma: float = 0.25
     mu: float = 0.02
     omega: float = 0.05
+
+    def __post_init__(self):
+        rates = (self.beta, self.sigma, self.gamma, self.mu, self.omega)
+        if not all(0.0 <= rate < np.inf for rate in rates):
+            raise ValueError(f"SEIRS rates must be finite and non-negative, got {rates}")
+        if not (self.mu + self.sigma > 0.0 and self.mu + self.gamma > 0.0):
+            raise ValueError("SEIRS rates need mu + sigma > 0 and mu + gamma > 0")
 
     def __call__(self, x):
         s, e, i, r = x

@@ -284,6 +284,18 @@ def test_picard_csv_shape(capsys, tmp_path):
     assert lines[-1].startswith("# null_defect=")
 
 
+def test_solve_and_picard_repeated_runs_byte_identical(capsys, tmp_path):
+    rng = np.random.default_rng(82)
+    entries = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 4))
+    op = write_json(tmp_path / "op.json", {"rows": 5, "cols": 4,
+                                           "entries": entries.ravel().tolist()})
+    rhs = write_json(tmp_path / "rhs.json", rng.standard_normal(5).tolist())
+    for command in ("solve", "picard"):
+        first = run(capsys, command, "--op", op, "--rhs", rhs)
+        assert first[0] == 0
+        assert run(capsys, command, "--op", op, "--rhs", rhs) == first
+
+
 def test_solve_and_picard_overflowing_operator_exit_3(capsys, tmp_path):
     # sigma_1 = inf leaves no rank tolerance; [1, 1] lies in the range
     op = write_json(tmp_path / "op.json", OVERFLOW_RECORD)
@@ -365,6 +377,19 @@ def test_stability_matrix_failed_residual_gate_exit_3(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["error"] == "numerical-failure"
     assert "residual" in payload["detail"]
+
+
+@pytest.mark.parametrize("beta", ["-1", "nan", "inf"])
+def test_stability_seirs_rejects_invalid_beta(capsys, beta):
+    code, out, err = run(capsys, "stability", "--model", "seirs", "--beta", beta)
+    assert (code, out) == (2, "")
+    assert "SEIRS rates" in err
+
+
+def test_stability_logistic_rejects_nan_equilibrium(capsys):
+    code, out, err = run(capsys, "stability", "--model", "logistic", "--eq", "nan")
+    assert (code, out) == (2, "")
+    assert "not an equilibrium" in err
 
 
 def test_stability_needs_exactly_one_source(capsys):
@@ -468,7 +493,31 @@ def test_descent_rejects_non_finite_step(capsys, tmp_path):
         assert "finite" in err
 
 
+def test_descent_rejects_negative_iters(capsys, tmp_path):
+    data_file = write_json(tmp_path / "data.json",
+                           [{"x": [0.1, 0.2], "a_obs": [0.3]}])
+    for argv in (("train", "--spec", "2,2,1", "--data", data_file, "--iters", "-3"),
+                 ("pdeopt", "--problem", "elliptic", "--descend", "--iters", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "iters" in err
+
+
 # -- pdeopt ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("--problem", "elliptic", "--descend", "--iters", "30"),
+    ("--problem", "elliptic", "--descend", "--iters", "30", "--kappa", "1e-3"),
+    ("--problem", "advection", "--descend", "--step", "1.0", "--iters", "30"),
+    ("--problem", "elliptic", "--n", "15"),
+    ("--problem", "advection", "--n", "8", "--beta", "2.0"),
+], ids=["elliptic-descent", "elliptic-kappa-descent", "advection-descent",
+        "elliptic-dump", "advection-dump"])
+def test_pdeopt_repeated_runs_byte_identical(capsys, argv):
+    first = run(capsys, "pdeopt", *argv)
+    assert first[0] == 0
+    assert run(capsys, "pdeopt", *argv) == first
+
 
 @pytest.mark.parametrize("argv", [
     ("--problem", "elliptic", "--check-gradient", "--kappa", "nan"),

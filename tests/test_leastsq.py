@@ -81,6 +81,18 @@ def test_normal_solve_matches_bruteforce_oracle():
 
 # -- tikhonov_solve ---------------------------------------------------------------
 
+def test_normal_solve_ill_conditioned_to_working_accuracy():
+    # cond 1e9: the error should track cond * eps, not the square that the
+    # normal operator A* A, or left vectors rebuilt as A u / s, would give
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    entries = (u * np.logspace(0.0, -9.0, 12)) @ v.T
+    x_true = rng.standard_normal(12)
+    x = normal_solve(matrix_operator(entries), entries @ x_true)
+    assert np.linalg.norm(x - x_true) <= 1e-6 * np.linalg.norm(x_true)
+
+
 def test_tikhonov_prior_dominated_limit():
     rng = np.random.default_rng(23)
     op = matrix_operator(rng.standard_normal((4, 3)))

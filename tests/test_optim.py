@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from adjointkit.optim import (ConstrainedProblem, fd_gradient_check,
-                              gradient_descent, kkt_residuals,
-                              reduced_gradient, reduced_objective)
+from adjointkit.network import (NetworkSpec, NetworkTrainingProblem,
+                                flatten_parameters, init_parameters)
+from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
+                              fd_gradient_check, gradient_descent,
+                              kkt_residuals, reduced_gradient,
+                              reduced_objective)
+from adjointkit.pde import build_advection_problem, make_elliptic_demo
 
 
 class LinearQuadratic(ConstrainedProblem):
@@ -250,3 +254,94 @@ def test_reduced_objective_matches_composition():
     z = np.array([0.4])
     u = problem.solve_forward(z)
     assert reduced_objective(problem, z) == pytest.approx(problem.objective(u, z))
+
+
+def test_descent_rejects_negative_iters():
+    with pytest.raises(ValueError, match="iters"):
+        gradient_descent(ControlOnly(), np.zeros(2), step=0.5, iters=-1, tol=0.0)
+    result = gradient_descent(ControlOnly(), np.ones(2), step=0.5, iters=0, tol=0.0)
+    assert result.history == [] and result.iterations == 0
+
+
+# -- one forward solve per line-search trial --------------------------------------
+
+class CountsForwardSolves:
+    """Mixin that counts ``solve_forward`` calls on one instance."""
+
+    forward_calls = 0
+
+    def solve_forward(self, z):
+        self.forward_calls += 1
+        return super().solve_forward(z)
+
+
+def counted(problem):
+    """A copy of ``problem`` whose class also counts its forward solves."""
+    cls = type(problem)
+    twin = object.__new__(type(f"Counted{cls.__name__}", (CountsForwardSolves, cls), {}))
+    twin.__dict__.update(vars(problem))
+    return twin
+
+
+def descent_oracle(problem, z0, step, iters, tol):
+    """Descent as a full reduced-gradient evaluation per iteration.
+
+    Every iteration solves forward again at the point the previous line
+    search accepted; the history and iterate must not depend on that.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    history = []
+    for k in range(iters):
+        report = reduced_gradient(problem, z)
+        g = report.gradient
+        gnorm = float(np.linalg.norm(g))
+        f_curr = report.f_value
+        history.append((k, f_curr, gnorm, 0.0))
+        if gnorm <= tol:
+            return z, history
+        alpha = step
+        for _ in range(MAX_BACKTRACKS):
+            candidate = z - alpha * g
+            f_new = reduced_objective(problem, candidate)
+            if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
+                break
+            alpha *= 0.5
+        else:
+            raise AssertionError("oracle line search failed")
+        history[-1] = (k, f_curr, gnorm, alpha)
+        z = candidate
+    return z, history
+
+
+def test_descent_solves_forward_once_per_trial():
+    problem = counted(NonlinearScalar())
+    step = 4.0
+    result = gradient_descent(problem, np.array([2.0]), step=step, iters=12, tol=0.0)
+    trials = [1 + round(np.log2(step / alpha)) for *_, alpha in result.history]
+    assert sum(trials) > len(trials)  # some steps backtracked
+    assert problem.forward_calls == 1 + sum(trials)
+
+
+def network_problem():
+    spec = NetworkSpec((2, 4, 1))
+    rng = np.random.default_rng(81)
+    problem = NetworkTrainingProblem(spec, rng.uniform(-1, 1, (2, 8)),
+                                     rng.uniform(-1, 1, (1, 8)))
+    return problem, flatten_parameters(init_parameters(spec, seed=3)), 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (make_elliptic_demo(31)[0], np.zeros(32), 100.0),
+    lambda: (make_elliptic_demo(31, kappa=1e-3)[0], np.zeros(32), 100.0),
+    lambda: (build_advection_problem(31, 1.0), np.array([1.0]), 1.0),
+    network_problem,
+], ids=["elliptic", "elliptic-kappa", "advection", "network"])
+def test_descent_bitwise_equal_to_full_evaluation_oracle(build):
+    problem, z0, step = build()
+    fresh, reused = counted(problem), counted(problem)
+    z_ref, history_ref = descent_oracle(fresh, z0, step, iters=40, tol=1e-12)
+    result = gradient_descent(reused, z0, step=step, iters=40, tol=1e-12)
+    assert np.array_equal(np.array(result.history), np.array(history_ref))
+    assert np.array_equal(result.z.view(np.uint64), z_ref.view(np.uint64))
+    # the oracle's one extra forward solve per gradient is the one saved
+    assert reused.forward_calls == fresh.forward_calls - len(history_ref) + 1

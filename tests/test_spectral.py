@@ -255,6 +255,50 @@ def test_graded_spectrum_to_relative_accuracy():
     np.testing.assert_array_equal(svd(op).sigma, result.sigma)
 
 
+def graded_operator(decades, weighted=False):
+    """12 x 12 ``U diag(logspace(0, -decades, 12)) V^T``, optionally weighted."""
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    entries = (u * np.logspace(0.0, -decades, 12)) @ v.T
+    if not weighted:
+        return matrix_operator(entries)
+    return matrix_operator(entries, spd_metric(rng, 12), spd_metric(rng, 12))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["euclidean", "weighted"])
+def test_graded_left_basis_is_orthonormal_in_the_metric(weighted):
+    # rebuilding v_i = A u_i / s_i would lose orthonormality as s_i / s_1 falls
+    op = graded_operator(9, weighted)
+    result = svd(op)
+    left = result.left_vectors
+    gram = left.T @ op.codomain.metric @ left
+    assert np.abs(gram - np.eye(12)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["euclidean", "weighted"])
+def test_graded_range_basis_passes_the_projector_check(weighted):
+    op = graded_operator(9, weighted)
+    projector = orthogonal_projector(fundamental_subspaces(svd(op)).range_a, op.codomain)
+    assert np.abs(projector.entries @ projector.entries - projector.entries).max() <= 1e-10
+
+
+def test_singular_pairs_hold_past_the_rank_cut():
+    # A u_i = s_i v_i for every i < min(m, n), also where rank_tol cuts s_i
+    rng = np.random.default_rng(21)
+    for m, n in [(4, 4), (6, 4), (4, 6)] * 3:
+        k = min(m, n)
+        q_left, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        q_right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        entries = (q_left[:, :k] * np.linspace(3.0, 0.5, k)) @ q_right[:, :k].T
+        result = svd(matrix_operator(entries), rank_tol=1.0)
+        assert result.rank < k
+        for i in range(k):
+            gap = result.sigma[i] * result.left_vectors[:, i] \
+                - entries @ result.right_vectors[:, i]
+            assert np.linalg.norm(gap) <= 1e-12 * result.sigma[0]
+
+
 def test_rank_nullity_over_random_matrices():
     rng = np.random.default_rng(16)
     for _ in range(20):

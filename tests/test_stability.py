@@ -146,6 +146,14 @@ def test_lyapunov_rejects_oversize_and_asymmetric_q():
         lyapunov_solve(-np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_lyapunov_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            lyapunov_solve(np.array([[bad, 0.0], [0.0, -1.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            lyapunov_solve(-np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 # -- hurwitz_check ----------------------------------------------------------------
 
 def test_hurwitz_negative_identity():
@@ -157,6 +165,13 @@ def test_hurwitz_rotation_is_boundary():
     verdict = hurwitz_check(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert not verdict.hurwitz
     assert verdict.boundary
+
+
+def test_hurwitz_rejects_non_finite_entries():
+    # a NaN entry used to come back as hurwitz=False with margin NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            hurwitz_check(np.array([[bad, 0.0], [0.0, -1.0]]))
 
 
 def test_hurwitz_constructed_spectrum():
@@ -218,6 +233,12 @@ def test_linearize_logistic_equilibria():
 def test_linearize_rejects_non_equilibrium():
     with pytest.raises(ValueError, match="equilibrium"):
         linearize(logistic, np.array([0.5]))
+
+
+def test_linearize_rejects_nan_residual():
+    # |f| = NaN fails "|f| > tol" as well as "|f| <= tol"
+    with pytest.raises(ValueError, match="not an equilibrium"):
+        linearize(logistic, np.array([np.nan]))
 
 
 # -- r0 ------------------------------------------------------------------------------
@@ -384,3 +405,13 @@ def test_seirs_r0_consistency_with_stability():
         assert (value < 1.0) == expect_stable
         report = stability_verdict(model, model.disease_free_equilibrium)
         assert report.hurwitz == expect_stable
+
+
+@pytest.mark.parametrize("rates", [
+    {"beta": -1.0}, {"beta": np.nan}, {"sigma": np.inf}, {"omega": -0.1},
+    {"mu": 0.0, "sigma": 0.0}, {"mu": 0.0, "gamma": 0.0},
+], ids=["beta-negative", "beta-nan", "sigma-inf", "omega-negative",
+        "no-exit-from-e", "no-exit-from-i"])
+def test_seirs_rejects_invalid_rates(rates):
+    with pytest.raises(ValueError, match="SEIRS"):
+        SeirsModel(**rates)
