@@ -414,13 +414,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but a LAPACK failure is not bad input
         sys.stdout.write(_json_text({"error": "numerical-failure",
                                      "detail": str(exc)}))
         return EXIT_NUMERICAL
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

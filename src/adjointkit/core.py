@@ -5,7 +5,10 @@ products are induced by SPD metric matrices, ``(x, y) = x^T M y``.  The
 adjoint of ``A`` is the unique map with ``(A u, v) = (u, A* v)`` in
 those products; for a dense matrix it is ``M_dom^{-1} A^T M_cod``, the
 plain transpose when both metrics are the identity.  Everything here is
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  The one
+lazily filled field, an operator's SVD, is benign under a race: two
+threads may both factor the operator, and they store identical
+read-only arrays.
 """
 
 from dataclasses import dataclass
@@ -99,6 +102,7 @@ class DenseOperator:
         self.domain = domain
         self.codomain = codomain
         self.entries = _frozen(entries)
+        self._svd = None  # (sigma, right, left), filled by spectral.svd
 
     @property
     def shape(self):

@@ -3,11 +3,14 @@
 The minimum-norm least-squares solution is assembled from the singular
 system, ``x = sum_i (y, v_i) / s_i * u_i`` over the retained triplets,
 with the coefficients ``(y, v_i)`` taken from ``left_coefficients``.
-Tikhonov replaces the normal equations with the shifted system
-``(A* A + kappa I) x = A* y + kappa x0``, which stays well conditioned
-as the spectrum of ``A`` decays.  A discretized integration operator is
-provided as the standard ill-posed test problem: inverting it amplifies
-data errors by the reciprocal of the smallest retained singular value.
+Tikhonov regularization reads the same singular system through filter
+factors, ``x = x0 + sum_i s_i / (s_i^2 + kappa) (y - A x0, v_i) u_i``,
+so neither it nor the pseudo-inverse forms the normal operator
+``A* A`` and squares the condition number.  Every consumer shares the
+one SVD that ``spectral.svd`` keeps per operator.  A discretized
+integration operator is provided as the standard ill-posed test
+problem: inverting it amplifies data errors by the reciprocal of the
+smallest retained singular value.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace
-from .spectral import SvdResult, left_coefficients, null_defect, svd
+from .spectral import left_coefficients, null_defect, svd
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,7 @@ class TikhonovSolution:
     prior_distance: float
 
 
-def normal_solve(op: DenseOperator, y: np.ndarray,
-                 decomposition: SvdResult | None = None) -> np.ndarray:
+def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution via the SVD pseudo-inverse.
 
     The residual ``A x - y`` lands in the null space of the adjoint, so
@@ -59,18 +61,20 @@ def normal_solve(op: DenseOperator, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
-    dec = svd(op) if decomposition is None else decomposition
+    dec = svd(op)
     r = dec.rank
     return dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
 
 
 def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
                    x0: np.ndarray | None = None) -> TikhonovSolution:
-    """Solve ``(A* A + kappa I) x = A* y + kappa x0`` by Cholesky.
+    """Minimize ``|A x - y|^2 + kappa |x - x0|^2`` by filter factors.
 
-    Assembled in Euclidean coordinates as ``A^T M_c A + kappa M_d``,
-    which is SPD for every ``kappa > 0`` regardless of the rank of
-    ``A``.
+    The minimizer solves ``(A* A + kappa I) x = A* y + kappa x0``; in the
+    singular system it is ``x = x0 + sum_i s_i / (s_i^2 + kappa) c_i u_i``
+    with ``c_i = (y - A x0, v_i)`` over all min(m, n) triplets.  The
+    normal operator is never formed, so the error tracks the condition
+    number of ``A``, not its square, for every ``kappa > 0`` and any rank.
     """
     if not 0.0 < kappa < np.inf:
         raise ValueError("regularization parameter must be positive and finite")
@@ -80,21 +84,21 @@ def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
     x0 = np.zeros(op.domain.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (op.domain.dim,):
         raise ValueError("prior length does not match domain")
-    a = op.entries
-    m_c = op.codomain.metric
-    m_d = op.domain.metric
-    lhs = a.T @ m_c @ a + kappa * m_d
-    rhs = a.T @ (m_c @ y) + kappa * (m_d @ x0)
-    chol = np.linalg.cholesky(lhs)
-    x = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    dec = svd(op)
+    s = dec.sigma
+    c = left_coefficients(dec, y - op.matvec(x0))[:s.size]
+    # s / (s^2 + kappa) as 1 / (s + kappa / s), since s^2 overflows from
+    # s = 1.3e154 on; s = 0 (or kappa / s past the float range) gives 1 / inf = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        f = 1.0 / (s + kappa / s)
+    x = x0 + dec.right_vectors[:, :s.size] @ (f * c)
     return TikhonovSolution(
         x=x, kappa=float(kappa),
         residual_norm=op.codomain.norm(op.matvec(x) - y),
         prior_distance=op.domain.norm(x - x0))
 
 
-def picard_diagnostic(op: DenseOperator, y: np.ndarray,
-                      decomposition: SvdResult | None = None) -> PicardTable:
+def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
     """Tabulate ``|(y, v_i)| / s_i`` over the retained singular values.
 
     Rapid decay of the ratio column signals a solvable problem; a flat
@@ -104,14 +108,15 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
-    dec = svd(op) if decomposition is None else decomposition
+    dec = svd(op)
+    coeffs = left_coefficients(dec, y)
     sigma = dec.sigma[:dec.rank]
-    coeff = np.abs(left_coefficients(dec, y)[:dec.rank])
+    coeff = np.abs(coeffs[:dec.rank])
     ratio = coeff / sigma
     rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(),
                np.cumsum(ratio * ratio).tolist())
     return PicardTable(rows=tuple(PicardRow(i + 1, *row) for i, row in enumerate(rows)),
-                       null_defect=null_defect(dec, y))
+                       null_defect=null_defect(dec, y, coeffs))
 
 
 def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,
@@ -127,9 +132,9 @@ def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,
     if not 1 <= mode_index <= dec.rank:
         raise ValueError(f"mode index {mode_index} exceeds rank {dec.rank}")
     y = np.asarray(y, dtype=float)
-    x = normal_solve(op, y, decomposition=dec)
+    x = normal_solve(op, y)
     perturbation = delta * dec.left_vectors[:, mode_index - 1]
-    x_tilde = normal_solve(op, y + perturbation, decomposition=dec)
+    x_tilde = normal_solve(op, y + perturbation)
     return op.domain.norm(x_tilde - x) / op.codomain.norm(perturbation)
 
 

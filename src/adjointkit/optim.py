@@ -31,8 +31,9 @@ class ConstrainedProblem(ABC):
 
     Subclasses set ``state_dim`` and ``control_dim`` and implement the
     abstract methods.  The default adjoint operations densify the state
-    Jacobian column by column; override them when the constraint has
-    exploitable structure (triangular, tridiagonal, ...).  Instances
+    Jacobian column by column, once per reduced gradient when both are
+    in use; override them when the constraint has exploitable structure
+    (triangular, tridiagonal, ...).  Instances
     must be safe for concurrent read-only evaluation.
     """
 
@@ -83,11 +84,32 @@ class ConstrainedProblem(ABC):
 
     def solve_adjoint(self, u, z, rhs) -> np.ndarray:
         """Solve the transposed state-Jacobian system for the multiplier."""
+        return self._dense_adjoint(u, z, rhs)[0]
+
+    def _dense_adjoint(self, u, z, rhs):
+        """Multiplier ``y`` of ``c_u^T y = rhs`` and ``c_u^T y``, from one Jacobian."""
         jac = self._dense_state_jacobian(u, z)
         try:
-            return np.linalg.solve(jac.T, rhs)
+            y = np.linalg.solve(jac.T, rhs)
         except np.linalg.LinAlgError:
             raise NumericalError("adjoint system is singular") from None
+        return y, jac.T @ y
+
+
+def _inherited(problem: ConstrainedProblem, name: str) -> bool:
+    """Whether ``problem`` runs the base class's dense fallback ``name``."""
+    return getattr(getattr(problem, name), "__func__", None) is getattr(ConstrainedProblem, name)
+
+
+def _adjoint_solution(problem: ConstrainedProblem, u, z, rhs):
+    """Multiplier ``y`` of ``c_u^T y = rhs`` and ``c_u^T y`` for the adjoint residual.
+
+    A problem on both dense fallbacks gets the two from one Jacobian.
+    """
+    if _inherited(problem, "solve_adjoint") and _inherited(problem, "apply_state_adjoint"):
+        return problem._dense_adjoint(u, z, rhs)
+    y = problem.solve_adjoint(u, z, rhs)
+    return y, problem.apply_state_adjoint(u, z, y)
 
 
 @dataclass(frozen=True)
@@ -108,17 +130,20 @@ class DescentResult:
     iterations: int = 0
 
 
-def _kkt_blocks(problem: ConstrainedProblem, u, z, y, grad_state):
-    """KKT blocks ``grad_u f + c_u^T y`` (adjoint) and ``grad_z f + c_z^T y`` (control)."""
-    return (grad_state + problem.apply_state_adjoint(u, z, y),
+def _kkt_blocks(problem: ConstrainedProblem, u, z, y, grad_state, state_term):
+    """KKT blocks ``grad_u f + c_u^T y`` (adjoint) and ``grad_z f + c_z^T y`` (control).
+
+    ``state_term`` is ``c_u^T y``.
+    """
+    return (grad_state + state_term,
             problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y))
 
 
 def _gradient_at_state(problem: ConstrainedProblem, u, z) -> ReducedGradientReport:
     """Adjoint solve and gradient assembly at a state that solves ``c(u, z) = 0``."""
     gu = problem.objective_grad_state(u, z)
-    y = problem.solve_adjoint(u, z, -gu)
-    adjoint_block, gradient = _kkt_blocks(problem, u, z, y, gu)
+    y, state_term = _adjoint_solution(problem, u, z, -gu)
+    adjoint_block, gradient = _kkt_blocks(problem, u, z, y, gu, state_term)
     return ReducedGradientReport(
         f_value=float(problem.objective(u, z)), gradient=gradient,
         forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
@@ -220,7 +245,8 @@ def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
             or y.shape != (problem.state_dim,):
         raise ValueError("inconsistent dimensions for KKT evaluation")
     adjoint_block, control_block = _kkt_blocks(
-        problem, u, z, y, problem.objective_grad_state(u, z))
+        problem, u, z, y, problem.objective_grad_state(u, z),
+        problem.apply_state_adjoint(u, z, y))
     return {"forward": float(np.linalg.norm(problem.residual(u, z))),
             "adjoint": float(np.linalg.norm(adjoint_block)),
             "control": float(np.linalg.norm(control_block))}

@@ -9,7 +9,8 @@ operator ``A* A``, which would square the condition number, and vectors
 are mapped back through ``L^{-T}`` so they come out orthonormal in the
 metric.  The full codomain basis of the SVD spans the null space of
 ``A*`` past the rank, and ``left_coefficients`` expands data in that
-basis for every consumer of the singular system.
+basis for every consumer of the singular system.  Each operator is
+factored once: its singular values and bases are kept on it, read-only.
 """
 
 from dataclasses import dataclass
@@ -92,6 +93,29 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * _dominant_signs(vectors)
 
 
+def _factors(op: DenseOperator) -> tuple:
+    """``(sigma, right, left)`` of the operator, factored on its first call.
+
+    The operator is immutable, so the read-only arrays kept on it serve
+    every later call (``core`` notes the benign race on first use).
+    """
+    if op._svd is None:
+        left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
+        if not np.all(np.isfinite(sigma)):
+            raise NumericalError("singular values are non-finite "
+                                 "(the operator norm overflows)")
+        right = _unwhiten(op.domain, right_wt.T)
+        signs = _dominant_signs(right)
+        right *= signs
+        left = _unwhiten(op.codomain, left_w)
+        left[:, :sigma.size] *= signs[:sigma.size]
+        left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
+        for a in (sigma, right, left):
+            a.flags.writeable = False
+        op._svd = (sigma, right, left)
+    return op._svd
+
+
 def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     """Singular value decomposition in the weighted inner products.
 
@@ -107,20 +131,14 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     NaN, negative or infinite ``rank_tol`` raises ``ValueError``; a
     non-finite singular value (the operator norm overflows) raises
     ``NumericalError``, since no rank tolerance can be derived from it.
+    The factorization is made once per operator and its arrays are
+    read-only; each call only cuts the rank.
     """
     if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be a finite non-negative number, got {rank_tol}")
-    left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
-    if not np.all(np.isfinite(sigma)):
-        raise NumericalError("singular values are non-finite "
-                             "(the operator norm overflows)")
-    right = _unwhiten(op.domain, right_wt.T)
-    signs = _dominant_signs(right)
-    left = _unwhiten(op.codomain, left_w)
-    left[:, :sigma.size] *= signs[:sigma.size]
-    left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
+    sigma, right, left = _factors(op)
     tol = DEFAULT_RANK_TOL_FACTOR * sigma[0] if rank_tol is None else float(rank_tol)
-    return SvdResult(sigma=sigma, right_vectors=right * signs, left_vectors=left,
+    return SvdResult(sigma=sigma, right_vectors=right, left_vectors=left,
                      rank=int(np.sum(sigma > tol)), domain=op.domain, codomain=op.codomain)
 
 
@@ -145,12 +163,16 @@ def left_coefficients(s: SvdResult, y: np.ndarray) -> np.ndarray:
     return s.left_vectors.T @ (s.codomain.metric @ y)
 
 
-def null_defect(s: SvdResult, y: np.ndarray) -> float:
-    """Relative norm ``|P_{N(A*)} y| / |y|`` of the data outside the range."""
+def null_defect(s: SvdResult, y: np.ndarray, coeffs: np.ndarray) -> float:
+    """Relative norm ``|P_{N(A*)} y| / |y|`` of the data outside the range.
+
+    ``coeffs`` is ``left_coefficients(s, y)``; its entries past the rank
+    are the coordinates of the null-space component.
+    """
     y_norm = s.codomain.norm(y)
     if y_norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(left_coefficients(s, y)[s.rank:]) / y_norm)
+    return float(np.linalg.norm(coeffs[s.rank:]) / y_norm)
 
 
 def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> dict:
@@ -163,7 +185,8 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
     y = np.asarray(y, dtype=float)
     if y.shape != (op.codomain.dim,):
         raise ValueError("right-hand side length does not match codomain")
-    defect = null_defect(svd(op), y)
+    dec = svd(op)
+    defect = null_defect(dec, y, left_coefficients(dec, y))
     return {"solvable": bool(defect <= tol), "defect": defect}
 
 

@@ -209,6 +209,31 @@ def test_svd_overflowing_operator_exit_3(capsys, tmp_path):
     assert "non-finite" in payload["detail"]
 
 
+def test_svd_lapack_failure_exit_3_not_validation(capsys, tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still read as a numerical failure
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    op = write_json(tmp_path / "op.json", EXAMPLE_RECORD)
+    code, out, err = run(capsys, "svd", "--op", op)
+    assert code == 3
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["error"] == "numerical-failure"
+    assert "did not converge" in payload["detail"]
+
+
+def test_svd_indefinite_metric_stays_validation_exit_2(capsys, tmp_path):
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                           "entries": [1.0, 0.0, 0.0, 1.0],
+                                           "domain_metric": [1.0, 0.0, 0.0, -1.0]})
+    code, out, err = run(capsys, "svd", "--op", op)
+    assert code == 2
+    assert out == ""
+    assert "positive definite" in err
+
+
 def test_svd_rejects_nan_and_negative_rank_tol(capsys, tmp_path):
     op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
                                            "entries": [1.0, 0.0, 0.0, 1.0]})

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from adjointkit import (DenseOperator, InnerProductSpace, adjoint,
                         matrix_operator, solvability_check, svd)
+from adjointkit.cli import main
 from adjointkit.leastsq import (instability_demo, integration_operator,
                                 normal_solve, picard_diagnostic,
                                 tikhonov_solve)
@@ -19,6 +22,22 @@ def lstsq_oracle(op, y):
     lc = np.linalg.cholesky(op.codomain.metric)
     a_tilde = lc.T @ op.entries @ np.linalg.inv(ld.T)
     x_tilde, *_ = np.linalg.lstsq(a_tilde, lc.T @ y, rcond=None)
+    return np.linalg.solve(ld.T, x_tilde)
+
+
+def tikhonov_oracle(op, y, kappa):
+    """Tikhonov minimizer as the augmented least-squares problem [B; sqrt(kappa) I].
+
+    Same metric change of variables as ``lstsq_oracle``; LAPACK's lstsq
+    never forms the normal operator either, so it stays accurate as
+    kappa falls below the squared small singular values.
+    """
+    ld = np.linalg.cholesky(op.domain.metric)
+    lc = np.linalg.cholesky(op.codomain.metric)
+    a_tilde = lc.T @ op.entries @ np.linalg.inv(ld.T)
+    n = op.domain.dim
+    aug = np.vstack([a_tilde, np.sqrt(kappa) * np.eye(n)])
+    x_tilde, *_ = np.linalg.lstsq(aug, np.concatenate([lc.T @ y, np.zeros(n)]), rcond=None)
     return np.linalg.solve(ld.T, x_tilde)
 
 
@@ -130,6 +149,91 @@ def test_tikhonov_optimality_residual():
         assert op.domain.norm(sol.x) <= bound * (1.0 + 1e-12)
 
 
+def test_tikhonov_tiny_kappa_on_rank_one_operator():
+    # the shifted normal matrix 1 1^T + 1e-20 I is singular in floating point;
+    # the minimum-norm answer is what kappa -> 0 converges to
+    sol = tikhonov_solve(matrix_operator(np.ones((2, 2))), np.ones(2), 1e-20)
+    np.testing.assert_allclose(sol.x, [0.5, 0.5], atol=1e-12)
+
+
+def test_tikhonov_singular_values_past_the_square_root_of_the_float_range():
+    # sigma^2 = 1e320 overflows; x = y / (1 + kappa / sigma^2) is still [1, 1]
+    sol = tikhonov_solve(matrix_operator(1e160 * np.eye(2)), np.full(2, 1e160), 1e-3)
+    np.testing.assert_allclose(sol.x, [1.0, 1.0], rtol=1e-15)
+
+
+def test_tikhonov_tiny_kappa_rank_deficient_cli_exit_0(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))  # rank 2
+    y = rng.standard_normal(6)
+    kappa = 1e-20
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"rows": 6, "cols": 5, "entries": a.ravel().tolist()}))
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps(y.tolist()))
+    code = main(["tikhonov", "--op", str(op), "--rhs", str(rhs), "--kappa", str(kappa)])
+    assert code == 0
+    x = np.array(json.loads(capsys.readouterr().out)["x"])
+    # conditioned past 1/eps, so x itself is not pinned: the shifted normal
+    # equations hold to a backward-stable residual
+    s1 = np.linalg.norm(a, 2)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(a.T @ (a @ x - y) + kappa * x) \
+        <= 10.0 * eps * ((s1 * s1 + kappa) * np.linalg.norm(x) + s1 * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tikhonov_filter_factors_match_augmented_lstsq(weighted):
+    # the graded cond-1e9 operator of the normal_solve test above; the shifted
+    # normal matrix A* A + kappa I has condition about 1/kappa, up to 1e16 here
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    entries = (u * np.logspace(0.0, -9.0, 12)) @ v.T
+    y = rng.standard_normal(12)
+    dom = cod = None
+    if weighted:
+        g, h = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
+        dom, cod = g @ g.T + 12 * np.eye(12), h @ h.T + 12 * np.eye(12)
+    op = matrix_operator(entries, dom, cod)
+    for kappa in (1e-8, 1e-12, 1e-16):
+        ref = tikhonov_oracle(op, y, kappa)
+        x = tikhonov_solve(op, y, kappa).x
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref), kappa
+
+
+def test_one_lapack_svd_per_operator(monkeypatch):
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(26)
+    for k in range(2):
+        op = matrix_operator(rng.standard_normal((5, 4)))
+        y = rng.standard_normal(5)
+        svd(op)
+        svd(op, rank_tol=1e-3)
+        normal_solve(op, y)
+        picard_diagnostic(op, y)
+        solvability_check(op, y)
+        for kappa in (1e-8, 1e-4, 1.0, 10.0):
+            tikhonov_solve(op, y, kappa)
+        assert len(calls) == k + 1
+
+
+def test_svd_arrays_are_read_only():
+    dec = svd(matrix_operator([[3.0, 1.0], [0.0, 2.0], [1.0, 1.0]]))
+    for arr in (dec.sigma, dec.right_vectors, dec.left_vectors):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
 def test_tikhonov_rejects_nonpositive_kappa():
     op = matrix_operator(np.eye(2))
     with pytest.raises(ValueError):
@@ -145,8 +249,8 @@ def test_tikhonov_stabilizes_integration_inverse():
     grid = (np.arange(64) + 0.5) / 64
     y = op.matvec(np.sin(np.pi * grid))
     noise = 1e-3 * dec.left_vectors[:, dec.rank - 1]
-    x_plain = normal_solve(op, y, decomposition=dec)
-    x_plain_noisy = normal_solve(op, y + noise, decomposition=dec)
+    x_plain = normal_solve(op, y)
+    x_plain_noisy = normal_solve(op, y + noise)
     err_plain = op.domain.norm(x_plain_noisy - x_plain)
     reg = tikhonov_solve(op, y, 1e-1)
     reg_noisy = tikhonov_solve(op, y + noise, 1e-1)
@@ -175,7 +279,7 @@ def test_picard_single_mode_data():
     dec = svd(op)
     idx = 20
     y = dec.left_vectors[:, idx - 1]
-    table = picard_diagnostic(op, y, decomposition=dec)
+    table = picard_diagnostic(op, y)
     target = table.rows[idx - 1]
     assert target.ratio == pytest.approx(1.0 / dec.sigma[idx - 1], rel=1e-9)
     others = [row.coeff for row in table.rows if row.index != idx]
