@@ -22,7 +22,7 @@ from .optim import (ConstrainedProblem, ReducedGradientReport,
                     fd_gradient_check, gradient_descent, kkt_residuals,
                     reduced_gradient)
 from .pde import (build_advection_problem, build_elliptic_problem,
-                  discrete_infsup, tridiagonal_solve)
+                  discrete_infsup)
 from .spectral import (EigResult, SubspaceBases, SvdResult, eig_self_adjoint,
                        fundamental_subspaces, orthogonal_projector,
                        solvability_check, svd)
@@ -49,6 +49,5 @@ __all__ = [
     "operator_from_record", "operator_norm", "operator_to_record",
     "orthogonal_projector", "orthonormalize", "picard_diagnostic", "r0",
     "reduced_gradient", "simulate", "solvability_check", "solve_modes",
-    "stability_verdict", "svd", "tikhonov_solve", "tridiagonal_solve",
-    "truncation_error",
+    "stability_verdict", "svd", "tikhonov_solve", "truncation_error",
 ]

@@ -9,48 +9,21 @@ exact for constants.
 
 Elliptic coefficient inversion: ``-(exp(z) u')' = 0`` with Dirichlet
 data, misfit objective against observed interior values, control ``z``
-sampled at cell midpoints.  The conservative stencil is symmetric, so
-the adjoint solve reuses the forward tridiagonal system, and the
-per-cell gradient is ``exp(z) (du/h)(dv/h) h`` assembled from the state
-and multiplier slopes.
+sampled at cell midpoints.  The stiffness keeps the flux form of the
+operator, ``K = D* diag(exp(z)) D / h^2`` with ``D`` the jump across
+each cell, so it is symmetric: the adjoint solve is the forward solve
+with zero end values, and both invert ``K`` by two running sums (one
+for the flux ``D* F = h r``, one for the state ``D v = h F / exp(z)``).
+The per-cell gradient is ``exp(z) (du/h)(dv/h) h`` assembled from the
+state and multiplier slopes.
 """
 
 import numpy as np
 
-from .core import matrix_operator
+from .core import DenseOperator, matrix_operator
 from .errors import NumericalError
 from .optim import ConstrainedProblem
 from .spectral import svd
-
-
-def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Thomas algorithm; ``lower[0]`` and ``upper[-1]`` are ignored.
-
-    Intended for diagonally dominant or SPD systems, where the
-    elimination is stable without pivoting.  One elimination pass and
-    one back-substitution pass run over Python floats, which is several
-    times faster than indexing numpy scalars and gives the same bits.
-    A pivot that is tiny or NaN raises ``NumericalError``.
-    """
-    b = np.asarray(diag, dtype=float)
-    n = b.size
-    if not (np.size(lower) == np.size(upper) == np.size(rhs) == n):
-        raise ValueError("all bands and the right-hand side must share a length")
-    floor = 1e-14 * max(np.abs(b).max(), 1e-300)
-    # forward elimination over Python floats, row 0 through a zero lower entry
-    a = [0.0] + np.asarray(lower, dtype=float).tolist()[1:]
-    c = np.asarray(upper, dtype=float).tolist()[:n - 1] + [0.0]
-    cp, dp = [0.0], [0.0]
-    for ai, bi, ci, di in zip(a, b.tolist(), c, np.asarray(rhs, dtype=float).tolist()):
-        denom = bi - ai * cp[-1]
-        if not abs(denom) > floor:  # also catches a NaN band
-            raise NumericalError("zero pivot in tridiagonal elimination")
-        cp.append(ci / denom)
-        dp.append((di - ai * dp[-1]) / denom)
-    x = [0.0]
-    for cpi, dpi in zip(reversed(cp[1:]), reversed(dp[1:])):
-        x.append(dpi - cpi * x[-1])
-    return np.array(x[:0:-1])
 
 
 class AdvectionControlProblem(ConstrainedProblem):
@@ -154,52 +127,53 @@ class EllipticInversionProblem(ConstrainedProblem):
         self.grid = (np.arange(n) + 1.0) * self.h
         self.midpoints = (np.arange(n + 1) + 0.5) * self.h
 
-    def _padded(self, u):
-        return np.concatenate([[self.g0], u, [self.g1]])
+    def _jumps(self, u, g0, g1):
+        """``D u``: the jump of ``u`` across each cell, with end values (g0, g1)."""
+        return np.diff(np.concatenate([[g0], u, [g1]]))
 
-    def _bands(self, z):
-        coeff = np.exp(z)
-        lower = np.zeros(self.n)
-        upper = np.zeros(self.n)
-        diag = (coeff[:-1] + coeff[1:]) / self.h ** 2
-        lower[1:] = -coeff[1:-1] / self.h ** 2
-        upper[:-1] = -coeff[1:-1] / self.h ** 2
-        return lower, diag, upper, coeff
-
-    def residual(self, u, z):
-        coeff = np.exp(z)
-        full = self._padded(u)
-        flux = coeff * np.diff(full) / self.h  # flux per cell
+    def _divergence(self, z, u, g0, g1):
+        """``K u = D* (exp(z) D u) / h^2``: minus the divergence of the cell fluxes."""
+        flux = np.exp(z) * self._jumps(u, g0, g1) / self.h
         return -np.diff(flux) / self.h
 
+    def _solve(self, z, rhs, g0, g1):
+        """``v`` with ``K v = rhs`` and end values (g0, g1), by two running sums.
+
+        ``D* F = h rhs`` makes the flux through cell i ``F0 - s_i`` with
+        ``s = [0, cumsum(h rhs)]``, and ``D v = h F / exp(z)`` steps ``v``
+        by ``w_i (F0 - s_i)`` across cell i, ``w = h / exp(z)`` being the
+        cell resistances; the end values fix ``F0``.
+        """
+        with np.errstate(all="ignore"):  # the guard below reports instead
+            w = self.h / np.exp(z)
+            s = np.concatenate([[0.0], np.cumsum(self.h * rhs)])
+            f0 = (g1 - g0 + w @ s) / w.sum()
+            v = g0 + np.cumsum(w * (f0 - s))[:-1]
+        if not (np.all((w > 0.0) & (w < np.inf)) and np.all(np.isfinite(v))):
+            raise NumericalError("exp(z) is not positive and finite in every cell, "
+                                 "or the elliptic solve overflowed")
+        return v
+
+    def residual(self, u, z):
+        return self._divergence(z, u, self.g0, self.g1)
+
     def solve_forward(self, z):
-        lower, diag, upper, coeff = self._bands(z)
-        rhs = np.zeros(self.n)
-        rhs[0] = coeff[0] * self.g0 / self.h ** 2
-        rhs[-1] = coeff[-1] * self.g1 / self.h ** 2
-        return tridiagonal_solve(lower, diag, upper, rhs)
+        return self._solve(z, np.zeros(self.n), self.g0, self.g1)
 
     def apply_state_jacobian(self, u, z, du):
-        lower, diag, upper, _ = self._bands(z)
-        out = diag * du
-        out[1:] += lower[1:] * du[:-1]
-        out[:-1] += upper[:-1] * du[1:]
-        return out
+        return self._divergence(z, du, 0.0, 0.0)
 
     def apply_state_adjoint(self, u, z, w):
         return self.apply_state_jacobian(u, z, w)  # symmetric stencil
 
     def solve_adjoint(self, u, z, rhs):
-        lower, diag, upper, _ = self._bands(z)
-        return tridiagonal_solve(lower, diag, upper, rhs)
+        return self._solve(z, rhs, 0.0, 0.0)
 
     def apply_control_adjoint(self, u, z, y):
         # per cell: coeff * (du/h) * (dv/h) * h with v = y/h, the multiplier
         # rescaled to the continuous adjoint amplitude
-        coeff = np.exp(z)
-        du = np.diff(self._padded(u))
-        dy = np.diff(np.concatenate([[0.0], y, [0.0]]))
-        return coeff * du * dy / self.h ** 2
+        du = self._jumps(u, self.g0, self.g1)
+        return np.exp(z) * du * self._jumps(y, 0.0, 0.0) / self.h ** 2
 
     def objective(self, u, z):
         misfit = u - self.u_obs
@@ -213,11 +187,9 @@ class EllipticInversionProblem(ConstrainedProblem):
         return self.kappa * self.h * z
 
     def stiffness_matrix(self, z) -> np.ndarray:
-        lower, diag, upper, _ = self._bands(z)
-        k = np.diag(diag)
-        k += np.diag(lower[1:], -1)
-        k += np.diag(upper[:-1], 1)
-        return k
+        """``K = D^T diag(exp(z)) D / h^2`` with the Dirichlet ``D`` of ``sturm``."""
+        d = np.eye(self.n + 1, self.n) - np.eye(self.n + 1, self.n, -1)
+        return d.T @ (np.exp(z)[:, None] * d) / self.h ** 2
 
 
 def build_advection_problem(n: int, beta: float) -> AdvectionControlProblem:
@@ -255,7 +227,7 @@ def discrete_infsup(op) -> float:
     return float(dec.sigma[-1])
 
 
-def elliptic_stiffness_operator(n: int, z) -> "DenseOperator":
+def elliptic_stiffness_operator(n: int, z) -> DenseOperator:
     """Interior stiffness matrix wrapped as a Euclidean dense operator."""
     problem = EllipticInversionProblem(n, 0.0, 0.0, np.zeros(n))
     return matrix_operator(problem.stiffness_matrix(np.asarray(z, dtype=float)))

@@ -1,104 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from adjointkit import matrix_operator
+from adjointkit import cli, matrix_operator
 from adjointkit.errors import NumericalError
 from adjointkit.optim import (fd_gradient_check, gradient_descent,
                               kkt_residuals, reduced_gradient)
 from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
                             default_target_field, discrete_infsup,
-                            elliptic_stiffness_operator, make_elliptic_demo,
-                            tridiagonal_solve)
-
-
-# -- tridiagonal_solve ------------------------------------------------------------
-
-def thomas_oracle(lower, diag, upper, rhs):
-    """Array-indexed Thomas elimination, the bit-for-bit reference."""
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (lower, diag, upper, rhs))
-    n = b.size
-    cp = np.zeros(n)
-    dp = np.zeros(n)
-    cp[0] = c[0] / b[0]
-    dp[0] = d[0] / b[0]
-    for i in range(1, n):
-        denom = b[i] - a[i] * cp[i - 1]
-        cp[i] = c[i] / denom
-        dp[i] = (d[i] - a[i] * dp[i - 1]) / denom
-    x = np.zeros(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def test_tridiagonal_bitwise_equal_to_oracle():
-    rng = np.random.default_rng(72)
-    for trial in range(300):
-        n = 1 + trial % 100
-        if trial % 3 == 0:  # the conservative SPD stencil of the elliptic problem
-            coeff = np.exp(rng.standard_normal(n + 1))
-            diag = coeff[:-1] + coeff[1:]
-            lower = np.concatenate([[0.0], -coeff[1:-1]])
-            upper = np.concatenate([-coeff[1:-1], [0.0]])
-        elif trial % 3 == 1:  # the constant second-difference stencil
-            lower, diag, upper = -np.ones(n), np.full(n, 2.0), -np.ones(n)
-        else:  # general diagonally dominant, either sign on the diagonal
-            lower = rng.standard_normal(n)
-            upper = rng.standard_normal(n)
-            sign = rng.choice([-1.0, 1.0], n)
-            diag = sign * (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n))
-        rhs = rng.standard_normal(n)
-        x = tridiagonal_solve(lower, diag, upper, rhs)
-        ref = thomas_oracle(lower, diag, upper, rhs)
-        assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
-
-
-def test_tridiagonal_ignores_corner_entries():
-    rng = np.random.default_rng(73)
-    lower, upper, rhs = (rng.standard_normal(6) for _ in range(3))
-    diag = 4.0 + rng.uniform(size=6)
-    x = tridiagonal_solve(lower, diag, upper, rhs)
-    lower[0], upper[-1] = np.nan, np.nan
-    np.testing.assert_array_equal(tridiagonal_solve(lower, diag, upper, rhs), x)
-
-
-def test_tridiagonal_identity():
-    rhs = np.array([3.0, -1.0, 2.0])
-    x = tridiagonal_solve(np.zeros(3), np.ones(3), np.zeros(3), rhs)
-    np.testing.assert_array_equal(x, rhs)
-
-
-def test_tridiagonal_stencil_round_trip():
-    rng = np.random.default_rng(70)
-    n = 40
-    lower = np.full(n, -1.0)
-    upper = np.full(n, -1.0)
-    diag = np.full(n, 2.0)
-    x_true = rng.standard_normal(n)
-    mat = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    rhs = mat @ x_true
-    x = tridiagonal_solve(lower, diag, upper, rhs)
-    np.testing.assert_allclose(x, x_true, atol=1e-12)
-    assert np.abs(mat @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
-
-
-def test_tridiagonal_scalar_division():
-    x = tridiagonal_solve(np.zeros(1), np.array([4.0]), np.zeros(1),
-                          np.array([2.0]))
-    np.testing.assert_array_equal(x, [0.5])
-
-
-def test_tridiagonal_zero_pivot():
-    with pytest.raises(NumericalError, match="pivot"):
-        tridiagonal_solve(np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2))
-
-
-def test_tridiagonal_nan_band_raises():
-    for diag, lower in [([0.0, np.nan], [0.0, 0.0]), ([1.0, np.nan], [0.0, 0.0]),
-                        ([2.0, 2.0], [0.0, np.nan])]:
-        with pytest.raises(NumericalError, match="pivot"):
-            tridiagonal_solve(lower, diag, np.zeros(2), np.ones(2))
+                            elliptic_stiffness_operator, make_elliptic_demo)
 
 
 # -- advection problem --------------------------------------------------------------
@@ -245,6 +156,80 @@ def test_elliptic_penalty_regularizes_gradient():
     g_plain = reduced_gradient(plain, z).gradient
     np.testing.assert_allclose(g_pen - g_plain, problem.kappa * problem.h * z,
                                atol=1e-12)
+
+
+def exact_solution(problem, z, rhs, g0, g1):
+    """``K v = rhs`` with end values (g0, g1), by Thomas elimination over
+    ``Fraction`` on the same float coefficients ``exp(z)``; the system is
+    scaled by ``h^2``, so row i reads
+    ``-c_i v_(i-1) + (c_i + c_(i+1)) v_i - c_(i+1) v_(i+1) = h^2 rhs_i``."""
+    c = [Fraction(x) for x in np.exp(z)]
+    d = [Fraction(problem.h) ** 2 * Fraction(r) for r in rhs]
+    d[0] += c[0] * Fraction(g0)
+    d[-1] += c[-1] * Fraction(g1)
+    cp, dp = [Fraction(0)], [Fraction(0)]
+    for i in range(problem.n):
+        denom = c[i] + c[i + 1] + c[i] * cp[-1]
+        cp.append(-c[i + 1] / denom)
+        dp.append((d[i] + c[i] * dp[-1]) / denom)
+    v = [dp[-1]]
+    for cpi, dpi in zip(reversed(cp[1:-1]), reversed(dp[1:-1])):
+        v.append(dpi - cpi * v[-1])
+    return v[::-1]
+
+
+def relative_error(v, exact):
+    ref = np.array([float(x) for x in exact])
+    return np.abs(v - ref).max() / np.abs(ref).max()
+
+
+COEFFICIENT_PATTERNS = {
+    "sine": lambda x: 3.0 * np.sin(2.0 * np.pi * x),
+    "uniform": lambda x: np.random.default_rng(76).uniform(-10.0, 10.0, x.size),
+    "alternating": lambda x: 10.0 * (-1.0) ** np.arange(x.size),
+    "step": lambda x: np.where(x < 0.5, -10.0, 10.0),
+    "spike": lambda x: np.where(np.arange(x.size) == x.size // 3, 40.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("n", [31, 64, 127])
+@pytest.mark.parametrize("pattern", sorted(COEFFICIENT_PATTERNS))
+def test_elliptic_solves_match_exact_reference(pattern, n):
+    problem = build_elliptic_problem(n, -0.5, 2.0, np.zeros(n))
+    z = COEFFICIENT_PATTERNS[pattern](problem.midpoints)
+    rhs = np.random.default_rng(77).standard_normal(n)
+    u = problem.solve_forward(z)
+    assert relative_error(u, exact_solution(problem, z, np.zeros(n), -0.5, 2.0)) <= 1e-13
+    y = problem.solve_adjoint(u, z, rhs)
+    assert relative_error(y, exact_solution(problem, z, rhs, 0.0, 0.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("cell", [0, 7, 31])
+def test_elliptic_lift_matches_closed_form_past_a_spike(cell):
+    # u_i = g0 + (g1 - g0) sum_(j<i) exp(-z_j) / sum_j exp(-z_j)
+    problem = build_elliptic_problem(31, -0.5, 2.0, np.zeros(31))
+    z = np.zeros(32)
+    z[cell] = 40.0
+    inverse = [1 / Fraction(c) for c in np.exp(z)]
+    partial = np.cumsum(inverse)
+    closed = [Fraction(-0.5) + Fraction(2.5) * p / partial[-1] for p in partial[:-1]]
+    assert closed == exact_solution(problem, z, np.zeros(31), -0.5, 2.0)
+    assert relative_error(problem.solve_forward(z), closed) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [800.0, -800.0, float("nan")])
+def test_elliptic_coefficient_out_of_range_raises(bad, capsys, monkeypatch):
+    problem, _ = make_elliptic_demo(31)
+    z = np.zeros(32)
+    z[5] = bad
+    with pytest.raises(NumericalError, match="positive and finite"):
+        problem.solve_forward(z)
+    with pytest.raises(NumericalError, match="positive and finite"):
+        problem.solve_adjoint(problem.u_obs, z, np.ones(31))
+    monkeypatch.setattr(cli, "_build_pde_problem", lambda args: (problem, z))
+    for argv in ([], ["--descend"]):
+        assert cli.main(["pdeopt", "--problem", "elliptic", *argv]) == 3
+        assert '"numerical-failure"' in capsys.readouterr().out
 
 
 def test_elliptic_validates_inputs():

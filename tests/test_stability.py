@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -130,13 +131,25 @@ def test_lyapunov_matches_kronecker_oracle():
             assert np.abs(p - oracle).max() <= 1e-8 * np.abs(p).max()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing the CLI, an elliptic descent and training run on numpy alone
+    data = tmp_path / "samples.json"
+    data.write_text(json.dumps([{"x": [0.1, -0.2], "a_obs": [0.3]},
+                                {"x": [-0.4, 0.5], "a_obs": [-0.1]}]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from adjointkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['pdeopt', '--problem', 'elliptic', '--descend',\n"
+        "                       '--iters', '5']),\n"
+        f"             cli.main(['train', '--spec', '2,4,1', '--data', {str(data)!r},\n"
+        "                       '--iters', '5'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n")
     src = str(Path(adjointkit.__file__).resolve().parents[1])
-    code = "import sys, adjointkit.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[0, 0] False"
 
 
 def test_lyapunov_rejects_oversize_and_asymmetric_q():
