@@ -179,19 +179,20 @@ def flatten_parameters(params: Parameters) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten_parameters(spec: NetworkSpec, z: np.ndarray) -> Parameters:
-    sizes = spec.layer_sizes
-    weights, biases = [], []
-    pos = 0
-    for i in range(spec.num_layers):
-        rows, cols = sizes[i + 1], sizes[i]
-        weights.append(z[pos:pos + rows * cols].reshape(rows, cols))
-        pos += rows * cols
-        biases.append(z[pos:pos + rows])
-        pos += rows
-    if pos != z.size:
+def _layer_views(spec: NetworkSpec, z: np.ndarray):
+    """Yield ``(W_i, b_i)`` for each layer as views of the flat vector ``z``."""
+    if z.size != parameter_count(spec):
         raise ValueError("flat parameter vector has wrong length")
-    return Parameters(weights, biases)
+    sizes = spec.layer_sizes
+    pos = 0
+    for rows, cols in zip(sizes[1:], sizes):
+        end = pos + rows * cols
+        yield z[pos:end].reshape(rows, cols), z[end:end + rows]
+        pos = end + rows
+
+
+def unflatten_parameters(spec: NetworkSpec, z: np.ndarray) -> Parameters:
+    return Parameters(*zip(*_layer_views(spec, z)))
 
 
 def parameter_count(spec: NetworkSpec) -> int:
@@ -235,12 +236,11 @@ class NetworkTrainingProblem(ConstrainedProblem):
                 for lo, hi in zip(self._offsets, self._offsets[1:])]
 
     def _layers(self, u, z):
-        """Parameters, activation blocks and pre-activations at ``(u, z)``."""
-        params = unflatten_parameters(self.spec, z)
+        """Weights, activation blocks and pre-activations at ``(u, z)``."""
+        layers = list(_layer_views(self.spec, z))
         acts = self._split_state(u)
-        pres = [w @ a + b[:, None]
-                for w, b, a in zip(params.weights, params.biases, acts)]
-        return params, acts, pres
+        pres = [w @ a + b[:, None] for (w, b), a in zip(layers, acts)]
+        return [w for w, _ in layers], acts, pres
 
     def residual(self, u, z):
         _, acts, pres = self._layers(u, z)
@@ -248,32 +248,31 @@ class NetworkTrainingProblem(ConstrainedProblem):
                       + [a - self.spec.act(t) for a, t in zip(acts[1:], pres)])
 
     def solve_forward(self, z):
-        params = unflatten_parameters(self.spec, z)
         acts = [self.x]
-        for w, b in zip(params.weights, params.biases):
+        for w, b in _layer_views(self.spec, z):
             acts.append(self.spec.act(w @ acts[-1] + b[:, None]))
         return _ravel(acts)
 
     def apply_state_jacobian(self, u, z, du):
-        params, _, pres = self._layers(u, z)
+        weights, _, pres = self._layers(u, z)
         d = self._split_state(du)
         return _ravel([d[0]] + [d_next - self.spec.act_prime(t) * (w @ d_i)
                                 for d_i, d_next, w, t
-                                in zip(d, d[1:], params.weights, pres)])
+                                in zip(d, d[1:], weights, pres)])
 
     def apply_state_adjoint(self, u, z, y):
-        params, _, pres = self._layers(u, z)
+        weights, _, pres = self._layers(u, z)
         ys = self._split_state(y)
         return _ravel([y_i - w.T @ (self.spec.act_prime(t) * y_next)
-                       for y_i, y_next, w, t in zip(ys, ys[1:], params.weights, pres)]
+                       for y_i, y_next, w, t in zip(ys, ys[1:], weights, pres)]
                       + [ys[-1]])
 
     def solve_adjoint(self, u, z, rhs):
         # identity diagonal blocks: a single backward substitution
-        params, _, pres = self._layers(u, z)
+        weights, _, pres = self._layers(u, z)
         ys = self._split_state(rhs)
         for i in range(self.spec.num_layers - 1, -1, -1):
-            ys[i] = ys[i] + params.weights[i].T @ (self.spec.act_prime(pres[i]) * ys[i + 1])
+            ys[i] = ys[i] + weights[i].T @ (self.spec.act_prime(pres[i]) * ys[i + 1])
         return _ravel(ys)
 
     def apply_control_adjoint(self, u, z, y):
@@ -285,7 +284,7 @@ class NetworkTrainingProblem(ConstrainedProblem):
         return _ravel(parts)
 
     def objective(self, u, z):
-        diff = self.a_obs - self._split_state(u)[-1]
+        diff = self.a_obs - u[self._offsets[-2]:].reshape(self.a_obs.shape)
         return 0.5 * float(np.vdot(diff, diff))
 
     def objective_grad_state(self, u, z):

@@ -31,8 +31,9 @@ class ConstrainedProblem(ABC):
 
     Subclasses set ``state_dim`` and ``control_dim`` and implement the
     abstract methods.  The default adjoint operations densify the state
-    Jacobian column by column, once per reduced gradient when both are
-    in use; override them when the constraint has exploitable structure
+    Jacobian column by column, once per call; ``reduced_gradient``, which
+    reads both the multiplier and ``c_u^T y``, builds it once for the
+    two.  Override them when the constraint has exploitable structure
     (triangular, tridiagonal, ...).  Instances
     must be safe for concurrent read-only evaluation.
     """
@@ -130,25 +131,15 @@ class DescentResult:
     iterations: int = 0
 
 
-def _kkt_blocks(problem: ConstrainedProblem, u, z, y, grad_state, state_term):
-    """KKT blocks ``grad_u f + c_u^T y`` (adjoint) and ``grad_z f + c_z^T y`` (control).
-
-    ``state_term`` is ``c_u^T y``.
-    """
-    return (grad_state + state_term,
-            problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y))
+def _control_block(problem: ConstrainedProblem, u, z, y):
+    """KKT control block ``grad_z f + c_z^T y``: the reduced gradient at the multiplier."""
+    return problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
 
 
-def _gradient_at_state(problem: ConstrainedProblem, u, z) -> ReducedGradientReport:
-    """Adjoint solve and gradient assembly at a state that solves ``c(u, z) = 0``."""
-    gu = problem.objective_grad_state(u, z)
-    y, state_term = _adjoint_solution(problem, u, z, -gu)
-    adjoint_block, gradient = _kkt_blocks(problem, u, z, y, gu, state_term)
-    return ReducedGradientReport(
-        f_value=float(problem.objective(u, z)), gradient=gradient,
-        forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
-        adjoint_residual_norm=float(np.linalg.norm(adjoint_block)),
-        state=u, multiplier=y)
+def _gradient_at_state(problem: ConstrainedProblem, u, z) -> np.ndarray:
+    """Reduced gradient at a state solving ``c(u, z) = 0``, from one adjoint solve."""
+    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    return _control_block(problem, u, z, y)
 
 
 def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradientReport:
@@ -158,7 +149,14 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
     report also carries the state, the multiplier and both residual norms.
     """
     z = np.asarray(z, dtype=float)
-    return _gradient_at_state(problem, problem.solve_forward(z), z)
+    u = problem.solve_forward(z)
+    gu = problem.objective_grad_state(u, z)
+    y, state_term = _adjoint_solution(problem, u, z, -gu)
+    return ReducedGradientReport(
+        f_value=float(problem.objective(u, z)), gradient=_control_block(problem, u, z, y),
+        forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
+        adjoint_residual_norm=float(np.linalg.norm(gu + state_term)),
+        state=u, multiplier=y)
 
 
 def reduced_objective(problem: ConstrainedProblem, z: np.ndarray) -> float:
@@ -180,7 +178,7 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     z = np.asarray(z, dtype=float)
     if not all(0.0 < h < np.inf for h in steps):
         raise ValueError("finite-difference steps must be positive and finite")
-    grad = reduced_gradient(problem, z).gradient
+    grad = _gradient_at_state(problem, problem.solve_forward(z), z)
     out = {}
     for h in steps:
         fd = np.zeros(problem.control_dim)
@@ -200,8 +198,11 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
     Each iteration halves the step until the sufficient-decrease test
     ``f(z - a g) <= f - 1e-4 a |g|^2`` passes, so the recorded objective
-    values are strictly decreasing.  Each trial costs one forward solve;
-    the next gradient is assembled at the accepted trial's state.
+    values are strictly decreasing.  A trial costs one forward solve and
+    one objective; a trial whose forward solve raises ``NumericalError``
+    is rejected like one that fails the test.  An iteration adds one
+    adjoint solve and one control-adjoint product at the accepted
+    trial's state.  Residual norms come only from ``reduced_gradient``.
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -212,27 +213,35 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     z = np.asarray(z0, dtype=float).copy()
     history = []
     for k in range(iters):
-        try:  # from k = 1 on, u is the state the line search accepted
-            report = _gradient_at_state(problem, problem.solve_forward(z) if k == 0 else u, z)
+        try:
+            if k == 0:  # later iterations start at the trial the line search accepted
+                stage = "forward solve"
+                u = problem.solve_forward(z)
+                f_curr = float(problem.objective(u, z))
+            stage = "adjoint solve"
+            g = _gradient_at_state(problem, u, z)
         except NumericalError as exc:
-            raise NumericalError(f"forward solve failed at iteration {k}: {exc}") from None
-        g = report.gradient
+            raise NumericalError(f"{stage} failed at iteration {k}: {exc}") from None
         gnorm = float(np.linalg.norm(g))
-        f_curr = report.f_value
         history.append((k, f_curr, gnorm, 0.0))
         if gnorm <= tol:
             return DescentResult(z=z, history=history, converged=True, iterations=k)
         alpha = step
         for _ in range(MAX_BACKTRACKS):
             candidate = z - alpha * g
-            u = problem.solve_forward(candidate)
-            if problem.objective(u, candidate) <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
-                break
+            try:
+                u = problem.solve_forward(candidate)
+            except NumericalError:
+                pass
+            else:
+                f_new = float(problem.objective(u, candidate))
+                if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
+                    break
             alpha *= 0.5
         else:
             raise NumericalError(f"line search failed at iteration {k}")
         history[-1] = (k, f_curr, gnorm, alpha)
-        z = candidate
+        z, f_curr = candidate, f_new
     return DescentResult(z=z, history=history, converged=False, iterations=iters)
 
 
@@ -244,9 +253,7 @@ def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
     if u.shape != (problem.state_dim,) or z.shape != (problem.control_dim,) \
             or y.shape != (problem.state_dim,):
         raise ValueError("inconsistent dimensions for KKT evaluation")
-    adjoint_block, control_block = _kkt_blocks(
-        problem, u, z, y, problem.objective_grad_state(u, z),
-        problem.apply_state_adjoint(u, z, y))
+    adjoint_block = problem.objective_grad_state(u, z) + problem.apply_state_adjoint(u, z, y)
     return {"forward": float(np.linalg.norm(problem.residual(u, z))),
             "adjoint": float(np.linalg.norm(adjoint_block)),
-            "control": float(np.linalg.norm(control_block))}
+            "control": float(np.linalg.norm(_control_block(problem, u, z, y)))}

@@ -146,10 +146,12 @@ class EllipticInversionProblem(ConstrainedProblem):
         """
         with np.errstate(all="ignore"):  # the guard below reports instead
             w = self.h / np.exp(z)
-            s = np.concatenate([[0.0], np.cumsum(self.h * rhs)])
+            s = np.zeros(self.n + 1)
+            np.add.accumulate(self.h * rhs, out=s[1:])  # np.cumsum, without its wrapper
             f0 = (g1 - g0 + w @ s) / w.sum()
-            v = g0 + np.cumsum(w * (f0 - s))[:-1]
-        if not (np.all((w > 0.0) & (w < np.inf)) and np.all(np.isfinite(v))):
+            v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
+        # NaN-safe: every comparison with NaN is false
+        if not (0.0 < w.min() and w.max() < np.inf and np.isfinite(v).all()):
             raise NumericalError("exp(z) is not positive and finite in every cell, "
                                  "or the elliptic solve overflowed")
         return v

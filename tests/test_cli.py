@@ -613,6 +613,16 @@ def test_pdeopt_elliptic_descent_reduces_objective(capsys):
     assert f_end <= f0 / 100.0
 
 
+def test_pdeopt_descent_backtracks_past_an_overflowing_step(capsys):
+    # the first trials overflow exp(z); the line search halves them away
+    code, out, _ = run(capsys, "pdeopt", "--problem", "elliptic", "--descend",
+                       "--step", "1e8", "--iters", "3")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert [row[3] for row in rows] == [1e8 / 2 ** 17, 1e8 / 2 ** 17, 1e8 / 2 ** 16]
+    assert rows[0][1] > rows[1][1] > rows[2][1]
+
+
 def test_pdeopt_elliptic_field_dump_shape(capsys):
     code, out, _ = run(capsys, "pdeopt", "--problem", "elliptic", "--n", "15")
     assert code == 0

@@ -289,6 +289,17 @@ def test_parameter_flatten_round_trip():
 
 # -- training ---------------------------------------------------------------------
 
+def test_wrong_length_controls_rejected():
+    spec = NetworkSpec((2, 3, 1))
+    problem = NetworkTrainingProblem(spec, np.zeros((2, 4)), np.zeros((1, 4)))
+    flat = flatten_parameters(init_parameters(spec, seed=5))
+    for bad in (flat[:-1], np.append(flat, 0.0)):
+        with pytest.raises(ValueError, match="wrong length"):
+            problem.solve_forward(bad)
+        with pytest.raises(ValueError, match="wrong length"):
+            unflatten_parameters(spec, bad)
+
+
 def test_training_reduces_loss_monotonically():
     spec = NetworkSpec((2, 4, 1))
     params = init_parameters(spec, seed=9)

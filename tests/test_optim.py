@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adjointkit.errors import NumericalError
 from adjointkit.network import (NetworkSpec, NetworkTrainingProblem,
                                 flatten_parameters, init_parameters)
 from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
@@ -280,23 +285,37 @@ def test_descent_rejects_negative_iters():
     assert result.history == [] and result.iterations == 0
 
 
-# -- one forward solve per line-search trial --------------------------------------
+# -- the descent pays only for what it reads ------------------------------------------
 
-class CountsForwardSolves:
-    """Mixin that counts ``solve_forward`` calls on one instance."""
+COUNTED = ("solve_forward", "solve_adjoint", "objective", "residual",
+           "apply_state_adjoint", "apply_state_jacobian")
 
-    forward_calls = 0
 
-    def solve_forward(self, z):
-        self.forward_calls += 1
-        return super().solve_forward(z)
+class CountsCalls:
+    """Mixin that counts, per instance, the calls of the methods in ``COUNTED``."""
+
+    @property
+    def forward_calls(self):
+        return self.calls["solve_forward"]
+
+
+def _counting(name):
+    def method(self, *args):
+        self.calls[name] += 1
+        return getattr(super(CountsCalls, self), name)(*args)
+    return method
+
+
+for _name in COUNTED:
+    setattr(CountsCalls, _name, _counting(_name))
 
 
 def counted(problem):
-    """A copy of ``problem`` whose class also counts its forward solves."""
+    """A copy of ``problem`` whose class also counts its calls."""
     cls = type(problem)
-    twin = object.__new__(type(f"Counted{cls.__name__}", (CountsForwardSolves, cls), {}))
+    twin = object.__new__(type(f"Counted{cls.__name__}", (CountsCalls, cls), {}))
     twin.__dict__.update(vars(problem))
+    twin.calls = Counter()
     return twin
 
 
@@ -304,7 +323,8 @@ def descent_oracle(problem, z0, step, iters, tol):
     """Descent as a full reduced-gradient evaluation per iteration.
 
     Every iteration solves forward again at the point the previous line
-    search accepted; the history and iterate must not depend on that.
+    search accepted; the history and iterate must not depend on that.  A
+    trial whose forward solve fails is rejected.
     """
     z = np.asarray(z0, dtype=float).copy()
     history = []
@@ -319,7 +339,10 @@ def descent_oracle(problem, z0, step, iters, tol):
         alpha = step
         for _ in range(MAX_BACKTRACKS):
             candidate = z - alpha * g
-            f_new = reduced_objective(problem, candidate)
+            try:
+                f_new = reduced_objective(problem, candidate)
+            except NumericalError:
+                f_new = np.nan
             if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
                 break
             alpha *= 0.5
@@ -330,13 +353,20 @@ def descent_oracle(problem, z0, step, iters, tol):
     return z, history
 
 
+def trial_counts(history, step):
+    """Line-search trials per iteration, from the accepted steps ``step / 2^j``."""
+    return [1 + round(np.log2(step / alpha)) for *_, alpha in history if alpha > 0.0]
+
+
 def test_descent_solves_forward_once_per_trial():
     problem = counted(NonlinearScalar())
     step = 4.0
     result = gradient_descent(problem, np.array([2.0]), step=step, iters=12, tol=0.0)
-    trials = [1 + round(np.log2(step / alpha)) for *_, alpha in result.history]
+    trials = trial_counts(result.history, step)
     assert sum(trials) > len(trials)  # some steps backtracked
     assert problem.forward_calls == 1 + sum(trials)
+    # the dense fallbacks build the state Jacobian once per iteration
+    assert problem.calls["apply_state_jacobian"] == problem.state_dim * len(result.history)
 
 
 def network_problem():
@@ -362,3 +392,99 @@ def test_descent_bitwise_equal_to_full_evaluation_oracle(build):
     assert np.array_equal(result.z.view(np.uint64), z_ref.view(np.uint64))
     # the oracle's one extra forward solve per gradient is the one saved
     assert reused.forward_calls == fresh.forward_calls - len(history_ref) + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (make_elliptic_demo(31, kappa=1e-3)[0], np.zeros(32), 100.0),
+    lambda: (build_advection_problem(31, 1.0), np.array([1.0]), 1.5),
+    network_problem,
+    lambda: (NonlinearScalar(), np.array([2.0]), 4.0),
+], ids=["elliptic", "advection", "network", "dense-fallbacks"])
+def test_descent_reads_no_residual_and_one_objective_per_trial(build):
+    problem, z0, step = build()
+    problem = counted(problem)
+    result = gradient_descent(problem, z0, step=step, iters=15, tol=0.0)
+    trials = sum(trial_counts(result.history, step))
+    assert problem.calls["residual"] == 0
+    assert problem.calls["apply_state_adjoint"] == 0
+    assert problem.calls["objective"] == problem.calls["solve_forward"] == 1 + trials
+    assert problem.calls["solve_adjoint"] == len(result.history)
+
+
+def test_fd_check_reads_no_residual():
+    problem = counted(make_elliptic_demo(15)[0])
+    fd_gradient_check(problem, np.zeros(16), steps=(1e-3,))
+    assert problem.calls["residual"] == problem.calls["apply_state_adjoint"] == 0
+    assert problem.calls["solve_adjoint"] == 1
+
+
+def test_line_search_backtracks_past_a_failed_forward_solve():
+    # the first trials overflow exp(z); they must be halved away, not raised
+    problem, _ = make_elliptic_demo(31)
+    result = gradient_descent(problem, np.zeros(32), step=1e8, iters=3, tol=0.0)
+    steps = [alpha for *_, alpha in result.history]
+    assert steps == [1e8 / 2 ** 17, 1e8 / 2 ** 17, 1e8 / 2 ** 16]
+    fs = [row[1] for row in result.history]
+    assert all(b < a for a, b in zip(fs, fs[1:]))
+    z_ref, history_ref = descent_oracle(problem, np.zeros(32), 1e8, iters=3, tol=0.0)
+    assert np.array_equal(np.array(result.history), np.array(history_ref))
+    assert np.array_equal(result.z, z_ref)
+
+
+class ForwardFailsAfter(LinearQuadratic):
+    """Forward solves fail once ``good`` of them have succeeded."""
+
+    def __init__(self, b, good):
+        super().__init__(b)
+        self.good = good
+
+    def solve_forward(self, z):
+        if self.good == 0:
+            raise NumericalError("no state here")
+        self.good -= 1
+        return super().solve_forward(z)
+
+
+def test_line_search_fails_after_every_trial_is_rejected():
+    problem = ForwardFailsAfter(np.array([[1.0]]), good=1)
+    with pytest.raises(NumericalError, match="line search failed at iteration 0"):
+        gradient_descent(problem, np.ones(1), step=1.0, iters=3, tol=0.0)
+
+
+def test_descent_failure_names_the_forward_solve_at_the_start():
+    with pytest.raises(NumericalError, match="^forward solve failed at iteration 0: exp"):
+        gradient_descent(make_elliptic_demo(7)[0], np.full(8, 1e3), step=1.0,
+                         iters=3, tol=0.0)
+    with pytest.raises(NumericalError, match="^forward solve failed at iteration 0: no"):
+        gradient_descent(ForwardFailsAfter(np.array([[1.0]]), good=0), np.ones(1),
+                         step=1.0, iters=3, tol=0.0)
+
+
+class AdjointFailsOnSecondSolve(LinearQuadratic):
+    adjoint_solves = 0
+
+    def solve_adjoint(self, u, z, rhs):
+        self.adjoint_solves += 1
+        if self.adjoint_solves == 2:
+            raise NumericalError("singular")
+        return super().solve_adjoint(u, z, rhs)
+
+
+def test_descent_failure_names_the_adjoint_solve():
+    problem = AdjointFailsOnSecondSolve(np.array([[2.0]]))
+    with pytest.raises(NumericalError, match="^adjoint solve failed at iteration 1: singular"):
+        gradient_descent(problem, np.ones(1), step=0.1, iters=5, tol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 64),
+       kappa=st.one_of(st.just(0.0), st.floats(1e-4, 1e-2)),
+       step=st.floats(1.0, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_elliptic_descent_matches_oracle_bitwise(n, kappa, step, seed):
+    problem, _ = make_elliptic_demo(n, kappa=kappa)
+    z0 = 0.3 * np.random.default_rng(seed).standard_normal(n + 1)
+    result = gradient_descent(problem, z0, step=step, iters=8, tol=0.0)
+    z_ref, history_ref = descent_oracle(problem, z0, step, iters=8, tol=0.0)
+    assert np.array_equal(np.array(result.history), np.array(history_ref))
+    assert np.array_equal(result.z.view(np.uint64), z_ref.view(np.uint64))
