@@ -26,8 +26,9 @@ from .pde import (build_advection_problem, build_elliptic_problem,
 from .spectral import (EigResult, SubspaceBases, SvdResult, eig_self_adjoint,
                        fundamental_subspaces, orthogonal_projector,
                        solvability_check, svd)
-from .stability import (StabilityReport, hurwitz_check, linearize,
-                        lyapunov_solve, r0, simulate, stability_verdict)
+from .stability import (StabilityReport, hurwitz_check, jacobian_verdict,
+                        linearize, lyapunov_solve, r0, simulate,
+                        stability_verdict)
 from .sturm import (ModeSet, SLProblem, discretize, fourier_coefficients,
                     solve_modes, truncation_error)
 
@@ -44,10 +45,11 @@ __all__ = [
     "eig_self_adjoint", "euclidean", "fd_gradient_check", "forward",
     "fourier_coefficients", "fundamental_subspaces", "gradient_descent",
     "gradients", "hurwitz_check", "init_parameters", "inner",
-    "instability_demo", "integration_operator", "kkt_residuals", "linearize",
-    "loss", "lyapunov_solve", "matrix_operator", "normal_solve",
-    "operator_from_record", "operator_norm", "operator_to_record",
-    "orthogonal_projector", "orthonormalize", "picard_diagnostic", "r0",
-    "reduced_gradient", "simulate", "solvability_check", "solve_modes",
-    "stability_verdict", "svd", "tikhonov_solve", "truncation_error",
+    "instability_demo", "integration_operator", "jacobian_verdict",
+    "kkt_residuals", "linearize", "loss", "lyapunov_solve", "matrix_operator",
+    "normal_solve", "operator_from_record", "operator_norm",
+    "operator_to_record", "orthogonal_projector", "orthonormalize",
+    "picard_diagnostic", "r0", "reduced_gradient", "simulate",
+    "solvability_check", "solve_modes", "stability_verdict", "svd",
+    "tikhonov_solve", "truncation_error",
 ]

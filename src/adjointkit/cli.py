@@ -26,8 +26,9 @@ from .network import NetworkSpec, init_parameters, train
 from .optim import fd_gradient_check, gradient_descent, reduced_gradient
 from .pde import build_advection_problem, make_elliptic_demo
 from .spectral import svd
-from .stability import (SeirsModel, damped_oscillator, logistic,
-                        r0 as spectral_radius_ratio, stability_verdict)
+from .stability import (SeirsModel, damped_oscillator, jacobian_verdict,
+                        logistic, r0 as spectral_radius_ratio,
+                        stability_verdict)
 from .sturm import constant_coefficient_problem, discretize, solve_modes
 
 EXIT_OK = 0
@@ -199,20 +200,18 @@ def cmd_stability(args) -> int:
         a = _load_operator(args.matrix).entries
         if a.shape[0] != a.shape[1]:
             raise ValueError("stability analysis needs a square matrix")
-        field = lambda x: a @ x  # noqa: E731
-        x_eq = np.zeros(a.shape[0])
+        report = jacobian_verdict(a)  # the file's matrix, as given
     elif args.model == "damped-oscillator":
-        field, x_eq = damped_oscillator, np.zeros(2)
+        report = stability_verdict(damped_oscillator, np.zeros(2))
     elif args.model == "logistic":
-        field, x_eq = logistic, np.array([float(args.eq)])
+        report = stability_verdict(logistic, np.array([float(args.eq)]))
     elif args.model == "seirs":
         model = SeirsModel(beta=args.beta)
         f_mat, v_mat = model.next_generation_split()
         reproduction = spectral_radius_ratio(f_mat, v_mat)
-        field, x_eq = model, model.disease_free_equilibrium
+        report = stability_verdict(model, model.disease_free_equilibrium)
     else:
         raise ValueError(f"unknown model {args.model!r}")
-    report = stability_verdict(field, x_eq)
     payload = {
         "hurwitz": report.hurwitz,
         "spd_certificate": report.spd_certificate,
@@ -222,7 +221,7 @@ def cmd_stability(args) -> int:
     if reproduction is not None:
         payload["r0"] = reproduction
     if report.lyapunov_p is not None:
-        payload["lyapunov_P"] = [[float(x) for x in row] for row in report.lyapunov_p]
+        payload["lyapunov_P"] = report.lyapunov_p.tolist()
     _emit(_json_text(payload), args.output)
     return EXIT_OK
 

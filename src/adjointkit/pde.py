@@ -142,14 +142,18 @@ class EllipticInversionProblem(ConstrainedProblem):
         ``D* F = h rhs`` makes the flux through cell i ``F0 - s_i`` with
         ``s = [0, cumsum(h rhs)]``, and ``D v = h F / exp(z)`` steps ``v``
         by ``w_i (F0 - s_i)`` across cell i, ``w = h / exp(z)`` being the
-        cell resistances; the end values fix ``F0``.
+        cell resistances; the end values fix ``F0``.  With no ``rhs`` the
+        flux is the constant ``F0 = (g1 - g0) / sum(w)``.
         """
         with np.errstate(all="ignore"):  # the guard below reports instead
             w = self.h / np.exp(z)
-            s = np.zeros(self.n + 1)
-            np.add.accumulate(self.h * rhs, out=s[1:])  # np.cumsum, without its wrapper
-            f0 = (g1 - g0 + w @ s) / w.sum()
-            v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
+            if rhs is None:
+                v = g0 + np.add.accumulate(w[:-1] * ((g1 - g0) / w.sum()))
+            else:
+                s = np.zeros(self.n + 1)
+                np.add.accumulate(self.h * rhs, out=s[1:])  # np.cumsum, without its wrapper
+                f0 = (g1 - g0 + w @ s) / w.sum()
+                v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
         # NaN-safe: every comparison with NaN is false
         if not (0.0 < w.min() and w.max() < np.inf and np.isfinite(v).all()):
             raise NumericalError("exp(z) is not positive and finite in every cell, "
@@ -160,7 +164,7 @@ class EllipticInversionProblem(ConstrainedProblem):
         return self._divergence(z, u, self.g0, self.g1)
 
     def solve_forward(self, z):
-        return self._solve(z, np.zeros(self.n), self.g0, self.g1)
+        return self._solve(z, None, self.g0, self.g1)
 
     def apply_state_jacobian(self, u, z, du):
         return self._divergence(z, du, 0.0, 0.0)

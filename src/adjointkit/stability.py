@@ -10,10 +10,12 @@ recursion).  The certificate route solves the Lyapunov equation
 by the Bartels-Stewart method (a real Schur form and a triangular
 Sylvester solve, one LAPACK-backed scipy call) and checks that P is
 symmetric positive definite, which holds exactly for Hurwitz A.
-Verdicts chain the two: linearize, tabulate, certify, and insist the
-answers agree; only a singular Lyapunov equation counts as "no
-certificate".  The basic reproduction number of a compartmental model
-is the spectral radius of F V^{-1} from the user-supplied
+Verdicts chain the two: tabulate, certify, and insist the answers
+agree; only a singular Lyapunov equation counts as "no certificate".
+``jacobian_verdict`` certifies a matrix exactly as given, with no
+finite differences; ``stability_verdict`` linearizes a nonlinear field
+first.  The basic reproduction number of a compartmental model is the
+spectral radius of F V^{-1} from the user-supplied
 new-infection/transition splitting; it crosses one exactly when the
 disease-free linearization loses stability.
 """
@@ -106,11 +108,12 @@ def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
+    eye = np.eye(n)
     coeffs = [1.0]
-    m = np.zeros_like(a)
+    am = np.zeros_like(a)  # A M_k, carried so each step takes one product
     for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(a @ m) / k)
+        am = a @ (am + coeffs[-1] * eye)
+        coeffs.append(-am.trace() / k)
     return np.array(coeffs)
 
 
@@ -139,9 +142,8 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
     for i in range(1, n):
         if abs(rows[i, 0]) <= tol:
             return HurwitzVerdict(hurwitz=False, margin=0.0, boundary=True)
-        for j in range(width):
-            rows[i + 1, j] = (rows[i, 0] * rows[i - 1, j + 1]
-                              - rows[i - 1, 0] * rows[i, j + 1]) / rows[i, 0]
+        rows[i + 1, :width] = (rows[i, 0] * rows[i - 1, 1:]
+                               - rows[i - 1, 0] * rows[i, 1:]) / rows[i, 0]
     first_col = rows[:n + 1, 0]
     margin = float(np.abs(first_col).min())
     if margin <= tol:
@@ -196,8 +198,13 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
 
 
 def stability_verdict(f, x_eq) -> StabilityReport:
-    """Linearize, tabulate, and certify; the two routes must agree."""
-    a = linearize(f, x_eq)
+    """Linearize the field at ``x_eq``, then ``jacobian_verdict``."""
+    return jacobian_verdict(linearize(f, x_eq))
+
+
+def jacobian_verdict(a: np.ndarray) -> StabilityReport:
+    """Tabulate and certify ``x' = A x``; the two routes must agree."""
+    a = np.asarray(a, dtype=float)
     verdict = hurwitz_check(a)
     p = None
     spd = False

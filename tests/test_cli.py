@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import adjointkit
+from adjointkit import stability
 from adjointkit.cli import _csv, build_parser, main
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
-                                  linearize, r0, stability_verdict)
+                                  jacobian_verdict, linearize, r0,
+                                  stability_verdict)
 
 EXAMPLE_RECORD = {"rows": 2, "cols": 3,
                    "entries": [2.0, 0.0, 1.0, 2.0, 4.0 / 3.0, 1.0 / 3.0]}
@@ -363,29 +365,74 @@ def test_stability_matrix_file(capsys, tmp_path):
 
 def test_stability_stdout_matches_payload_fields(capsys, tmp_path):
     # the report carries the tabulation margin; stdout is the same text as
-    # when the margin came from a second linearize + hurwitz_check
+    # when the margin came from a second hurwitz_check of the Jacobian
     a = np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]])
     matrix = write_json(tmp_path / "a.json", {"rows": 3, "cols": 3,
                                               "entries": list(a.ravel())})
     model = SeirsModel(beta=0.2)
-    cases = [(("--model", "damped-oscillator"), damped_oscillator, np.zeros(2), None),
-             (("--model", "seirs", "--beta", "0.2"), model,
-              model.disease_free_equilibrium, r0(*model.next_generation_split())),
-             (("--matrix", matrix), lambda x: a @ x, np.zeros(3), None)]
-    for argv, field, x_eq, reproduction in cases:
+    x_osc, x_seirs = np.zeros(2), model.disease_free_equilibrium
+    cases = [(("--model", "damped-oscillator"), stability_verdict(damped_oscillator, x_osc),
+              linearize(damped_oscillator, x_osc), None),
+             (("--model", "seirs", "--beta", "0.2"), stability_verdict(model, x_seirs),
+              linearize(model, x_seirs), r0(*model.next_generation_split())),
+             (("--matrix", matrix), jacobian_verdict(a), a, None)]
+    for argv, report, jacobian, reproduction in cases:
         code, out, _ = run(capsys, "stability", *argv)
         assert code == 0
-        report = stability_verdict(field, x_eq)
         expected = {
             "hurwitz": report.hurwitz,
             "spd_certificate": report.spd_certificate,
             "spectral_abscissa_bound": report.spectral_abscissa_bound,
-            "margin": hurwitz_check(linearize(field, x_eq)).margin,
+            "margin": hurwitz_check(jacobian).margin,
         }
         if reproduction is not None:
             expected["r0"] = reproduction
         expected["lyapunov_P"] = [[float(x) for x in row] for row in report.lyapunov_p]
         assert out == json.dumps(expected) + "\n"
+
+
+def test_stability_matrix_certifies_the_file_matrix(capsys, tmp_path, monkeypatch):
+    # x' = A x is its own linearization: the verdict is about the entries
+    # read from the file, not a finite-difference copy of them
+    def no_linearization(f, x_eq):
+        raise AssertionError("the matrix route must not linearize")
+
+    monkeypatch.setattr(stability, "linearize", no_linearization)
+    rng = np.random.default_rng(59)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    t = np.zeros((16, 16))
+    for i in range(0, 16, 2):
+        re, im = rng.uniform(-3.0, -0.3), rng.uniform(0.5, 3.0)
+        t[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
+    path = write_json(tmp_path / "a.json", {"rows": 16, "cols": 16,
+                                            "entries": (q @ t @ q.T).ravel().tolist()})
+    code, out, _ = run(capsys, "stability", "--matrix", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hurwitz"] is True and payload["spd_certificate"] is True
+    a = np.array(json.loads(Path(path).read_text())["entries"]).reshape(16, 16)
+    p = np.array(payload["lyapunov_P"])
+    assert np.linalg.norm(p @ a + a.T @ p + np.eye(16)) <= 1e-9 * np.linalg.norm(np.eye(16))
+    # tolist() writes the same text as the per-element serialization
+    report = jacobian_verdict(a)
+    per_element = [[float(x) for x in row] for row in report.lyapunov_p]
+    assert out.endswith(f'"lyapunov_P": {json.dumps(per_element)}}}\n')
+
+
+@pytest.mark.xfail(strict=True, reason="the Routh tolerance 1e-10 max(|c|, 1) does "
+                   "not scale with A, so the verdict depends on the scale of A")
+@pytest.mark.parametrize("a", [
+    [[-1e-300]],
+    (1e100 * np.array([[-1.0, 2.0], [-2.0, -1.0]])).tolist(),
+    (1e-200 * np.array([[-1.0, 2.0], [-2.0, -1.0]])).tolist(),
+], ids=["tiny-scalar", "huge-pair", "tiny-pair"])
+def test_stability_matrix_verdict_does_not_depend_on_scale(capsys, tmp_path, a):
+    n = len(a)
+    path = write_json(tmp_path / "a.json", {"rows": n, "cols": n,
+                                            "entries": np.ravel(a).tolist()})
+    code, out, _ = run(capsys, "stability", "--matrix", path)
+    assert code == 0
+    assert json.loads(out)["hurwitz"] is True
 
 
 def test_stability_matrix_failed_residual_gate_exit_3(capsys, tmp_path):

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adjointkit
 
 from adjointkit import selftest
 from adjointkit.errors import NumericalError
-from adjointkit.stability import (SeirsModel, characteristic_polynomial,
-                                  damped_oscillator, hurwitz_check, is_spd,
+from adjointkit.stability import (HurwitzVerdict, SeirsModel,
+                                  characteristic_polynomial, damped_oscillator,
+                                  hurwitz_check, is_spd, jacobian_verdict,
                                   linearize, logistic, lyapunov_solve, r0,
                                   simulate, stability_verdict)
 
@@ -61,6 +64,38 @@ def matrix_with_spectrum(rng, eigenvalues, upper_scale=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     upper = upper_scale * np.triu(rng.standard_normal((n, n)), 1)
     return q @ (np.diag(eigenvalues) + upper) @ q.T
+
+
+def block_spectrum_matrix(rng, n, hurwitz):
+    """``Q T Q^T`` with T block diagonal, so the spectrum is known exactly.
+
+    Each 2x2 block ``[[a, b], [-b, a]]`` is the pair ``a +- i b``.  Hurwitz
+    matrices keep every real part in [-3, -0.3]; the others move one pair
+    to a real part in [0.3, 1].
+    """
+    t = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        re, im = rng.uniform(-3.0, -0.3), rng.uniform(0.5, 3.0)
+        t[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
+    if n % 2:
+        t[-1, -1] = rng.uniform(-3.0, -0.3)
+    if not hurwitz:
+        k = 2 * int(rng.integers(0, n // 2)) if n > 1 else 0
+        t[k, k] = rng.uniform(0.3, 1.0)
+        if n > 1:
+            t[k + 1, k + 1] = t[k, k]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ t @ q.T
+
+
+def seirs_jacobian(beta, sigma=0.5, gamma=0.25, mu=0.02, omega=0.05):
+    """Analytic Jacobian of the SEIRS field at the disease-free state."""
+    return np.array([
+        [-mu, 0.0, -beta, omega],
+        [0.0, -(mu + sigma), beta, 0.0],
+        [0.0, sigma, -(mu + gamma), 0.0],
+        [0.0, 0.0, gamma, -(mu + omega)],
+    ])
 
 
 def non_normal_hurwitz_48():
@@ -207,6 +242,62 @@ def test_characteristic_polynomial_known_cases():
                                atol=1e-12)
 
 
+def faddeev_leverrier_oracle(a):
+    """The recursion with two products per step: ``M_k`` and ``A M_k``."""
+    n = a.shape[0]
+    coeffs = [1.0]
+    m = np.zeros_like(a)
+    for k in range(1, n + 1):
+        m = a @ m + coeffs[-1] * np.eye(n)
+        coeffs.append(-np.trace(a @ m) / k)
+    return np.array(coeffs)
+
+
+def routh_oracle(a):
+    """The Routh tabulation one entry at a time, on the oracle coefficients."""
+    n = a.shape[0]
+    coeffs = faddeev_leverrier_oracle(a)
+    tol = 1e-10 * max(np.abs(coeffs).max(), 1.0)
+    width = (n + 2) // 2
+    rows = np.zeros((n + 1, width + 1))
+    rows[0, :len(coeffs[0::2])] = coeffs[0::2]
+    rows[1, :len(coeffs[1::2])] = coeffs[1::2]
+    for i in range(1, n):
+        if abs(rows[i, 0]) <= tol:
+            return HurwitzVerdict(hurwitz=False, margin=0.0, boundary=True)
+        for j in range(width):
+            rows[i + 1, j] = (rows[i, 0] * rows[i - 1, j + 1]
+                              - rows[i - 1, 0] * rows[i, j + 1]) / rows[i, 0]
+    first_col = rows[:n + 1, 0]
+    margin = float(np.abs(first_col).min())
+    if margin <= tol:
+        return HurwitzVerdict(hurwitz=False, margin=0.0, boundary=True)
+    return HurwitzVerdict(hurwitz=bool(np.all(first_col > 0.0)), margin=margin)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(57)
+    cases = [block_spectrum_matrix(rng, n, hurwitz)
+             for n in range(1, 65) for hurwitz in (True, False)]
+    cases += [seirs_jacobian(beta) for beta in (0.05, 0.2, 0.3, 0.4, 0.9)]
+    cases.append(np.array([[0.0, 1.0], [-1.0, -1.0]]))  # damped oscillator
+    return cases
+
+
+def test_characteristic_polynomial_matches_two_product_oracle_bitwise():
+    for a in oracle_cases():
+        assert np.array_equal(characteristic_polynomial(a), faddeev_leverrier_oracle(a))
+
+
+def test_hurwitz_check_matches_scalar_routh_oracle_bitwise():
+    verdicts = set()
+    for a in oracle_cases():
+        got, want = hurwitz_check(a), routh_oracle(a)
+        assert got == want, a.shape
+        verdicts.add((got.hurwitz, got.boundary))
+    assert verdicts == {(True, False), (False, False), (False, True)}
+
+
 def test_hurwitz_equals_lyapunov_certificate_over_constructed_matrices():
     rng = np.random.default_rng(53)
     disagreements = 0
@@ -344,6 +435,30 @@ def test_verdict_abscissa_bound_with_close_lyapunov_eigenvalues():
     max_re = np.linalg.eigvals(a).real.max()
     assert report.hurwitz
     assert report.spectral_abscissa_bound >= max_re - 1e-9 * abs(max_re)
+
+
+def test_jacobian_verdict_certifies_the_matrix_as_given(monkeypatch):
+    rng = np.random.default_rng(58)
+    a = block_spectrum_matrix(rng, 16, True)
+
+    def no_linearization(f, x_eq):
+        raise AssertionError("jacobian_verdict must not linearize")
+
+    monkeypatch.setattr(adjointkit.stability, "linearize", no_linearization)
+    report = jacobian_verdict(a)
+    assert report.hurwitz and report.spd_certificate
+    assert np.array_equal(report.lyapunov_p, lyapunov_solve(a, np.eye(16)))
+    assert report.margin == hurwitz_check(a).margin
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 16), hurwitz=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobian_verdict_agrees_with_linearized_verdict(n, hurwitz, seed):
+    a = block_spectrum_matrix(np.random.default_rng(seed), n, hurwitz)
+    exact = jacobian_verdict(a)
+    linearized = stability_verdict(lambda x: a @ x, np.zeros(n))
+    assert exact.hurwitz == linearized.hurwitz == hurwitz
+    assert exact.spd_certificate == linearized.spd_certificate == hurwitz
 
 
 def test_verdict_raises_when_residual_gate_fails():
