@@ -27,8 +27,7 @@ from .spectral import (EigResult, SubspaceBases, SvdResult, eig_self_adjoint,
                        fundamental_subspaces, orthogonal_projector,
                        solvability_check, svd)
 from .stability import (StabilityReport, hurwitz_check, jacobian_verdict,
-                        linearize, lyapunov_solve, r0, simulate,
-                        stability_verdict)
+                        linearize, lyapunov_solve, r0, stability_verdict)
 from .sturm import (ModeSet, SLProblem, discretize, fourier_coefficients,
                     solve_modes, truncation_error)
 
@@ -49,7 +48,7 @@ __all__ = [
     "kkt_residuals", "linearize", "loss", "lyapunov_solve", "matrix_operator",
     "normal_solve", "operator_from_record", "operator_norm",
     "operator_to_record", "orthogonal_projector", "orthonormalize",
-    "picard_diagnostic", "r0", "reduced_gradient", "simulate",
-    "solvability_check", "solve_modes", "stability_verdict", "svd",
-    "tikhonov_solve", "truncation_error",
+    "picard_diagnostic", "r0", "reduced_gradient", "solvability_check",
+    "solve_modes", "stability_verdict", "svd", "tikhonov_solve",
+    "truncation_error",
 ]

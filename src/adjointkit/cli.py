@@ -292,8 +292,7 @@ def cmd_pdeopt(args) -> int:
 
 def cmd_selftest(args) -> int:
     names = [args.suite] if args.suite else None
-    results = selftest_mod.run_suites(names=names, seed=args.seed,
-                                      corrupt_adjoint=args.corrupt_adjoint)
+    results = selftest_mod.run_suites(names=names, seed=args.seed)
     all_ok = True
     for name, ok, detail in results:
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
@@ -395,7 +394,6 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the cross-module invariant suites")
     p.add_argument("--suite", choices=sorted(selftest_mod.SUITES))
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--corrupt-adjoint", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

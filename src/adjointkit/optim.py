@@ -31,11 +31,10 @@ class ConstrainedProblem(ABC):
 
     Subclasses set ``state_dim`` and ``control_dim`` and implement the
     abstract methods.  The default adjoint operations densify the state
-    Jacobian column by column, once per call; ``reduced_gradient``, which
-    reads both the multiplier and ``c_u^T y``, builds it once for the
-    two.  Override them when the constraint has exploitable structure
-    (triangular, tridiagonal, ...).  Instances
-    must be safe for concurrent read-only evaluation.
+    Jacobian column by column, once per call, so ``reduced_gradient``,
+    which calls both, builds it twice.  Override them when the
+    constraint has exploitable structure (triangular, tridiagonal, ...).
+    Instances must be safe for concurrent read-only evaluation.
     """
 
     state_dim: int
@@ -85,32 +84,10 @@ class ConstrainedProblem(ABC):
 
     def solve_adjoint(self, u, z, rhs) -> np.ndarray:
         """Solve the transposed state-Jacobian system for the multiplier."""
-        return self._dense_adjoint(u, z, rhs)[0]
-
-    def _dense_adjoint(self, u, z, rhs):
-        """Multiplier ``y`` of ``c_u^T y = rhs`` and ``c_u^T y``, from one Jacobian."""
-        jac = self._dense_state_jacobian(u, z)
         try:
-            y = np.linalg.solve(jac.T, rhs)
+            return np.linalg.solve(self._dense_state_jacobian(u, z).T, rhs)
         except np.linalg.LinAlgError:
             raise NumericalError("adjoint system is singular") from None
-        return y, jac.T @ y
-
-
-def _inherited(problem: ConstrainedProblem, name: str) -> bool:
-    """Whether ``problem`` runs the base class's dense fallback ``name``."""
-    return getattr(getattr(problem, name), "__func__", None) is getattr(ConstrainedProblem, name)
-
-
-def _adjoint_solution(problem: ConstrainedProblem, u, z, rhs):
-    """Multiplier ``y`` of ``c_u^T y = rhs`` and ``c_u^T y`` for the adjoint residual.
-
-    A problem on both dense fallbacks gets the two from one Jacobian.
-    """
-    if _inherited(problem, "solve_adjoint") and _inherited(problem, "apply_state_adjoint"):
-        return problem._dense_adjoint(u, z, rhs)
-    y = problem.solve_adjoint(u, z, rhs)
-    return y, problem.apply_state_adjoint(u, z, y)
 
 
 @dataclass(frozen=True)
@@ -147,15 +124,17 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
 
     One forward solve, one adjoint solve and the gradient assembly; the
     report also carries the state, the multiplier and both residual norms.
+    The adjoint residual applies ``apply_state_adjoint`` to the multiplier,
+    so a problem on both dense fallbacks densifies its Jacobian twice.
     """
     z = np.asarray(z, dtype=float)
     u = problem.solve_forward(z)
     gu = problem.objective_grad_state(u, z)
-    y, state_term = _adjoint_solution(problem, u, z, -gu)
+    y = problem.solve_adjoint(u, z, -gu)
     return ReducedGradientReport(
         f_value=float(problem.objective(u, z)), gradient=_control_block(problem, u, z, y),
         forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
-        adjoint_residual_norm=float(np.linalg.norm(gu + state_term)),
+        adjoint_residual_norm=float(np.linalg.norm(gu + problem.apply_state_adjoint(u, z, y))),
         state=u, multiplier=y)
 
 

@@ -227,34 +227,6 @@ def jacobian_verdict(a: np.ndarray) -> StabilityReport:
                            margin=verdict.margin)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # one row per sample
-
-
-def simulate(f, x0, t_final: float, dt: float) -> Trajectory:
-    """Classical fourth-order one-step integration of ``x' = f(x)``."""
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    steps = int(round(t_final / dt))
-    times = np.zeros(steps + 1)
-    states = np.zeros((steps + 1, x.size))
-    states[0] = x
-    for k in range(steps):
-        k1 = np.asarray(f(x))
-        k2 = np.asarray(f(x + 0.5 * dt * k1))
-        k3 = np.asarray(f(x + 0.5 * dt * k2))
-        k4 = np.asarray(f(x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"state became non-finite at step {k + 1}")
-        times[k + 1] = (k + 1) * dt
-        states[k + 1] = x
-    return Trajectory(times=times, states=states)
-
-
 # -- built-in models -----------------------------------------------------------
 
 def damped_oscillator(x):

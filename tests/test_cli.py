@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import adjointkit
-from adjointkit import stability
+from adjointkit import selftest, stability
 from adjointkit.cli import _csv, build_parser, main
+from adjointkit.core import AdjointReport
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (SeirsModel, damped_oscillator, hurwitz_check,
                                   jacobian_verdict, linearize, r0,
                                   stability_verdict)
+from adjointkit.sturm import MAX_SL_NODES
 
 EXAMPLE_RECORD = {"rows": 2, "cols": 3,
                    "entries": [2.0, 0.0, 1.0, 2.0, 4.0 / 3.0, 1.0 / 3.0]}
@@ -505,6 +507,13 @@ def test_sturm_csv_eigenvalues(capsys):
     assert first == pytest.approx(exact, rel=1e-9)
 
 
+def test_sturm_grid_above_cap_exit_2(capsys):
+    code, out, err = run(capsys, "sturm", "--n", str(MAX_SL_NODES + 1))
+    assert code == 2
+    assert out == ""
+    assert f"the cap is {MAX_SL_NODES}" in err
+
+
 # -- train ----------------------------------------------------------------------------
 
 def test_train_emits_decreasing_loss_curve(capsys, tmp_path):
@@ -694,8 +703,9 @@ def test_selftest_all_suites_pass(capsys):
     assert all(": PASS" in line for line in lines)
 
 
-def test_selftest_corrupted_adjoint_fails(capsys):
-    code, out, _ = run(capsys, "selftest", "--suite", "adjoint",
-                       "--corrupt-adjoint")
+def test_selftest_corrupted_adjoint_fails(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "adjoint_consistency_check",
+                        lambda op, trials, seed: AdjointReport(trials=trials, max_defect=1.0))
+    code, out, _ = run(capsys, "selftest", "--suite", "adjoint")
     assert code == 1
-    assert "adjoint: FAIL" in out
+    assert out.startswith("adjoint: FAIL (max normalized defect 1.000e+00")

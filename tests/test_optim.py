@@ -140,21 +140,22 @@ def test_adjoint_system_linearity():
     assert abs(y3[0] - 3.0 * y1[0]) <= 1e-10 * abs(y3[0])
 
 
-def test_dense_fallbacks_build_state_jacobian_once_per_gradient():
-    class CountsJacobianColumns(NonlinearScalar):
-        jacobian_calls = 0
-
-        def apply_state_jacobian(self, u, z, du):
-            self.jacobian_calls += 1
-            return super().apply_state_jacobian(u, z, du)
-
-    problem = CountsJacobianColumns()
+def test_dense_fallback_adjoint_residual_matches_kkt():
+    problem = NonlinearScalar()
     z = np.array([0.8])
     report = reduced_gradient(problem, z)
-    assert problem.jacobian_calls == problem.state_dim
-    # the shared Jacobian gives the residual that the separate fallbacks give
     kkt = kkt_residuals(problem, report.state, z, report.multiplier)
     assert report.adjoint_residual_norm == kkt["adjoint"]
+
+
+def test_dense_fallback_singular_state_jacobian_raises():
+    class SingularState(LinearQuadratic):
+        def apply_state_jacobian(self, u, z, du):
+            return np.zeros_like(du)
+
+    problem = SingularState(np.ones((3, 2)))
+    with pytest.raises(NumericalError, match="^adjoint system is singular$"):
+        reduced_gradient(problem, np.array([0.5, -0.5]))
 
 
 def test_fd_check_linear_quadratic():

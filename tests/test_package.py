@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+import adjointkit
+
+
+def imported_public_names():
+    """Names that ``adjointkit/__init__.py`` binds by its imports, minus private ones."""
+    tree = ast.parse(Path(adjointkit.__file__).read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names if not alias.name.startswith("_")}
+
+
+def test_all_names_resolve():
+    missing = [name for name in adjointkit.__all__ if not hasattr(adjointkit, name)]
+    assert missing == []
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    assert len(adjointkit.__all__) == len(set(adjointkit.__all__))
+    assert set(adjointkit.__all__) == imported_public_names()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import adjointkit
 
@@ -18,7 +19,7 @@ from adjointkit.stability import (HurwitzVerdict, SeirsModel,
                                   characteristic_polynomial, damped_oscillator,
                                   hurwitz_check, is_spd, jacobian_verdict,
                                   linearize, logistic, lyapunov_solve, r0,
-                                  simulate, stability_verdict)
+                                  stability_verdict)
 
 
 def lyapunov_quadrature_oracle(a, q, t_final=40.0, dt=2e-3):
@@ -484,34 +485,14 @@ def test_verdict_logistic_both_equilibria():
     assert not stability_verdict(logistic, np.array([0.0])).hurwitz
 
 
-# -- simulate ------------------------------------------------------------------------
-
-def test_simulate_scalar_decay():
-    traj = simulate(lambda x: -x, np.array([1.0]), 1.0, 1e-3)
-    assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
-
-
-def test_simulate_equilibrium_is_constant():
-    traj = simulate(damped_oscillator, np.zeros(2), 5.0, 0.01)
-    assert np.abs(traj.states).max() == 0.0
-
-
-def test_simulate_decays_for_stable_system():
-    traj = simulate(damped_oscillator, np.array([1.0, 0.0]), 20.0, 0.01)
-    assert np.linalg.norm(traj.states[-1]) < 1e-3
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_simulate_diverges_raises():
-    with pytest.raises(NumericalError, match="non-finite"):
-        simulate(lambda x: x ** 3, np.array([2.0]), 10.0, 0.1)
-
-
 def test_lyapunov_function_decays_along_trajectories():
     report = stability_verdict(damped_oscillator, np.zeros(2))
     p = report.lyapunov_p
-    traj = simulate(damped_oscillator, np.array([0.8, -0.4]), 10.0, 0.01)
-    values = np.einsum("ki,ij,kj->k", traj.states, p, traj.states)
+    # the exact flow x(t) = exp(A t) x0 of the linear damped oscillator
+    a = np.array([[0.0, 1.0], [-1.0, -1.0]])
+    states = np.array([expm(a * t) @ np.array([0.8, -0.4])
+                       for t in np.linspace(0.0, 10.0, 1001)])
+    values = np.einsum("ki,ij,kj->k", states, p, states)
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adjointkit.sturm import (SLProblem, constant_coefficient_problem,
+from adjointkit.sturm import (MAX_SL_NODES, SLProblem,
+                              constant_coefficient_problem,
                               dirichlet_eigenvalue_formula, discretize,
                               fourier_coefficients, reconstruct, solve_modes,
                               truncation_error)
@@ -22,6 +23,21 @@ def test_dirichlet_textbook_stencil():
                                           [-1.0, 2.0, -1.0],
                                           [0.0, -1.0, 2.0]])
     np.testing.assert_allclose(disc.stiffness, expected)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+def test_constant_coefficient_stiffness_is_exactly_d_transpose_d(bc):
+    n = 9
+    disc = discretize(constant_coefficient_problem(bc, n=n))
+    eye = np.eye(n)
+    zero = np.zeros((1, n))
+    # row i of D holds the jump of v across flux interface i
+    rows = {"dirichlet": np.vstack([zero, eye, zero]), "neumann": eye,
+            "periodic": np.vstack([eye, eye[:1]])}[bc]
+    d = np.diff(rows, axis=0)
+    h = 1.0 / (n + 1) if bc == "dirichlet" else 1.0 / n
+    assert disc.h == h
+    assert np.array_equal(disc.stiffness, d.T @ d / h ** 2)
 
 
 def test_neumann_constants_in_null_space():
@@ -92,6 +108,8 @@ def test_invalid_inputs_rejected():
                         rho=lambda x: x - 0.5, bc="dirichlet", n=9)
     with pytest.raises(ValueError, match="positive"):
         discretize(bad_rho)
+    with pytest.raises(ValueError, match=f"the cap is {MAX_SL_NODES}"):
+        constant_coefficient_problem("dirichlet", n=MAX_SL_NODES + 1)
 
 
 # -- solve_modes ------------------------------------------------------------------
