@@ -22,14 +22,15 @@ from . import selftest as selftest_mod
 from .core import adjoint_consistency_check, operator_from_record
 from .errors import NumericalError
 from .leastsq import normal_solve, picard_diagnostic, tikhonov_solve
-from .network import NetworkSpec, init_parameters, train
+from .network import ACTIVATIONS, NetworkSpec, init_parameters, train
 from .optim import fd_gradient_check, gradient_descent, reduced_gradient
 from .pde import build_advection_problem, make_elliptic_demo
 from .spectral import svd
 from .stability import (SeirsModel, damped_oscillator, jacobian_verdict,
                         logistic, r0 as spectral_radius_ratio,
                         stability_verdict)
-from .sturm import constant_coefficient_problem, discretize, solve_modes
+from .sturm import (BOUNDARY_CONDITIONS, constant_coefficient_problem,
+                    discretize, solve_modes)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,7 +56,8 @@ def _load_operator(path: str):
     return operator_from_record(_load_json(path))
 
 
-def _load_vector(path: str, length: int | None = None) -> np.ndarray:
+def _load_vector(path: str) -> np.ndarray:
+    """A flat finite array; the consuming solver checks its length."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("entries")
@@ -64,9 +66,11 @@ def _load_vector(path: str, length: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a flat JSON array in {path}")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"vector in {path} has non-finite entries")
-    if length is not None and vec.size != length:
-        raise ValueError(f"vector in {path} has length {vec.size}, expected {length}")
     return vec
+
+
+def _load_op_rhs(args):
+    return _load_operator(args.op), _load_vector(args.rhs)
 
 
 def _emit(text: str, output: str | None):
@@ -99,6 +103,11 @@ def _csv(rows, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _history_csv(history, objective: str) -> str:
+    return _csv([(k, float(f), float(g), float(a)) for k, f, g, a in history],
+                f"k,{objective},grad_norm,step")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -129,8 +138,7 @@ def cmd_svd(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    op = _load_operator(args.op)
-    y = _load_vector(args.rhs, op.codomain.dim)
+    op, y = _load_op_rhs(args)
     x = normal_solve(op, y)
     residual = op.codomain.norm(op.matvec(x) - y)
     _emit(_json_text({"x": [float(v) for v in x], "residual_norm": residual}),
@@ -139,9 +147,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tikhonov(args) -> int:
-    op = _load_operator(args.op)
-    y = _load_vector(args.rhs, op.codomain.dim)
-    x0 = _load_vector(args.x0, op.domain.dim) if args.x0 else None
+    op, y = _load_op_rhs(args)
+    x0 = _load_vector(args.x0) if args.x0 else None
     sol = tikhonov_solve(op, y, args.kappa, x0)
     _emit(_json_text({"x": [float(v) for v in sol.x], "kappa": sol.kappa,
                       "residual_norm": sol.residual_norm,
@@ -150,8 +157,7 @@ def cmd_tikhonov(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    op = _load_operator(args.op)
-    y = _load_vector(args.rhs, op.codomain.dim)
+    op, y = _load_op_rhs(args)
     table = picard_diagnostic(op, y)
     rows = [(row.index, float(row.sigma), float(row.coeff), float(row.ratio),
              float(row.cumulative)) for row in table.rows]
@@ -187,31 +193,23 @@ def cmd_train(args) -> int:
         samples.append((x, a_obs))
     params = init_parameters(spec, seed=args.seed)
     _, history = train(spec, params, samples, iters=args.iters, step=args.step)
-    _emit(_csv([(k, float(f), float(g), float(a)) for k, f, g, a in history],
-               "k,loss,grad_norm,step"), args.output)
+    _emit(_history_csv(history, "loss"), args.output)
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
-    if (args.model is None) == (args.matrix is None):
-        raise ValueError("provide exactly one of --model or --matrix")
     reproduction = None
-    if args.matrix:
-        a = _load_operator(args.matrix).entries
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("stability analysis needs a square matrix")
-        report = jacobian_verdict(a)  # the file's matrix, as given
+    if args.model is None:  # the file's matrix, as given
+        report = jacobian_verdict(_load_operator(args.matrix).entries)
     elif args.model == "damped-oscillator":
         report = stability_verdict(damped_oscillator, np.zeros(2))
     elif args.model == "logistic":
         report = stability_verdict(logistic, np.array([float(args.eq)]))
-    elif args.model == "seirs":
+    else:  # seirs
         model = SeirsModel(beta=args.beta)
         f_mat, v_mat = model.next_generation_split()
         reproduction = spectral_radius_ratio(f_mat, v_mat)
         report = stability_verdict(model, model.disease_free_equilibrium)
-    else:
-        raise ValueError(f"unknown model {args.model!r}")
     payload = {
         "hurwitz": report.hurwitz,
         "spd_certificate": report.spd_certificate,
@@ -236,13 +234,12 @@ def cmd_r0(args) -> int:
 
 def cmd_sturm(args) -> int:
     problem = constant_coefficient_problem(args.bc, n=args.n)
-    disc = discretize(problem)
-    modes = solve_modes(disc, args.modes)
-    header = "lambda," + ",".join(f"v{i + 1}" for i in range(disc.grid.size))
-    rows = []
-    for j in range(args.modes):
-        rows.append((float(modes.eigenvalues[j]),
-                     *(float(v) for v in modes.modes[:, j])))
+    if not 1 <= args.modes <= args.n:  # reject before the dense O(n^3) assembly
+        raise ValueError(f"requested {args.modes} modes from an {args.n}-point grid")
+    modes = solve_modes(discretize(problem), args.modes)
+    header = "lambda," + ",".join(f"v{i + 1}" for i in range(args.n))
+    rows = [(lam, *col) for lam, col in zip(modes.eigenvalues.tolist(),
+                                            modes.modes.T.tolist())]
     _emit(_csv(rows, header), args.output)
     return EXIT_OK
 
@@ -267,26 +264,13 @@ def cmd_pdeopt(args) -> int:
     if args.descend:
         result = gradient_descent(problem, z, step=args.step, iters=args.iters,
                                   tol=args.tol)
-        _emit(_csv([(k, float(f), float(g), float(a))
-                    for k, f, g, a in result.history], "k,f,grad_norm,step"),
-              args.output)
+        _emit(_history_csv(result.history, "f"), args.output)
         return EXIT_OK
     # field dump: state, adjoint, and gradient sampled on a common grid
     report = reduced_gradient(problem, z)
-    u, y, grad = report.state, report.multiplier, report.gradient
-    if args.problem == "advection":
-        xs = np.arange(problem.state_dim) * problem.h
-        v = np.concatenate([[y[0]], y[1:] / problem.h])
-        rows = [(float(xs[i]), float(u[i]), float(v[i]), float(grad[0]))
-                for i in range(problem.state_dim)]
-    else:
-        padded_u = np.concatenate([[problem.g0], u, [problem.g1]])
-        padded_v = np.concatenate([[0.0], y / problem.h, [0.0]])
-        cell_u = 0.5 * (padded_u[:-1] + padded_u[1:])
-        cell_v = 0.5 * (padded_v[:-1] + padded_v[1:])
-        rows = [(float(problem.midpoints[i]), float(cell_u[i]), float(cell_v[i]),
-                 float(grad[i])) for i in range(problem.control_dim)]
-    _emit(_csv(rows, "x,u,v,grad"), args.output)
+    x, u, v = problem.fields(report.state, report.multiplier)
+    grad = np.broadcast_to(report.gradient, x.shape)
+    _emit(_csv(np.column_stack([x, u, v, grad]).tolist(), "x,u,v,grad"), args.output)
     return EXIT_OK
 
 
@@ -307,74 +291,63 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
         description="Adjoint-consistent operators: SVD, regularized inversion, "
                     "reduced gradients, backprop, ODE stability, Sturm modes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
 
-    p = sub.add_parser("adjoint-check", help="randomized adjoint identity report")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[output], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("adjoint-check", cmd_adjoint_check, "randomized adjoint identity report")
     p.add_argument("--op", required=True, help="operator JSON file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_adjoint_check)
 
-    p = sub.add_parser("svd", help="singular triplets and subspace dimensions")
+    p = command("svd", cmd_svd, "singular triplets and subspace dimensions")
     p.add_argument("--op", required=True)
     p.add_argument("--rank-tol", type=float, default=None)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_svd)
 
-    p = sub.add_parser("solve", help="minimum-norm least-squares solve")
+    p = command("solve", cmd_solve, "minimum-norm least-squares solve")
     p.add_argument("--op", required=True)
     p.add_argument("--rhs", required=True, help="vector JSON file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("tikhonov", help="regularized solve")
+    p = command("tikhonov", cmd_tikhonov, "regularized solve")
     p.add_argument("--op", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--x0", help="prior vector JSON file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_tikhonov)
 
-    p = sub.add_parser("picard", help="singular-spectrum data diagnostic (CSV)")
+    p = command("picard", cmd_picard, "singular-spectrum data diagnostic (CSV)")
     p.add_argument("--op", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_picard)
 
-    p = sub.add_parser("train", help="full-batch network training (loss CSV)")
+    p = command("train", cmd_train, "full-batch network training (loss CSV)")
     p.add_argument("--spec", required=True,
                    help="layer sizes, e.g. sizes=2,4,1 or plain 2,4,1")
-    p.add_argument("--act", default="tanh", choices=("tanh", "logistic", "identity"))
+    p.add_argument("--act", default="tanh", choices=tuple(ACTIVATIONS))
     p.add_argument("--data", required=True, help='JSON list of {"x", "a_obs"}')
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("stability", help="equilibrium stability report")
-    p.add_argument("--model", choices=("damped-oscillator", "logistic", "seirs"))
-    p.add_argument("--matrix", help="operator JSON file for a linear system")
+    p = command("stability", cmd_stability, "equilibrium stability report")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=("damped-oscillator", "logistic", "seirs"))
+    source.add_argument("--matrix", help="operator JSON file for a linear system")
     p.add_argument("--eq", type=float, default=0.0, help="logistic equilibrium")
     p.add_argument("--beta", type=float, default=0.3, help="seirs contact rate")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("r0", help="basic reproduction number from an F/V split")
+    p = command("r0", cmd_r0, "basic reproduction number from an F/V split")
     p.add_argument("--F", required=True, help="new-infection matrix JSON")
     p.add_argument("--V", required=True, help="transition matrix JSON")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_r0)
 
-    p = sub.add_parser("sturm", help="constant-coefficient eigenmodes (CSV)")
-    p.add_argument("--bc", default="dirichlet",
-                   choices=("dirichlet", "neumann", "periodic"))
+    p = command("sturm", cmd_sturm, "constant-coefficient eigenmodes (CSV)")
+    p.add_argument("--bc", default="dirichlet", choices=BOUNDARY_CONDITIONS)
     p.add_argument("--n", type=int, default=63)
     p.add_argument("--modes", type=int, default=5)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_sturm)
 
-    p = sub.add_parser("pdeopt", help="PDE-constrained control problems")
+    p = command("pdeopt", cmd_pdeopt, "PDE-constrained control problems")
     p.add_argument("--problem", required=True, choices=("advection", "elliptic"))
     p.add_argument("--n", type=int, default=31)
     p.add_argument("--beta", type=float, default=1.0, help="advection velocity")
@@ -383,13 +356,12 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--g1", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=0.0,
                    help="quadratic penalty routed into the inversion objective")
-    p.add_argument("--check-gradient", action="store_true")
-    p.add_argument("--descend", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--check-gradient", action="store_true")
+    mode.add_argument("--descend", action="store_true")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--step", type=float, default=100.0)
     p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_pdeopt)
 
     p = sub.add_parser("selftest", help="run the cross-module invariant suites")
     p.add_argument("--suite", choices=sorted(selftest_mod.SUITES))

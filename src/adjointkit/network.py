@@ -25,7 +25,8 @@ import numpy as np
 from .optim import ConstrainedProblem, gradient_descent
 from .rand import Lcg
 
-_ACTIVATIONS = {
+# name -> (activation, its derivative), both componentwise
+ACTIVATIONS = {
     "tanh": (np.tanh, lambda t: 1.0 - np.tanh(t) ** 2),
     "logistic": (lambda t: 1.0 / (1.0 + np.exp(-t)),
                  lambda t: (s := 1.0 / (1.0 + np.exp(-t))) * (1.0 - s)),
@@ -44,7 +45,7 @@ class NetworkSpec:
             raise ValueError("need at least one layer (two sizes)")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
@@ -52,10 +53,10 @@ class NetworkSpec:
         return len(self.layer_sizes) - 1
 
     def act(self, t):
-        return _ACTIVATIONS[self.activation][0](t)
+        return ACTIVATIONS[self.activation][0](t)
 
     def act_prime(self, t):
-        return _ACTIVATIONS[self.activation][1](t)
+        return ACTIVATIONS[self.activation][1](t)
 
 
 class Parameters:
@@ -302,15 +303,16 @@ def as_constrained_problem(spec: NetworkSpec, x, a_obs) -> NetworkTrainingProble
 
 
 def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
-          step: float = 1.0, tol: float = 0.0):
+          step: float = 1.0):
     """Full-batch ``gradient_descent`` on the summed per-sample loss.
 
     ``samples`` is a sequence of (x, a_obs) pairs, stacked as the columns
-    of one ``NetworkTrainingProblem``.  Returns the trained parameters and
-    the per-iteration history rows (k, loss, grad_norm, step).  A failed
-    Armijo line search raises ``NumericalError``.
+    of one ``NetworkTrainingProblem``.  Runs ``iters`` iterations, stopping
+    early only at an exactly zero gradient, and returns the trained
+    parameters and the per-iteration history rows (k, loss, grad_norm,
+    step).  A failed Armijo line search raises ``NumericalError``.
     """
     x, a_obs = (np.column_stack(side) for side in zip(*samples))
     result = gradient_descent(NetworkTrainingProblem(spec, x, a_obs),
-                              flatten_parameters(params), step, iters, tol)
+                              flatten_parameters(params), step, iters, 0.0)
     return unflatten_parameters(spec, result.z), result.history

@@ -97,6 +97,11 @@ class AdvectionControlProblem(ConstrainedProblem):
         """Adjoint value at the inflow boundary (equals the gradient)."""
         return float(y[0])
 
+    def fields(self, u, y):
+        """Nodes, state and continuous adjoint ``v = [y0, y[1:] / h]``."""
+        x = np.arange(self.state_dim) * self.h
+        return x, u, np.concatenate([[y[0]], y[1:] / self.h])
+
 
 class EllipticInversionProblem(ConstrainedProblem):
     """Recover a log-diffusivity field from interior observations.
@@ -191,6 +196,17 @@ class EllipticInversionProblem(ConstrainedProblem):
 
     def objective_grad_control(self, u, z):
         return self.kappa * self.h * z
+
+    def fields(self, u, y):
+        """Midpoints, cell averages of the state and of the adjoint ``v = y / h``.
+
+        Both are padded with their end values, (g0, g1) and zero.
+        """
+        def cell_average(w, w0, w1):
+            padded = np.concatenate([[w0], w, [w1]])
+            return 0.5 * (padded[:-1] + padded[1:])
+        return (self.midpoints, cell_average(u, self.g0, self.g1),
+                cell_average(y / self.h, 0.0, 0.0))
 
     def stiffness_matrix(self, z) -> np.ndarray:
         """``K = D^T diag(exp(z)) D / h^2`` with the Dirichlet ``D`` of ``sturm``."""

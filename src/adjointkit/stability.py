@@ -68,8 +68,8 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise ValueError("matrices must be square and share a dimension")
+    if n < 1 or a.shape != (n, n) or q.shape != (n, n):
+        raise ValueError("matrices must be square, non-empty and share a dimension")
     if n > MAX_LYAPUNOV_DIM:
         raise ValueError(f"Lyapunov solve capped at n={MAX_LYAPUNOV_DIM}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
@@ -126,8 +126,8 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
+    if n < 1 or a.shape != (n, n):
+        raise ValueError("matrix must be square and non-empty")
     if n > MAX_LYAPUNOV_DIM:
         raise ValueError(f"tabulation capped at n={MAX_LYAPUNOV_DIM}")
     if not np.all(np.isfinite(a)):
@@ -183,8 +183,8 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     f_matrix = np.asarray(f_matrix, dtype=float)
     v_matrix = np.asarray(v_matrix, dtype=float)
     n = f_matrix.shape[0]
-    if f_matrix.shape != (n, n) or v_matrix.shape != (n, n):
-        raise ValueError("F and V must be square with equal dimension")
+    if n < 1 or f_matrix.shape != (n, n) or v_matrix.shape != (n, n):
+        raise ValueError("F and V must be square, non-empty and of equal dimension")
     try:
         k = np.linalg.solve(v_matrix.T, f_matrix.T).T
     except np.linalg.LinAlgError:

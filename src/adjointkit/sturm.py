@@ -142,11 +142,13 @@ def fourier_coefficients(f: np.ndarray, modes: ModeSet) -> np.ndarray:
 def reconstruct(coefficients: np.ndarray, modes: ModeSet,
                 n_terms: int | None = None) -> np.ndarray:
     cut = len(coefficients) if n_terms is None else n_terms
+    if cut < 0:
+        raise ValueError(f"term count must be non-negative, got {cut}")
     return modes.modes[:, :cut] @ np.asarray(coefficients[:cut], dtype=float)
 
 
 def truncation_error(f: np.ndarray, modes: ModeSet, n_list) -> np.ndarray:
-    """Weighted L2 error of the N-term reconstruction, per requested N."""
+    """Weighted L2 error of the N-term reconstruction, per requested ``0 <= N <= k``."""
     f = np.asarray(f, dtype=float)
     coeffs = fourier_coefficients(f, modes)
     out = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import adjointkit
-from adjointkit import selftest, stability
+from adjointkit import cli, network, selftest, stability, sturm
 from adjointkit.cli import _csv, build_parser, main
 from adjointkit.core import AdjointReport
 from adjointkit.errors import NumericalError
@@ -471,6 +472,13 @@ def test_stability_needs_exactly_one_source(capsys):
     assert code == 2
 
 
+def test_stability_model_and_matrix_are_exclusive(capsys, tmp_path):
+    a = write_json(tmp_path / "a.json", {"rows": 1, "cols": 1, "entries": [-1.0]})
+    code, out, err = run(capsys, "stability", "--model", "logistic", "--matrix", a)
+    assert (code, out) == (2, "")
+    assert "not allowed with" in err
+
+
 def test_r0_seir_blocks(capsys, tmp_path):
     beta, sigma, gamma = 0.6, 0.5, 0.25
     f = write_json(tmp_path / "f.json",
@@ -505,6 +513,29 @@ def test_sturm_csv_eigenvalues(capsys):
     first = float(lines[1].split(",")[0])
     exact = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
     assert first == pytest.approx(exact, rel=1e-9)
+
+
+def test_sturm_rejects_modes_before_assembly(capsys, monkeypatch):
+    def no_assembly(problem):
+        raise AssertionError("discretize ran before the mode count was checked")
+
+    monkeypatch.setattr(cli, "discretize", no_assembly)
+    for modes in ("0", "21"):
+        code, out, err = run(capsys, "sturm", "--n", "20", "--modes", modes)
+        assert (code, out) == (2, "")
+        assert f"requested {modes} modes from an 20-point grid" in err
+
+
+def subcommand_choices(command, dest):
+    parser = build_parser(42)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return tuple(action.choices)
+
+
+def test_choice_lists_come_from_their_modules():
+    assert subcommand_choices("sturm", "bc") == sturm.BOUNDARY_CONDITIONS
+    assert subcommand_choices("train", "act") == tuple(network.ACTIVATIONS)
 
 
 def test_sturm_grid_above_cap_exit_2(capsys):
@@ -685,6 +716,14 @@ def test_pdeopt_elliptic_field_dump_shape(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,u,v,grad"
     assert len(lines) == 17  # n+1 cells
+
+
+def test_pdeopt_check_gradient_and_descend_are_exclusive(capsys):
+    # passing both used to run the gradient check and ignore --descend
+    code, out, err = run(capsys, "pdeopt", "--problem", "elliptic",
+                         "--check-gradient", "--descend")
+    assert (code, out) == (2, "")
+    assert "not allowed with" in err
 
 
 # -- selftest ---------------------------------------------------------------------------

@@ -272,3 +272,34 @@ def test_default_target_field_shape():
     field = default_target_field(31)
     assert field.shape == (32,)
     assert np.abs(field).max() <= 0.8 + 1e-12
+
+
+# -- field dump ------------------------------------------------------------------
+
+def advection_fields_oracle(problem, u, y):
+    """The dump's formulas as the CLI wrote them before ``fields`` existed."""
+    xs = np.arange(problem.state_dim) * problem.h
+    v = np.concatenate([[y[0]], y[1:] / problem.h])
+    return xs, u, v
+
+
+def elliptic_fields_oracle(problem, u, y):
+    padded_u = np.concatenate([[problem.g0], u, [problem.g1]])
+    padded_v = np.concatenate([[0.0], y / problem.h, [0.0]])
+    return (problem.midpoints, 0.5 * (padded_u[:-1] + padded_u[1:]),
+            0.5 * (padded_v[:-1] + padded_v[1:]))
+
+
+@pytest.mark.parametrize("problem, z, oracle", [
+    (build_advection_problem(8, 2.0), np.array([1.0]), advection_fields_oracle),
+    (build_advection_problem(31, 0.7), np.array([-0.3]), advection_fields_oracle),
+    (make_elliptic_demo(15)[0], np.zeros(16), elliptic_fields_oracle),
+    (make_elliptic_demo(31, g0=-0.5, g1=2.0)[0],
+     0.3 * np.sin(np.arange(32.0)), elliptic_fields_oracle),
+], ids=["advection8", "advection31", "elliptic15", "elliptic31"])
+def test_fields_match_the_old_dump_bitwise(problem, z, oracle):
+    report = reduced_gradient(problem, z)
+    got = problem.fields(report.state, report.multiplier)
+    want = oracle(problem, report.state, report.multiplier)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)

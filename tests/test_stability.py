@@ -203,6 +203,20 @@ def test_lyapunov_rejects_non_finite_entries():
             lyapunov_solve(-np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz_check(np.zeros((0, 0))),
+    lambda: jacobian_verdict(np.zeros((0, 0))),
+    lambda: stability_verdict(lambda x: -x, np.array([])),
+    lambda: lyapunov_solve(np.zeros((0, 0)), np.zeros((0, 0))),
+    lambda: r0(np.zeros((0, 0)), np.zeros((0, 0))),
+], ids=["hurwitz_check", "jacobian_verdict", "stability_verdict", "lyapunov_solve", "r0"])
+def test_empty_matrix_rejected(call):
+    # the Routh table used to index row 1 of a one-row table (IndexError);
+    # lyapunov_solve and r0 failed only inside numpy's zero-size reductions
+    with pytest.raises(ValueError, match="non-empty"):
+        call()
+
+
 # -- hurwitz_check ----------------------------------------------------------------
 
 def test_hurwitz_negative_identity():
@@ -477,7 +491,7 @@ def test_lyapunov_suite_raises_on_non_singular_failure(monkeypatch):
 
     monkeypatch.setattr(selftest, "lyapunov_solve", failed_gate)
     with pytest.raises(NumericalError, match="residual"):
-        selftest.lyapunov_suite(seed=42, cases=4)
+        selftest.lyapunov_suite(seed=42)
 
 
 def test_verdict_logistic_both_equilibria():

@@ -294,3 +294,18 @@ def test_partial_sum_pythagoras():
         tail = disc.weighted_norm(f - reconstruct(coeffs, modes, cut)) ** 2
         head = float(np.sum(coeffs[:cut] ** 2))
         assert abs(total - head - tail) <= 1e-9 * total
+
+
+def test_negative_term_count_rejected():
+    disc = discretize(constant_coefficient_problem("dirichlet", n=9))
+    modes = solve_modes(disc, 5)
+    f = disc.grid * (1.0 - disc.grid)
+    coeffs = fourier_coefficients(f, modes)
+    # [-1] used to slice [:-1], the error of the four-term truncation
+    for bad in ([-1], [-5]):
+        with pytest.raises(ValueError, match="non-negative"):
+            truncation_error(f, modes, bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        reconstruct(coeffs, modes, n_terms=-1)
+    # zero terms stays valid: the error is the whole norm
+    assert truncation_error(f, modes, [0])[0] == disc.weighted_norm(f)
