@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace
-from .spectral import left_coefficients, null_defect, svd
+from .spectral import checked_vector, left_coefficients, null_defect, svd
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     the normal equations hold; among all minimizers the one orthogonal
     to ``N(A)`` is returned.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.codomain.dim,):
-        raise ValueError("right-hand side length does not match codomain")
+    y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     r = dec.rank
     return dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
@@ -78,12 +76,9 @@ def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
     """
     if not 0.0 < kappa < np.inf:
         raise ValueError("regularization parameter must be positive and finite")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.codomain.dim,):
-        raise ValueError("right-hand side length does not match codomain")
-    x0 = np.zeros(op.domain.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (op.domain.dim,):
-        raise ValueError("prior length does not match domain")
+    y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
+    x0 = (np.zeros(op.domain.dim) if x0 is None
+          else checked_vector(x0, op.domain.dim, "prior", "domain dimension"))
     dec = svd(op)
     s = dec.sigma
     c = left_coefficients(dec, y - op.matvec(x0))[:s.size]
@@ -105,9 +100,7 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
     or growing column means the data violates the source condition and
     inversion will amplify it.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.codomain.dim,):
-        raise ValueError("right-hand side length does not match codomain")
+    y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     coeffs = left_coefficients(dec, y)
     sigma = dec.sigma[:dec.rank]
@@ -126,12 +119,14 @@ def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,
     Perturbing ``y`` by ``delta * v_N`` changes the least-squares
     solution by ``delta / s_N * u_N``, so the returned ratio
     ``|x~ - x| / |y~ - y|`` equals ``1 / s_N``; it grows without bound
-    as the mode index approaches the spectral tail.
+    as the mode index approaches the spectral tail.  ``delta`` must be
+    non-zero and finite.
     """
+    if not 0.0 < abs(delta) < np.inf:
+        raise ValueError(f"perturbation size must be non-zero and finite, got {delta}")
     dec = svd(op)
     if not 1 <= mode_index <= dec.rank:
         raise ValueError(f"mode index {mode_index} exceeds rank {dec.rank}")
-    y = np.asarray(y, dtype=float)
     x = normal_solve(op, y)
     perturbation = delta * dec.left_vectors[:, mode_index - 1]
     x_tilde = normal_solve(op, y + perturbation)

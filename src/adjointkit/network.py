@@ -224,9 +224,13 @@ class NetworkTrainingProblem(ConstrainedProblem):
         self.a_obs = np.asarray(a_obs, dtype=float)
         sizes = spec.layer_sizes
         m = self.x.shape[1] if self.x.ndim == 2 else 0
+        shapes = f"x {self.x.shape}, a_obs {self.a_obs.shape}"
         if m < 1 or self.x.shape[0] != sizes[0] or self.a_obs.shape != (sizes[-1], m):
-            raise ValueError("samples must be columns: x of shape (n0, m) and "
-                             "a_obs of shape (nL, m) with m >= 1")
+            raise ValueError(f"sample shapes do not match the network sizes: need "
+                             f"columns x ({sizes[0]}, m), a_obs ({sizes[-1]}, m), "
+                             f"m >= 1, got {shapes}")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.a_obs))):
+            raise ValueError(f"training samples have non-finite entries (shapes {shapes})")
         self.state_dim = sum(sizes) * m
         self.control_dim = parameter_count(spec)
         self._offsets = np.cumsum((0,) + sizes) * m
@@ -306,13 +310,13 @@ def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
           step: float = 1.0):
     """Full-batch ``gradient_descent`` on the summed per-sample loss.
 
-    ``samples`` is a sequence of (x, a_obs) pairs, stacked as the columns
-    of one ``NetworkTrainingProblem``.  Runs ``iters`` iterations, stopping
+    ``samples`` is a sequence of (x, a_obs) pairs of flat arrays, stacked
+    as the columns of one ``NetworkTrainingProblem``.  Runs ``iters`` iterations, stopping
     early only at an exactly zero gradient, and returns the trained
     parameters and the per-iteration history rows (k, loss, grad_norm,
     step).  A failed Armijo line search raises ``NumericalError``.
     """
-    x, a_obs = (np.column_stack(side) for side in zip(*samples))
+    x, a_obs = (np.stack(side, axis=1) for side in zip(*samples))
     result = gradient_descent(NetworkTrainingProblem(spec, x, a_obs),
                               flatten_parameters(params), step, iters, 0.0)
     return unflatten_parameters(spec, result.z), result.history

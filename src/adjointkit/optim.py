@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
+from .spectral import checked_vector
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
@@ -108,6 +109,10 @@ class DescentResult:
     iterations: int = 0
 
 
+def _checked_control(problem: ConstrainedProblem, z) -> np.ndarray:
+    return checked_vector(z, problem.control_dim, "control", "control_dim")
+
+
 def _control_block(problem: ConstrainedProblem, u, z, y):
     """KKT control block ``grad_z f + c_z^T y``: the reduced gradient at the multiplier."""
     return problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
@@ -126,8 +131,9 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
     report also carries the state, the multiplier and both residual norms.
     The adjoint residual applies ``apply_state_adjoint`` to the multiplier,
     so a problem on both dense fallbacks densifies its Jacobian twice.
+    A control of the wrong length or with non-finite entries is a ``ValueError``.
     """
-    z = np.asarray(z, dtype=float)
+    z = _checked_control(problem, z)
     u = problem.solve_forward(z)
     gu = problem.objective_grad_state(u, z)
     y = problem.solve_adjoint(u, z, -gu)
@@ -154,7 +160,7 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     adjoint-based gradient.  Errors decay like the square of the step
     until roundoff takes over.
     """
-    z = np.asarray(z, dtype=float)
+    z = _checked_control(problem, z)
     if not all(0.0 < h < np.inf for h in steps):
         raise ValueError("finite-difference steps must be positive and finite")
     grad = _gradient_at_state(problem, problem.solve_forward(z), z)
@@ -189,7 +195,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
         raise ValueError("tol must be nonnegative")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
-    z = np.asarray(z0, dtype=float).copy()
+    z = _checked_control(problem, z0).copy()
     history = []
     for k in range(iters):
         try:

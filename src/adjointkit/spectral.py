@@ -153,6 +153,20 @@ def fundamental_subspaces(s: SvdResult) -> SubspaceBases:
     )
 
 
+def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
+    """``v`` as a float array, once it has length ``dim`` and finite entries.
+
+    Otherwise ``ValueError`` names ``what`` the vector is, its length and
+    ``where`` the length ``dim`` comes from.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"{what} length {v.size} does not match {where} {dim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite entries (length {v.size}, {where} {dim})")
+    return v
+
+
 def left_coefficients(s: SvdResult, y: np.ndarray) -> np.ndarray:
     """Inner products ``(y, v_i)`` with all m left singular vectors.
 
@@ -182,9 +196,7 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
     ``N(A*)``; the defect reported is the relative norm of the offending
     component.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.codomain.dim,):
-        raise ValueError("right-hand side length does not match codomain")
+    y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     defect = null_defect(dec, y, left_coefficients(dec, y))
     return {"solvable": bool(defect <= tol), "defect": defect}

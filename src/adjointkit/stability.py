@@ -91,7 +91,10 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def is_spd(p: np.ndarray) -> bool:
-    """Symmetry plus a successful Cholesky factorization."""
+    """Finite entries, symmetry and a successful Cholesky factorization."""
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        return False
     if np.abs(p - p.T).max() > 1e-10 * max(np.abs(p).max(), 1e-300):
         return False
     try:

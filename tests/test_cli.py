@@ -108,57 +108,31 @@ def test_adjoint_check_deterministic(capsys, tmp_path):
     assert json.loads(out1)["trials"] == 100
 
 
-def test_adjoint_check_env_seed(capsys, tmp_path, monkeypatch):
-    op = write_json(tmp_path / "op.json", EXAMPLE_RECORD)
-    monkeypatch.setenv("ADJOINTKIT_SEED", "123")
-    code, out_env, _ = run(capsys, "adjoint-check", "--op", op)
-    monkeypatch.delenv("ADJOINTKIT_SEED")
-    code2, out_explicit, _ = run(capsys, "adjoint-check", "--op", op,
-                                 "--seed", "123")
-    assert code == code2 == 0
-    assert out_env == out_explicit
-
-
-def test_bad_env_seed_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("ADJOINTKIT_SEED", "not-a-number")
-    code, out, err = run(capsys, "selftest", "--suite", "svd")
-    assert code == 2
-    for argv in (["adjoint-check", "--op", "x.json"], ["svd", "--op", "x.json"],
-                 ["sturm"], ["r0", "--F", "f.json", "--V", "v.json"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "ADJOINTKIT_SEED" in err
-
-
-def test_env_seed_change_between_calls_takes_effect(capsys, tmp_path, monkeypatch):
-    # one probe pair in weighted metrics, so the roundoff-sized defect
-    # differs between the two seeds
-    op = write_json(tmp_path / "op.json", {
-        **EXAMPLE_RECORD, "domain_metric": [3.0, 1.0, 0.0, 1.0, 2.0, 0.5, 0.0, 0.5, 1.0],
-        "codomain_metric": [2.0, 0.3, 0.3, 1.0]})
-    outputs = {}
-    for seed in ("1", "2"):
-        monkeypatch.setenv("ADJOINTKIT_SEED", seed)
-        code, outputs[seed], _ = run(capsys, "adjoint-check", "--op", op, "--trials", "1")
-        assert code == 0
-    monkeypatch.delenv("ADJOINTKIT_SEED")
-    for seed in ("1", "2"):
-        code, out, _ = run(capsys, "adjoint-check", "--op", op, "--trials", "1",
-                           "--seed", seed)
-        assert code == 0
-        assert outputs[seed] == out
-    assert outputs["1"] != outputs["2"]
-
-
-def test_parser_built_once_per_seed(capsys, monkeypatch):
-    monkeypatch.setenv("ADJOINTKIT_SEED", "31337")
+def test_parser_built_once_per_process(capsys):
     run(capsys, "selftest", "--suite", "svd")
+    assert build_parser.cache_info().currsize == 1
     misses = build_parser.cache_info().misses
     for _ in range(3):
         code, _, _ = run(capsys, "selftest", "--suite", "svd")
         assert code == 0
     assert build_parser.cache_info().misses == misses
+
+
+def test_seed_environment_variable_is_ignored(capsys, tmp_path, monkeypatch):
+    # the seeded subcommands read their seed from --seed alone
+    op = write_json(tmp_path / "op.json", {
+        **EXAMPLE_RECORD, "domain_metric": [3.0, 1.0, 0.0, 1.0, 2.0, 0.5, 0.0, 0.5, 1.0],
+        "codomain_metric": [2.0, 0.3, 0.3, 1.0]})
+    data = write_json(tmp_path / "data.json", [{"x": [0.1, 0.2], "a_obs": [0.3]},
+                                               {"x": [0.4, -0.1], "a_obs": [-0.2]}])
+    commands = (("adjoint-check", "--op", op, "--trials", "3"),
+                ("train", "--spec", "2,3,1", "--data", data, "--iters", "3"),
+                ("selftest", "--suite", "svd"))
+    monkeypatch.delenv("ADJOINTKIT_SEED", raising=False)
+    plain = [run(capsys, *argv) for argv in commands]
+    monkeypatch.setenv("ADJOINTKIT_SEED", "garbage")
+    assert [run(capsys, *argv) for argv in commands] == plain
+    assert all(code == 0 for code, _, _ in plain)
 
 
 def test_adjoint_check_tiny_spd_metric_returns(tmp_path):
@@ -527,7 +501,7 @@ def test_sturm_rejects_modes_before_assembly(capsys, monkeypatch):
 
 
 def subcommand_choices(command, dest):
-    parser = build_parser(42)
+    parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     action = next(a for a in sub.choices[command]._actions if a.dest == dest)
     return tuple(action.choices)

@@ -312,15 +312,41 @@ def test_training_reduces_loss_monotonically():
     assert losses[-1] < losses[0]
 
 
-def test_training_raises_on_failed_line_search():
-    # a NaN target makes every Armijo trial fail; training must not
-    # return a NaN history as if it had finished
+def test_training_raises_on_failed_line_search(monkeypatch):
+    # every Armijo trial's forward solve fails; training must not return
+    # a history as if it had finished
+    solve = NetworkTrainingProblem.solve_forward
+    calls = []
+
+    def first_solve_only(self, z):
+        calls.append(z)
+        if len(calls) > 1:
+            raise NumericalError("forward sweep overflowed")
+        return solve(self, z)
+
+    monkeypatch.setattr(NetworkTrainingProblem, "solve_forward", first_solve_only)
     spec = NetworkSpec((2, 3, 1))
     params = init_parameters(spec, seed=9)
-    samples = [(np.array([0.1, 0.2]), np.array([float("nan")])),
+    samples = [(np.array([0.1, 0.2]), np.array([0.7])),
                (np.array([0.3, 0.4]), np.array([0.5]))]
-    with pytest.raises(NumericalError, match="line search"):
+    with pytest.raises(NumericalError, match="line search failed at iteration 0"):
         train(spec, params, samples, iters=5)
+    assert len(calls) == 61  # the initial state, then every backtrack
+
+
+def test_training_rejects_samples_of_unequal_or_wrong_shape():
+    spec = NetworkSpec((2, 3, 1))
+    params = init_parameters(spec, seed=9)
+    uneven = [(np.array([0.1, 0.2]), np.array([0.5])),
+              (np.array([0.3, 0.4, 0.5]), np.array([0.5]))]
+    with pytest.raises(ValueError, match="same shape"):
+        train(spec, params, uneven, iters=5)
+    wide = [(np.array([0.1, 0.2, 0.3]), np.array([0.5]))]
+    with pytest.raises(ValueError, match="sample shapes do not match the network sizes"):
+        train(spec, params, wide, iters=5)
+    nested = [(np.array([[0.1], [0.2]]), np.array([0.5]))]
+    with pytest.raises(ValueError, match="sample shapes do not match the network sizes"):
+        train(spec, params, nested, iters=5)
 
 
 def test_spec_validation():

@@ -20,3 +20,13 @@ def test_all_names_resolve():
 def test_all_lists_exactly_the_imported_public_names():
     assert len(adjointkit.__all__) == len(set(adjointkit.__all__))
     assert set(adjointkit.__all__) == imported_public_names()
+
+
+def test_no_module_reads_the_environment():
+    # stdout may depend only on argv and the input files
+    package = Path(adjointkit.__file__).parent
+    hits = [f"{path.name}:{number}"
+            for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "os.environ" in line or "getenv" in line]
+    assert hits == []

@@ -228,8 +228,13 @@ def test_elliptic_coefficient_out_of_range_raises(bad, capsys, monkeypatch):
         problem.solve_adjoint(problem.u_obs, z, np.ones(31))
     monkeypatch.setattr(cli, "_build_pde_problem", lambda args: (problem, z))
     for argv in ([], ["--descend"]):
-        assert cli.main(["pdeopt", "--problem", "elliptic", *argv]) == 3
-        assert '"numerical-failure"' in capsys.readouterr().out
+        code = cli.main(["pdeopt", "--problem", "elliptic", *argv])
+        out = capsys.readouterr().out
+        if np.isfinite(bad):  # a finite coefficient that overflows: numerical failure
+            assert code == 3
+            assert '"numerical-failure"' in out
+        else:  # a non-finite control is invalid input
+            assert (code, out) == (2, "")
 
 
 def test_elliptic_validates_inputs():

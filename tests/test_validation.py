@@ -1,21 +1,31 @@
 """Every input check in the library and the CLI, one tiny case each.
 
 Each library case must raise ``ValueError`` with its own message; each
-CLI case must exit 2 with nothing on stdout.
+CLI case must exit 2 with nothing on stdout.  The vector gates (data,
+prior, training samples, controls) are also probed by property tests:
+a wrong length, or one non-finite entry at a drawn position, must be
+rejected by a message that names the sizes.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjointkit.cli import main
 from adjointkit.core import (DenseOperator, InnerProductSpace,
                              adjoint_consistency_check, euclidean,
                              matrix_operator, operator_from_record,
                              orthonormalize)
-from adjointkit.leastsq import normal_solve, picard_diagnostic, tikhonov_solve
-from adjointkit.network import NetworkSpec, Parameters, forward, loss
+from adjointkit.leastsq import (instability_demo, normal_solve, picard_diagnostic,
+                                tikhonov_solve)
+from adjointkit.network import (NetworkSpec, Parameters, forward, init_parameters,
+                                loss, train)
+from adjointkit.optim import fd_gradient_check, gradient_descent, reduced_gradient
+from adjointkit.pde import build_advection_problem, make_elliptic_demo
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
@@ -98,6 +108,76 @@ def test_is_spd_rejects_non_symmetric():
     assert is_spd(np.array([[1.0, 1.0], [0.0, 1.0]])) is False
 
 
+@pytest.mark.parametrize("p", [[[float("nan")]],
+                               [[1.0, float("nan")], [float("nan"), 1.0]],
+                               [[float("inf")]]], ids=["nan", "nan-off-diagonal", "inf"])
+def test_is_spd_rejects_non_finite(p):
+    assert is_spd(p) is False
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+def test_instability_demo_rejects_degenerate_delta(delta):
+    with pytest.raises(ValueError, match="non-zero and finite"):
+        instability_demo(matrix_operator(np.diag([2.0, 1.0])), np.ones(2), 1, delta)
+
+
+ADVECTION = build_advection_problem(8, 1.0)  # reads z[0] alone, so z[1:] must be refused
+ELLIPTIC, _ = make_elliptic_demo(7)
+BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+# gate -> (call on the vector, its required length, the space it must name)
+VECTOR_GATES = {
+    "normal_solve-y": (lambda v: normal_solve(OP_2X3, v), 2, "codomain dimension 2"),
+    "tikhonov-y": (lambda v: tikhonov_solve(OP_2X3, v, 1.0), 2, "codomain dimension 2"),
+    "tikhonov-x0": (lambda v: tikhonov_solve(OP_2X3, np.ones(2), 1.0, v), 3,
+                    "domain dimension 3"),
+    "picard-y": (lambda v: picard_diagnostic(OP_2X3, v), 2, "codomain dimension 2"),
+    "solvability-y": (lambda v: solvability_check(OP_2X3, v), 2, "codomain dimension 2"),
+    "reduced_gradient-z": (lambda v: reduced_gradient(ELLIPTIC, v), 8, "control_dim 8"),
+    "reduced_gradient-scalar-z": (lambda v: reduced_gradient(ADVECTION, v), 1,
+                                  "control_dim 1"),
+    "fd_gradient_check-z": (lambda v: fd_gradient_check(ELLIPTIC, v), 8, "control_dim 8"),
+    "gradient_descent-z0": (lambda v: gradient_descent(ELLIPTIC, v, 1.0, 1, 0.0), 8,
+                            "control_dim 8"),
+}
+
+
+def bad_vector(data, dim):
+    """A vector of the wrong length, or of length ``dim`` with one non-finite entry."""
+    if data.draw(st.booleans(), label="wrong length"):
+        return np.ones(data.draw(st.integers(0, 2 * dim + 2).filter(lambda n: n != dim)))
+    v = np.ones(dim)
+    v[data.draw(st.integers(0, dim - 1), label="position")] = data.draw(BAD_VALUES)
+    return v
+
+
+@pytest.mark.parametrize("gate", VECTOR_GATES)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_vector_gates_name_the_sizes(gate, data):
+    call, dim, space = VECTOR_GATES[gate]
+    v = bad_vector(data, dim)
+    with pytest.raises(ValueError) as info:
+        call(v)
+    assert re.search(rf"length {v.size}\b", str(info.value))
+    assert space in str(info.value)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), bad_x=st.booleans())
+def test_training_sample_gate_names_the_shapes(data, bad_x):
+    spec = NetworkSpec((3, 2, 2))
+    x, a_obs = np.ones(3), np.ones(2)
+    if bad_x:
+        x = bad_vector(data, 3)
+    else:
+        a_obs = bad_vector(data, 2)
+    with pytest.raises(ValueError) as info:
+        train(spec, init_parameters(spec), [(x, a_obs)], iters=1)
+    assert f"({x.size}, 1)" in str(info.value)
+    assert f"({a_obs.size}, 1)" in str(info.value)
+
+
 CLI_CASES = {
     "stability-matrix-2x3": (["stability", "--matrix", "{op}"], "must be square"),
     "train-unparsable-spec": (["train", "--spec", "2,x", "--data", "{data}"],
@@ -108,6 +188,19 @@ CLI_CASES = {
                            "sample shapes do not match"),
     "vector-not-flat": (["solve", "--op", "{op}", "--rhs", "{nested}"],
                         "flat JSON array"),
+    # one case per library gate
+    "rhs-length": (["picard", "--op", "{op}", "--rhs", "{three}"],
+                   "right-hand side length 3 does not match codomain dimension 2"),
+    "rhs-non-finite": (["solve", "--op", "{op}", "--rhs", "{nan_pair}"],
+                       "right-hand side has non-finite entries"),
+    "prior-non-finite": (["tikhonov", "--op", "{op}", "--rhs", "{pair}", "--kappa", "1",
+                          "--x0", "{inf_triple}"], "prior has non-finite entries"),
+    "train-sample-non-finite": (["train", "--spec", "2,1", "--data", "{nan_data}"],
+                                "training samples have non-finite entries"),
+    "train-samples-uneven": (["train", "--spec", "2,1", "--data", "{uneven}"],
+                             "same shape"),
+    "pdeopt-control-non-finite": (["pdeopt", "--problem", "advection", "--z=-inf"],
+                                  "control has non-finite entries"),
 }
 
 
@@ -116,7 +209,15 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
     files = {"op": {"rows": 2, "cols": 3, "entries": [2.0, 0.0, 1.0, 2.0, 1.0, 0.5]},
              "data": [{"x": [0.1, 0.2], "a_obs": [0.3]}],
              "empty": [],
-             "nested": [[1.0, 2.0]]}
+             "nested": [[1.0, 2.0]],
+             "pair": [1.0, 2.0],
+             "three": [1.0, 2.0, 3.0],
+             "nan_pair": [1.0, float("nan")],
+             "inf_triple": [0.0, float("inf"), 0.0],
+             "nan_data": [{"x": [0.1, 0.2], "a_obs": [0.3]},
+                          {"x": [float("nan"), 0.2], "a_obs": [0.3]}],
+             "uneven": [{"x": [0.1, 0.2], "a_obs": [0.3]},
+                        {"x": [0.1, 0.2, 0.3], "a_obs": [0.3]}]}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
