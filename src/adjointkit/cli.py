@@ -2,9 +2,11 @@
 
 Matrices and vectors travel as the operator JSON record
 ({"rows", "cols", "entries", optional metrics}); per-index and
-per-iteration tables are CSV.  Results go to standard output unless an
-output path is given.  Exit status: 0 success, 2 validation problems,
-3 numerical failures (with a diagnostic JSON payload).
+per-iteration tables are CSV.  Each ``cmd_*`` returns the text it
+prints; ``main`` alone writes it (to ``--output`` or standard output)
+and alone sets the exit status: 0 success, 1 a failed selftest suite
+(its report on stdout), 2 validation problems, 3 numerical failures
+(with a diagnostic JSON payload).
 
 This layer parses JSON structure, ``--spec`` and the flags, and checks
 ``sturm --modes`` before the dense assembly; the library routine that
@@ -35,6 +37,7 @@ from .sturm import (BOUNDARY_CONDITIONS, constant_coefficient_problem,
                     discretize, solve_modes)
 
 EXIT_OK = 0
+EXIT_SUITE_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 DEFAULT_SEED = 42
@@ -64,12 +67,8 @@ def _load_op_rhs(args):
     return _load_operator(args.op), _load_vector(args.rhs)
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+class SuiteFailure(Exception):
+    """A selftest suite failed; the argument is the whole report."""
 
 
 def _json_text(payload) -> str:
@@ -94,71 +93,57 @@ def _csv(rows, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _history_csv(history, objective: str) -> str:
-    return _csv([(k, float(f), float(g), float(a)) for k, f, g, a in history],
-                f"k,{objective},grad_norm,step")
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_adjoint_check(args) -> int:
+def cmd_adjoint_check(args) -> str:
     op = _load_operator(args.op)
     report = adjoint_consistency_check(op, trials=args.trials, seed=args.seed)
-    _emit(_json_text({"trials": report.trials, "max_defect": report.max_defect}),
-          args.output)
-    return EXIT_OK
+    return _json_text({"trials": report.trials, "max_defect": report.max_defect})
 
 
-def cmd_svd(args) -> int:
+def cmd_svd(args) -> str:
     op = _load_operator(args.op)
     dec = svd(op, rank_tol=args.rank_tol)
     payload = {
-        "sigma": [float(s) for s in dec.sigma],
+        "sigma": dec.sigma.tolist(),
         "rank": dec.rank,
-        "U": [[float(x) for x in row] for row in dec.right_vectors],
-        "V": [[float(x) for x in row] for row in dec.left_vectors],
+        "U": dec.right_vectors.tolist(),
+        "V": dec.left_vectors.tolist(),
     }
     text = _json_text(payload)
     text += "sigma: " + ",".join(f"{s:.4f}" for s in dec.sigma) + "\n"
     (m, n), r = op.shape, dec.rank
-    text += (f"subspaces: dim R(A)={r}, dim N(A)={n - r}, dim R(A*)={r}, "
-             f"dim N(A*)={m - r} (n={n}, m={m})\n")
-    _emit(text, args.output)
-    return EXIT_OK
+    return text + (f"subspaces: dim R(A)={r}, dim N(A)={n - r}, dim R(A*)={r}, "
+                   f"dim N(A*)={m - r} (n={n}, m={m})\n")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> str:
     op, y = _load_op_rhs(args)
     x = normal_solve(op, y)
     residual = op.codomain.norm(op.matvec(x) - y)
-    _emit(_json_text({"x": [float(v) for v in x], "residual_norm": residual}),
-          args.output)
-    return EXIT_OK
+    return _json_text({"x": x.tolist(), "residual_norm": residual})
 
 
-def cmd_tikhonov(args) -> int:
+def cmd_tikhonov(args) -> str:
     op, y = _load_op_rhs(args)
     x0 = _load_vector(args.x0) if args.x0 else None
     sol = tikhonov_solve(op, y, args.kappa, x0)
-    _emit(_json_text({"x": [float(v) for v in sol.x], "kappa": sol.kappa,
-                      "residual_norm": sol.residual_norm,
-                      "prior_distance": sol.prior_distance}), args.output)
-    return EXIT_OK
+    return _json_text({"x": sol.x.tolist(), "kappa": sol.kappa,
+                       "residual_norm": sol.residual_norm,
+                       "prior_distance": sol.prior_distance})
 
 
-def cmd_picard(args) -> int:
+def cmd_picard(args) -> str:
     op, y = _load_op_rhs(args)
     table = picard_diagnostic(op, y)
-    rows = [(row.index, float(row.sigma), float(row.coeff), float(row.ratio),
-             float(row.cumulative)) for row in table.rows]
-    text = _csv(rows, "i,sigma,coeff,ratio,cumsum")
-    text += f"# null_defect={_fmt(table.null_defect)}\n"
-    _emit(text, args.output)
-    return EXIT_OK
+    rows = [(row.index, row.sigma, row.coeff, row.ratio, row.cumulative)
+            for row in table.rows]
+    return (_csv(rows, "i,sigma,coeff,ratio,cumsum")
+            + f"# null_defect={_fmt(table.null_defect)}\n")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> str:
     text = args.spec
     if text.startswith("sizes="):
         text = text[len("sizes="):]
@@ -177,11 +162,10 @@ def cmd_train(args) -> int:
         raise ValueError('each sample needs "x" and "a_obs" arrays') from None
     params = init_parameters(spec, seed=args.seed)
     _, history = train(spec, params, samples, iters=args.iters, step=args.step)
-    _emit(_history_csv(history, "loss"), args.output)
-    return EXIT_OK
+    return _csv(history, "k,loss,grad_norm,step")
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> str:
     reproduction = None
     if args.model is None:  # the file's matrix, as given
         report = jacobian_verdict(_load_operator(args.matrix).entries)
@@ -204,19 +188,17 @@ def cmd_stability(args) -> int:
         payload["r0"] = reproduction
     if report.lyapunov_p is not None:
         payload["lyapunov_P"] = report.lyapunov_p.tolist()
-    _emit(_json_text(payload), args.output)
-    return EXIT_OK
+    return _json_text(payload)
 
 
-def cmd_r0(args) -> int:
+def cmd_r0(args) -> str:
     f_mat = _load_operator(args.F).entries
     v_mat = _load_operator(args.V).entries
     value = spectral_radius_ratio(f_mat, v_mat)
-    _emit(_json_text({"r0": value}), args.output)
-    return EXIT_OK
+    return _json_text({"r0": value})
 
 
-def cmd_sturm(args) -> int:
+def cmd_sturm(args) -> str:
     problem = constant_coefficient_problem(args.bc, n=args.n)
     if not 1 <= args.modes <= args.n:  # reject before the dense O(n^3) assembly
         raise ValueError(f"requested {args.modes} modes from an {args.n}-point grid")
@@ -224,8 +206,7 @@ def cmd_sturm(args) -> int:
     header = "lambda," + ",".join(f"v{i + 1}" for i in range(args.n))
     rows = [(lam, *col) for lam, col in zip(modes.eigenvalues.tolist(),
                                             modes.modes.T.tolist())]
-    _emit(_csv(rows, header), args.output)
-    return EXIT_OK
+    return _csv(rows, header)
 
 
 def _build_pde_problem(args):
@@ -236,34 +217,30 @@ def _build_pde_problem(args):
     return problem, np.zeros(problem.control_dim)
 
 
-def cmd_pdeopt(args) -> int:
+def cmd_pdeopt(args) -> str:
     problem, z = _build_pde_problem(args)
     if args.check_gradient:
         errors = fd_gradient_check(problem, z, steps=(1e-3, 1e-4, 1e-5))
-        _emit(_json_text({"rel_error": {f"{h:g}": e for h, e in errors.items()}}),
-              args.output)
-        return EXIT_OK
+        return _json_text({"rel_error": {f"{h:g}": e for h, e in errors.items()}})
     if args.descend:
         result = gradient_descent(problem, z, step=args.step, iters=args.iters,
                                   tol=args.tol)
-        _emit(_history_csv(result.history, "f"), args.output)
-        return EXIT_OK
+        return _csv(result.history, "k,f,grad_norm,step")
     # field dump: state, adjoint, and gradient sampled on a common grid
     report = reduced_gradient(problem, z)
     x, u, v = problem.fields(report.state, report.multiplier)
     grad = np.broadcast_to(report.gradient, x.shape)
-    _emit(_csv(np.column_stack([x, u, v, grad]).tolist(), "x,u,v,grad"), args.output)
-    return EXIT_OK
+    return _csv(np.column_stack([x, u, v, grad]).tolist(), "x,u,v,grad")
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> str:
     names = [args.suite] if args.suite else None
     results = selftest_mod.run_suites(names=names, seed=args.seed)
-    all_ok = True
-    for name, ok, detail in results:
-        sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else 1
+    report = "".join(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n"
+                     for name, ok, detail in results)
+    if not all(ok for _, ok, _ in results):
+        raise SuiteFailure(report)
+    return report
 
 
 @functools.cache
@@ -273,36 +250,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adjoint-consistent operators: SVD, regularized inversion, "
                     "reduced gradients, backprop, ODE stability, Sturm modes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
+    output, op, rhs = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     output.add_argument("--output")
+    op.add_argument("--op", required=True, help="operator JSON file")
+    rhs.add_argument("--rhs", required=True, help="vector JSON file")
 
-    def command(name, func, summary):
-        p = sub.add_parser(name, parents=[output], help=summary)
+    def command(name, func, summary, *shared):
+        p = sub.add_parser(name, parents=[output, *shared], help=summary)
         p.set_defaults(func=func)
         return p
 
-    p = command("adjoint-check", cmd_adjoint_check, "randomized adjoint identity report")
-    p.add_argument("--op", required=True, help="operator JSON file")
+    p = command("adjoint-check", cmd_adjoint_check,
+                "randomized adjoint identity report", op)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = command("svd", cmd_svd, "singular triplets and subspace dimensions")
-    p.add_argument("--op", required=True)
+    p = command("svd", cmd_svd, "singular triplets and subspace dimensions", op)
     p.add_argument("--rank-tol", type=float, default=None)
 
-    p = command("solve", cmd_solve, "minimum-norm least-squares solve")
-    p.add_argument("--op", required=True)
-    p.add_argument("--rhs", required=True, help="vector JSON file")
+    command("solve", cmd_solve, "minimum-norm least-squares solve", op, rhs)
 
-    p = command("tikhonov", cmd_tikhonov, "regularized solve")
-    p.add_argument("--op", required=True)
-    p.add_argument("--rhs", required=True)
+    p = command("tikhonov", cmd_tikhonov, "regularized solve", op, rhs)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--x0", help="prior vector JSON file")
 
-    p = command("picard", cmd_picard, "singular-spectrum data diagnostic (CSV)")
-    p.add_argument("--op", required=True)
-    p.add_argument("--rhs", required=True)
+    command("picard", cmd_picard, "singular-spectrum data diagnostic (CSV)", op, rhs)
 
     p = command("train", cmd_train, "full-batch network training (loss CSV)")
     p.add_argument("--spec", required=True,
@@ -348,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the cross-module invariant suites")
     p.add_argument("--suite", choices=sorted(selftest_mod.SUITES))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, output=None)  # its report always goes to stdout
 
     return parser
 
@@ -359,7 +331,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
+    except SuiteFailure as exc:
+        sys.stdout.write(exc.args[0])
+        return EXIT_SUITE_FAILED
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, but a LAPACK failure is not bad input
         sys.stdout.write(_json_text({"error": "numerical-failure",

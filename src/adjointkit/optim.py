@@ -144,11 +144,17 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
         state=u, multiplier=y)
 
 
+def _objective_at(problem: ConstrainedProblem, z: np.ndarray) -> float:
+    """``reduced_objective`` at a control the caller has checked or built."""
+    return float(problem.objective(problem.solve_forward(z), z))
+
+
 def reduced_objective(problem: ConstrainedProblem, z: np.ndarray) -> float:
-    """Objective after eliminating the state through the constraint."""
-    z = np.asarray(z, dtype=float)
-    u = problem.solve_forward(z)
-    return float(problem.objective(u, z))
+    """Objective after eliminating the state through the constraint.
+
+    A control of the wrong length or with non-finite entries is a ``ValueError``.
+    """
+    return _objective_at(problem, _checked_control(problem, z))
 
 
 def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
@@ -170,8 +176,8 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
         for j in range(problem.control_dim):
             e = np.zeros(problem.control_dim)
             e[j] = h
-            fd[j] = (reduced_objective(problem, z + e)
-                     - reduced_objective(problem, z - e)) / (2.0 * h)
+            fd[j] = (_objective_at(problem, z + e)
+                     - _objective_at(problem, z - e)) / (2.0 * h)
         scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
         out[h] = float(np.linalg.norm(fd - grad) / scale)
     return out
@@ -231,13 +237,13 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
 
 def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
-    """Norms of the three first-order optimality blocks at (u, y, z)."""
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if u.shape != (problem.state_dim,) or z.shape != (problem.control_dim,) \
-            or y.shape != (problem.state_dim,):
-        raise ValueError("inconsistent dimensions for KKT evaluation")
+    """Norms of the three first-order optimality blocks at (u, y, z).
+
+    Each vector of the wrong length or with non-finite entries is a ``ValueError``.
+    """
+    u = checked_vector(u, problem.state_dim, "state", "state_dim")
+    z = _checked_control(problem, z)
+    y = checked_vector(y, problem.state_dim, "multiplier", "state_dim")
     adjoint_block = problem.objective_grad_state(u, z) + problem.apply_state_adjoint(u, z, y)
     return {"forward": float(np.linalg.norm(problem.residual(u, z))),
             "adjoint": float(np.linalg.norm(adjoint_block)),

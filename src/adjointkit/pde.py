@@ -209,7 +209,7 @@ class EllipticInversionProblem(ConstrainedProblem):
                 cell_average(y / self.h, 0.0, 0.0))
 
     def stiffness_matrix(self, z) -> np.ndarray:
-        """``K = D^T diag(exp(z)) D / h^2`` with the Dirichlet ``D`` of ``sturm``."""
+        """``K = D^T diag(exp(z)) D / h^2`` with the same Dirichlet ``D`` as ``sturm``."""
         d = np.eye(self.n + 1, self.n) - np.eye(self.n + 1, self.n, -1)
         return d.T @ (np.exp(z)[:, None] * d) / self.h ** 2
 

@@ -188,6 +188,10 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     n = f_matrix.shape[0]
     if n < 1 or f_matrix.shape != (n, n) or v_matrix.shape != (n, n):
         raise ValueError("F and V must be square, non-empty and of equal dimension")
+    if not np.all(np.isfinite(f_matrix)):
+        raise ValueError("new-infection matrix F has non-finite entries")
+    if not np.all(np.isfinite(v_matrix)):
+        raise ValueError("transition matrix V has non-finite entries")
     try:
         k = np.linalg.solve(v_matrix.T, f_matrix.T).T
     except np.linalg.LinAlgError:

@@ -105,10 +105,13 @@ def discretize(problem: SLProblem) -> Discretization:
     p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
     q = np.asarray([problem.q(x) for x in grid], dtype=float)
     rho = np.asarray([problem.rho(x) for x in grid], dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("weight function must be strictly positive on the grid")
-    if np.any(p_half <= 0.0):
-        raise ValueError("diffusion coefficient must be strictly positive")
+    # written so that NaN fails each test
+    if not np.all((0.0 < rho) & (rho < np.inf)):
+        raise ValueError("weight function must be positive and finite on the grid")
+    if not np.all((0.0 < p_half) & (p_half < np.inf)):
+        raise ValueError("diffusion coefficient must be positive and finite")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("potential q must be finite on the grid")
     k = d.T @ (p_half[:, None] * d) / h ** 2 + np.diag(q)
     return Discretization(stiffness=k, rho=rho, grid=grid, h=h, bc=problem.bc)
 

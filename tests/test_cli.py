@@ -79,6 +79,56 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert json.loads(target.read_text())["max_defect"] <= 1e-12
 
 
+# every subcommand with --output: argv templates over the files of output_case_files
+OUTPUT_CASES = {
+    "adjoint-check": ("adjoint-check", "--op", "{op}"),
+    "svd": ("svd", "--op", "{op}"),
+    "solve": ("solve", "--op", "{op}", "--rhs", "{rhs}"),
+    "tikhonov": ("tikhonov", "--op", "{op}", "--rhs", "{rhs}", "--kappa", "0.1"),
+    "picard": ("picard", "--op", "{op}", "--rhs", "{rhs}"),
+    "train": ("train", "--spec", "2,3,1", "--data", "{data}", "--iters", "5"),
+    "stability": ("stability", "--model", "seirs"),
+    "r0": ("r0", "--F", "{F}", "--V", "{V}"),
+    "sturm": ("sturm", "--n", "9", "--modes", "3"),
+    "pdeopt-dump": ("pdeopt", "--problem", "advection", "--n", "8"),
+    "pdeopt-check-gradient": ("pdeopt", "--problem", "advection", "--check-gradient"),
+    "pdeopt-descend": ("pdeopt", "--problem", "elliptic", "--n", "15", "--descend",
+                       "--iters", "5"),
+}
+
+
+def output_case_files(tmp_path):
+    return {"op": write_json(tmp_path / "op.json", EXAMPLE_RECORD),
+            "rhs": write_json(tmp_path / "rhs.json", [1.0, 2.0]),
+            "data": write_json(tmp_path / "data.json",
+                               [{"x": [0.1, 0.2], "a_obs": [0.3]},
+                                {"x": [0.5, -0.2], "a_obs": [0.7]}]),
+            "F": write_json(tmp_path / "f.json",
+                            {"rows": 2, "cols": 2, "entries": [0.0, 0.6, 0.0, 0.0]}),
+            "V": write_json(tmp_path / "v.json",
+                            {"rows": 2, "cols": 2, "entries": [0.5, 0.0, -0.5, 0.25]})}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CASES.values(), ids=OUTPUT_CASES)
+def test_output_file_holds_exactly_the_stdout(capsys, tmp_path, argv):
+    files = output_case_files(tmp_path)
+    argv = [arg.format(**files) for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "result.txt"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_output_cases_cover_every_command_with_output():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_output = {name for name, parser in sub.choices.items()
+                   if any("--output" in a.option_strings for a in parser._actions)}
+    assert with_output == {argv[0] for argv in OUTPUT_CASES.values()}
+    assert "selftest" not in with_output
+
+
 # -- adjoint-check ---------------------------------------------------------------
 
 def test_adjoint_check_rejects_non_finite_entries(capsys, tmp_path):
@@ -722,3 +772,22 @@ def test_selftest_corrupted_adjoint_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--suite", "adjoint")
     assert code == 1
     assert out.startswith("adjoint: FAIL (max normalized defect 1.000e+00")
+
+
+def test_selftest_failed_suite_prints_the_whole_report(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "SUITES", {"first": lambda seed: (True, "fine"),
+                                             "second": lambda seed: (False, "broken"),
+                                             "third": lambda seed: (True, f"seed {seed}")})
+    assert run(capsys, "selftest", "--seed", "5") == (
+        1, "first: PASS (fine)\nsecond: FAIL (broken)\nthird: PASS (seed 5)\n", "")
+
+
+def test_selftest_suite_that_raises_prints_only_the_payload(capsys, monkeypatch):
+    def raises(seed):
+        raise NumericalError("suite blew up")
+
+    monkeypatch.setattr(selftest, "SUITES", {"first": lambda seed: (True, "fine"),
+                                             "second": raises})
+    code, out, _ = run(capsys, "selftest")
+    assert code == 3
+    assert json.loads(out) == {"error": "numerical-failure", "detail": "suite blew up"}

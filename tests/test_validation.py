@@ -24,7 +24,8 @@ from adjointkit.leastsq import (instability_demo, normal_solve, picard_diagnosti
                                 tikhonov_solve)
 from adjointkit.network import (NetworkSpec, Parameters, forward, init_parameters,
                                 loss, train)
-from adjointkit.optim import fd_gradient_check, gradient_descent, reduced_gradient
+from adjointkit.optim import (fd_gradient_check, gradient_descent, kkt_residuals,
+                             reduced_gradient, reduced_objective)
 from adjointkit.pde import build_advection_problem, make_elliptic_demo
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
@@ -40,8 +41,21 @@ SPEC = NetworkSpec((2, 1))
 ONE_LAYER = Parameters([np.ones((1, 2))], [np.zeros(1)])
 
 
+NAN, INF = float("nan"), float("inf")
+ADVECTION_4 = build_advection_problem(4, 1.0)  # state_dim 5, control_dim 1
+
+
 def sturm_modes():
     return solve_modes(discretize(constant_coefficient_problem("dirichlet", n=5)), 3)
+
+
+def sturm_grid(p=1.0, q=0.0, rho=1.0):
+    """Discretize constant coefficients on a five-node dirichlet grid."""
+    return discretize(SLProblem(p=lambda x: p, q=lambda x: q, rho=lambda x: rho, n=5))
+
+
+def kkt(u=(1.0,) * 5, z=(1.0,), y=(1.0,) * 5):
+    return kkt_residuals(ADVECTION_4, u, z, y)
 
 
 LIBRARY_CASES = {
@@ -71,6 +85,17 @@ LIBRARY_CASES = {
                     "layer count"),
     "target-length": (lambda: loss(forward(SPEC, ONE_LAYER, np.ones(2)), np.ones(2)),
                       "target length"),
+    # optim
+    "reduced_objective-length": (lambda: reduced_objective(ADVECTION_4, [1.0, 2.0, 3.0]),
+                                 "control length 3 does not match control_dim 1"),
+    "reduced_objective-nan": (lambda: reduced_objective(ADVECTION_4, [NAN]),
+                              "control has non-finite entries"),
+    "kkt-u-length": (lambda: kkt(u=(1.0,) * 4), "state length 4 does not match state_dim 5"),
+    "kkt-u-nan": (lambda: kkt(u=(1.0, NAN, 1.0, 1.0, 1.0)), "state has non-finite"),
+    "kkt-z-length": (lambda: kkt(z=(1.0, 1.0)), "control length 2 does not match"),
+    "kkt-z-inf": (lambda: kkt(z=(INF,)), "control has non-finite"),
+    "kkt-y-length": (lambda: kkt(y=(1.0,) * 6), "multiplier length 6 does not match"),
+    "kkt-y-inf": (lambda: kkt(y=(1.0, 1.0, 1.0, 1.0, -INF)), "multiplier has non-finite"),
     # spectral
     "eig-two-spaces": (lambda: eig_self_adjoint(
         matrix_operator(np.eye(2), domain_metric=2.0 * np.eye(2))), "to itself"),
@@ -81,6 +106,10 @@ LIBRARY_CASES = {
     "lyapunov-non-square": (lambda: lyapunov_solve(np.ones((2, 3)), np.eye(2)), "square"),
     "hurwitz-non-square": (lambda: hurwitz_check(np.ones((2, 3))), "square"),
     "r0-non-square": (lambda: r0(np.ones((2, 3)), np.eye(2)), "square"),
+    "r0-F-nan": (lambda: r0([[NAN]], [[1.0]]), "matrix F has non-finite entries"),
+    "r0-F-inf": (lambda: r0([[INF]], [[1.0]]), "matrix F has non-finite entries"),
+    "r0-V-nan": (lambda: r0([[1.0]], [[NAN]]), "matrix V has non-finite entries"),
+    "r0-V-inf": (lambda: r0([[1.0]], [[INF]]), "matrix V has non-finite entries"),
     "hurwitz-above-cap": (lambda: hurwitz_check(-np.eye(MAX_LYAPUNOV_DIM + 1)),
                           f"capped at n={MAX_LYAPUNOV_DIM}"),
     # sturm
@@ -89,6 +118,12 @@ LIBRARY_CASES = {
     "sturm-p-zero": (lambda: discretize(SLProblem(p=lambda x: 0.0, q=lambda x: 0.0,
                                                   rho=lambda x: 1.0, n=5)),
                      "diffusion coefficient"),
+    "sturm-p-nan": (lambda: sturm_grid(p=NAN), "diffusion coefficient must be positive"),
+    "sturm-p-inf": (lambda: sturm_grid(p=INF), "diffusion coefficient must be positive"),
+    "sturm-rho-nan": (lambda: sturm_grid(rho=NAN), "weight function must be positive"),
+    "sturm-rho-inf": (lambda: sturm_grid(rho=INF), "weight function must be positive"),
+    "sturm-q-nan": (lambda: sturm_grid(q=NAN), "potential q must be finite"),
+    "sturm-q-inf": (lambda: sturm_grid(q=-INF), "potential q must be finite"),
     "sturm-sample-length": (lambda: fourier_coefficients(np.ones(4), sturm_modes()),
                             "sample length"),
     "sturm-too-many-terms": (lambda: truncation_error(np.ones(5), sturm_modes(), [4]),
@@ -137,6 +172,7 @@ VECTOR_GATES = {
     "reduced_gradient-scalar-z": (lambda v: reduced_gradient(ADVECTION, v), 1,
                                   "control_dim 1"),
     "fd_gradient_check-z": (lambda v: fd_gradient_check(ELLIPTIC, v), 8, "control_dim 8"),
+    "reduced_objective-z": (lambda v: reduced_objective(ELLIPTIC, v), 8, "control_dim 8"),
     "gradient_descent-z0": (lambda v: gradient_descent(ELLIPTIC, v, 1.0, 1, 0.0), 8,
                             "control_dim 8"),
 }
