@@ -57,7 +57,10 @@ def _load_vector(path: str) -> np.ndarray:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("entries")
-    vec = np.asarray(data, dtype=float)
+    try:
+        vec = np.asarray(data, dtype=float)
+    except TypeError:  # an object where a number belongs
+        raise ValueError(f"expected a flat JSON array of numbers in {path}") from None
     if vec.ndim != 1:
         raise ValueError(f"expected a flat JSON array in {path}")
     return vec

@@ -74,8 +74,11 @@ class InnerProductSpace:
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
         """Solve ``M w = x`` through the cached Cholesky factor."""
-        w = np.linalg.solve(self._chol, x)
-        return np.linalg.solve(self._chol.T, w)
+        return self.unwhiten(np.linalg.solve(self._chol, x))
+
+    def unwhiten(self, coords: np.ndarray) -> np.ndarray:
+        """Map metric-orthonormal coordinates back: ``L^{-T} c``, by one solve."""
+        return np.linalg.solve(self._chol.T, coords)
 
     def __repr__(self):
         kind = "euclidean" if self.is_euclidean else "weighted"
@@ -209,15 +212,14 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
 
 
 def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
-    """Metric Gram-Schmidt by Householder QR of the whitened columns.
+    """Metric Gram-Schmidt by one Householder QR of the whitened columns.
 
-    With ``M = L L^T`` each of two passes factors ``W = L^T V = Q R``
-    and replaces ``V`` by ``V R^{-1}``; the second pass re-orthogonalizes
-    once for accuracy.  Pivots are made positive, so the columns are
-    those Gram-Schmidt gives: the first ``j`` span the first ``j``
-    inputs.  Raises ``ValueError`` when the input is linearly dependent
-    (a pivot below 1e-12 of the largest input norm, or more vectors
-    than the dimension).
+    With ``M = L L^T`` the columns ``W = L^T V = Q R`` are factored once
+    and ``Q`` is mapped back by ``space.unwhiten``.  Pivots are made
+    positive, so the columns are those Gram-Schmidt gives: the first
+    ``j`` span the first ``j`` inputs.  Raises ``ValueError`` when the
+    input is linearly dependent (a pivot below 1e-12 of the largest
+    whitened input norm, or more vectors than the dimension).
     """
     cols = [np.asarray(v, dtype=float) for v in vectors]
     if not cols:
@@ -227,16 +229,12 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
     if len(cols) > space.dim:
         raise ValueError("input vectors are linearly dependent "
                          "(more vectors than the dimension)")
-    basis = np.column_stack(cols)
-    for sweep in range(2):
-        w = space.cholesky.T @ basis
-        r = np.linalg.qr(w, mode="r")
-        r *= np.sign(np.diag(r))[:, None]
-        floor = _DEP_TOL * np.linalg.norm(w, axis=0).max()
-        if sweep == 0 and not np.all(np.diag(r) > floor):
-            raise ValueError("input vectors are linearly dependent")
-        basis = basis @ np.linalg.inv(r)
-    return basis
+    w = space.cholesky.T @ np.column_stack(cols)
+    q, r = np.linalg.qr(w)
+    pivots = np.diag(r)
+    if not np.all(np.abs(pivots) > _DEP_TOL * np.linalg.norm(w, axis=0).max()):
+        raise ValueError("input vectors are linearly dependent")
+    return space.unwhiten(q * np.sign(pivots))
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -259,14 +257,18 @@ def operator_from_record(rec: dict) -> DenseOperator:
     try:
         m, n = int(rec["rows"]), int(rec["cols"])
         entries = np.asarray(rec["entries"], dtype=float)
+        metrics = {key: np.asarray(rec[key], dtype=float)
+                   for key in ("domain_metric", "codomain_metric") if rec.get(key) is not None}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from None
+    if m < 1 or n < 1:
+        raise ValueError(f"rows and cols must be positive, got rows {m}, cols {n}")
     if entries.size != m * n:
         raise ValueError(f"expected {m * n} entries, got {entries.size}")
-    dom_metric = rec.get("domain_metric")
-    cod_metric = rec.get("codomain_metric")
-    if dom_metric is not None:
-        dom_metric = np.asarray(dom_metric, dtype=float).reshape(n, n)
-    if cod_metric is not None:
-        cod_metric = np.asarray(cod_metric, dtype=float).reshape(m, m)
-    return matrix_operator(entries.reshape(m, n), dom_metric, cod_metric)
+    for key, dim in (("domain_metric", n), ("codomain_metric", m)):
+        if key in metrics:
+            if metrics[key].size != dim * dim:
+                raise ValueError(f"{key}: expected {dim * dim} entries, got {metrics[key].size}")
+            metrics[key] = metrics[key].reshape(dim, dim)
+    return matrix_operator(entries.reshape(m, n), metrics.get("domain_metric"),
+                           metrics.get("codomain_metric"))

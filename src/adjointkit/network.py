@@ -95,14 +95,8 @@ class AdjointTrace:
 
 
 def init_parameters(spec: NetworkSpec, seed: int = 42) -> Parameters:
-    """Seeded uniform(-0.5, 0.5) weights and biases."""
-    rng = Lcg(seed)
-    sizes = spec.layer_sizes
-    weights, biases = [], []
-    for i in range(spec.num_layers):
-        weights.append(rng.matrix(sizes[i + 1], sizes[i], -0.5, 0.5))
-        biases.append(rng.floats(sizes[i + 1], -0.5, 0.5))
-    return Parameters(weights, biases)
+    """Seeded uniform(-0.5, 0.5) weights and biases, one draw in the flat layout."""
+    return unflatten_parameters(spec, Lcg(seed).floats(parameter_count(spec), -0.5, 0.5))
 
 
 def forward(spec: NetworkSpec, params: Parameters, x) -> ForwardTrace:
@@ -173,11 +167,7 @@ def loss_gradients(spec: NetworkSpec, params: Parameters, x, a_obs):
 # -- flattening helpers -------------------------------------------------------
 
 def flatten_parameters(params: Parameters) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    return _ravel([block for pair in zip(params.weights, params.biases) for block in pair])
 
 
 def _layer_views(spec: NetworkSpec, z: np.ndarray):
@@ -316,6 +306,14 @@ def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
     parameters and the per-iteration history rows (k, loss, grad_norm,
     step).  A failed Armijo line search raises ``NumericalError``.
     """
+    samples = [(np.asarray(x, dtype=float), np.asarray(a, dtype=float)) for x, a in samples]
+    if not samples:
+        raise ValueError("training needs at least one (x, a_obs) sample")
+    for i, pair in enumerate(samples):
+        for name, v, v0 in zip(("x", "a_obs"), pair, samples[0]):
+            if v.shape != v0.shape:
+                raise ValueError(f"sample {i} {name} has shape {v.shape}, sample 0 {v0.shape}: "
+                                 "every sample must have the same shape")
     x, a_obs = (np.stack(side, axis=1) for side in zip(*samples))
     result = gradient_descent(NetworkTrainingProblem(spec, x, a_obs),
                               flatten_parameters(params), step, iters, 0.0)

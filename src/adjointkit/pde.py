@@ -51,9 +51,8 @@ class AdvectionControlProblem(ConstrainedProblem):
         self._weights = w
 
     def residual(self, u, z):
-        r = np.empty(self.state_dim)
-        r[0] = self.beta * u[0] + z[0]
-        r[1:] = self.beta * np.diff(u) / self.h
+        r = self.apply_state_jacobian(u, z, u)  # affine in u: J u plus the inflow datum
+        r[0] += z[0]
         return r
 
     def solve_forward(self, z):
@@ -73,11 +72,9 @@ class AdvectionControlProblem(ConstrainedProblem):
         return out
 
     def solve_adjoint(self, u, z, rhs):
-        # downwind sweep: the transpose of upwinding runs against the flow
-        y = np.zeros(self.state_dim)
-        y[-1] = self.h * rhs[-1] / self.beta
-        for i in range(self.n - 1, 0, -1):
-            y[i] = y[i + 1] + self.h * rhs[i] / self.beta
+        # downwind sweep: the transpose of upwinding, one running sum against the flow
+        y = np.empty(self.state_dim)
+        y[1:] = np.add.accumulate((self.h * rhs[1:] / self.beta)[::-1])[::-1]
         y[0] = rhs[0] / self.beta + y[1] / self.h
         return y
 

@@ -6,11 +6,12 @@ becomes ``B = L_cod^T A L_dom^{-T}`` in metric-orthonormal coordinates;
 its singular values are those of ``A`` between the weighted norms.
 LAPACK (``eigh``, ``svd``) factors ``B`` directly, never the normal
 operator ``A* A``, which would square the condition number, and vectors
-are mapped back through ``L^{-T}`` so they come out orthonormal in the
-metric.  The full codomain basis of the SVD spans the null space of
-``A*`` past the rank, and ``left_coefficients`` expands data in that
-basis for every consumer of the singular system.  Each operator is
-factored once: its singular values and bases are kept on it, read-only.
+are mapped back through ``L^{-T}`` by ``InnerProductSpace.unwhiten`` so
+they come out orthonormal in the metric.  The full codomain basis of the
+SVD spans the null space of ``A*`` past the rank, and
+``left_coefficients`` expands data in that basis for every consumer of
+the singular system.  Each operator is factored once: its singular
+values and bases are kept on it, read-only.
 """
 
 from dataclasses import dataclass
@@ -57,11 +58,6 @@ class SubspaceBases:
     null_astar: np.ndarray
 
 
-def _unwhiten(space: InnerProductSpace, coords: np.ndarray) -> np.ndarray:
-    """Map metric-orthonormal coordinate columns back: ``L^{-T} c``."""
-    return np.linalg.solve(space.cholesky.T, coords)
-
-
 def eig_self_adjoint(op: DenseOperator) -> EigResult:
     """Spectral decomposition of a self-adjoint operator.
 
@@ -79,7 +75,7 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
     if defect > _SELF_ADJOINT_TOL * np.linalg.norm(b, 2):
         raise ValueError(f"operator is not self-adjoint (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(0.5 * (b + b.T))
-    return EigResult(eigenvalues=vals[::-1], eigenvectors=_unwhiten(space, vecs[:, ::-1]))
+    return EigResult(eigenvalues=vals[::-1], eigenvectors=space.unwhiten(vecs[:, ::-1]))
 
 
 def _dominant_signs(vectors: np.ndarray) -> np.ndarray:
@@ -104,10 +100,10 @@ def _factors(op: DenseOperator) -> tuple:
         if not np.all(np.isfinite(sigma)):
             raise NumericalError("singular values are non-finite "
                                  "(the operator norm overflows)")
-        right = _unwhiten(op.domain, right_wt.T)
+        right = op.domain.unwhiten(right_wt.T)
         signs = _dominant_signs(right)
         right *= signs
-        left = _unwhiten(op.codomain, left_w)
+        left = op.codomain.unwhiten(left_w)
         left[:, :sigma.size] *= signs[:sigma.size]
         left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
         for a in (sigma, right, left):

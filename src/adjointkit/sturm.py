@@ -60,7 +60,6 @@ class Discretization:
     rho: np.ndarray  # diagonal of the weight matrix
     grid: np.ndarray
     h: float
-    bc: str
 
     def weighted_inner(self, u, v) -> float:
         return float(self.h * np.sum(self.rho * u * v))
@@ -113,7 +112,7 @@ def discretize(problem: SLProblem) -> Discretization:
     if not np.all(np.isfinite(q)):
         raise ValueError("potential q must be finite on the grid")
     k = d.T @ (p_half[:, None] * d) / h ** 2 + np.diag(q)
-    return Discretization(stiffness=k, rho=rho, grid=grid, h=h, bc=problem.bc)
+    return Discretization(stiffness=k, rho=rho, grid=grid, h=h)
 
 
 def solve_modes(disc: Discretization, k: int) -> ModeSet:

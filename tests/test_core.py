@@ -11,7 +11,6 @@ from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
 from adjointkit.core import DenseOperator
 from adjointkit.errors import NumericalError
 from adjointkit.rand import Lcg
-from adjointkit.spectral import _unwhiten
 
 
 def random_operator(rng, m, n, weighted=False):
@@ -83,7 +82,7 @@ def test_identity_metric_maps_return_their_input_exactly(m, n):
     assert np.array_equal(adjoint(op).entries, op.entries.T)
     assert np.array_equal(space.inner(x, y), x @ y)
     assert np.array_equal(space.apply_inverse_metric(x), x)
-    assert np.array_equal(_unwhiten(space, coords), coords)
+    assert np.array_equal(space.unwhiten(coords), coords)
     assert np.array_equal(orthogonal_projector(q, space).entries, q @ q.T)
 
 
@@ -316,6 +315,20 @@ def test_orthonormalize_span_preserved():
     for v in vecs:
         rec = basis @ (basis.T @ v)
         np.testing.assert_allclose(rec, v, atol=1e-10)
+
+
+def test_orthonormalize_dense_ill_conditioned_metric():
+    # a non-diagonal Cholesky factor, kappa(M) = 1e6
+    rng = np.random.default_rng(40)
+    q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    space = InnerProductSpace(40, (q * np.logspace(0, 6, 40)) @ q.T)
+    vecs = rng.standard_normal((40, 8))
+    basis = orthonormalize(list(vecs.T), space)
+    assert np.abs(basis.T @ space.metric @ basis - np.eye(8)).max() <= 1e-12
+    # (b_i, v_j) is the R of Gram-Schmidt: upper triangular, positive diagonal
+    coeffs = basis.T @ space.metric @ vecs
+    assert np.abs(np.tril(coeffs, -1)).max() <= 1e-13 * np.abs(coeffs).max()
+    assert np.all(np.diag(coeffs) > 0.0)
 
 
 # -- JSON record ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from adjointkit.network import (AdjointTrace, NetworkSpec,
                                 init_parameters, loss, loss_gradients,
                                 parameter_count, train, unflatten_parameters)
 from adjointkit.optim import fd_gradient_check, reduced_gradient
+from adjointkit.rand import Lcg
 
 
 def fd_loss_gradient(spec, params, x, a_obs, h=1e-5):
@@ -285,6 +286,31 @@ def test_parameter_flatten_round_trip():
     back = unflatten_parameters(spec, flat)
     for w1, w2 in zip(params.weights, back.weights):
         np.testing.assert_array_equal(w1, w2)
+
+
+def init_parameters_oracle(spec, seed):
+    """Per-layer draws from one generator: ``W_i`` as a matrix, then ``b_i``."""
+    rng = Lcg(seed)
+    sizes = spec.layer_sizes
+    weights, biases = [], []
+    for rows, cols in zip(sizes[1:], sizes):
+        weights.append(rng.matrix(rows, cols, -0.5, 0.5))
+        biases.append(rng.floats(rows, -0.5, 0.5))
+    return weights, biases
+
+
+def test_init_parameters_match_per_layer_draws_bitwise():
+    for sizes in [(1, 1), (2, 1), (3, 5, 2), (4, 8, 8, 3), (7, 1, 6), (2, 3, 4, 5, 1)]:
+        spec = NetworkSpec(sizes)
+        for seed in (0, 3, 42, 2 ** 40):
+            params = init_parameters(spec, seed)
+            weights, biases = init_parameters_oracle(spec, seed)
+            assert len(params.weights) == len(weights) == spec.num_layers
+            for got, want in zip(params.weights + params.biases, weights + biases):
+                assert np.array_equal(got, want)
+            flat = np.concatenate([part for w, b in zip(weights, biases)
+                                   for part in (w.ravel(), b)])
+            assert np.array_equal(flatten_parameters(params), flat)
 
 
 # -- training ---------------------------------------------------------------------

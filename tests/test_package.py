@@ -30,3 +30,13 @@ def test_no_module_reads_the_environment():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if "os.environ" in line or "getenv" in line]
     assert hits == []
+
+
+def test_no_module_forms_an_explicit_inverse():
+    # core.adjoint promises solves with the Cholesky factor, never a formed inverse
+    package = Path(adjointkit.__file__).parent
+    hits = [f"{path.name}:{number}"
+            for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "linalg.inv(" in line]
+    assert hits == []

@@ -63,6 +63,38 @@ def test_advection_adjoint_solve_consistent_with_transpose():
     np.testing.assert_allclose(jac.T @ y, rhs, atol=1e-12)
 
 
+def advection_sweep_oracle(problem, rhs):
+    """The downwind sweep one node at a time, from the outflow end."""
+    y = np.zeros(problem.state_dim)
+    y[-1] = problem.h * rhs[-1] / problem.beta
+    for i in range(problem.n - 1, 0, -1):
+        y[i] = y[i + 1] + problem.h * rhs[i] / problem.beta
+    y[0] = rhs[0] / problem.beta + y[1] / problem.h
+    return y
+
+
+def advection_residual_oracle(problem, u, z):
+    """The inflow row and the upwind differences, written out."""
+    r = np.empty(problem.state_dim)
+    r[0] = problem.beta * u[0] + z[0]
+    r[1:] = problem.beta * np.diff(u) / problem.h
+    return r
+
+
+def test_advection_sweep_and_residual_match_oracles_bitwise():
+    rng = np.random.default_rng(73)
+    for n in (2, 3, 8, 31, 200):
+        for beta in (0.1, 0.9, 1.0, 7.3):
+            problem = build_advection_problem(n, beta)
+            for _ in range(5):
+                u, rhs = rng.standard_normal((2, problem.state_dim))
+                z = rng.standard_normal(1)
+                assert np.array_equal(problem.solve_adjoint(u, z, rhs),
+                                      advection_sweep_oracle(problem, rhs))
+                assert np.array_equal(problem.residual(u, z),
+                                      advection_residual_oracle(problem, u, z))
+
+
 def test_advection_descent_converges_fast():
     beta = 1.3
     problem = build_advection_problem(10, beta)

@@ -71,6 +71,20 @@ LIBRARY_CASES = {
                               "space dimension"),
     "record-missing-key": (lambda: operator_from_record({"rows": 1, "cols": 1}),
                            "malformed operator record"),
+    "record-metric-object": (lambda: operator_from_record(
+        {"rows": 1, "cols": 1, "entries": [1.0], "codomain_metric": {"a": 1}}),
+        "malformed operator record"),
+    "record-rows-negative": (lambda: operator_from_record(
+        {"rows": -2, "cols": -2, "entries": [1.0, 2.0, 3.0, 4.0]}),
+        "rows and cols must be positive, got rows -2, cols -2"),
+    "record-cols-zero": (lambda: operator_from_record({"rows": 1, "cols": 0, "entries": []}),
+                         "rows and cols must be positive, got rows 1, cols 0"),
+    "record-domain-metric-size": (lambda: operator_from_record(
+        {"rows": 1, "cols": 2, "entries": [1.0, 2.0], "domain_metric": [1.0, 0.0, 1.0]}),
+        "domain_metric: expected 4 entries, got 3"),
+    "record-codomain-metric-size": (lambda: operator_from_record(
+        {"rows": 2, "cols": 1, "entries": [1.0, 2.0], "codomain_metric": [1.0]}),
+        "codomain_metric: expected 4 entries, got 1"),
     # leastsq
     "normal-y": (lambda: normal_solve(OP_2X3, np.ones(3)), "codomain"),
     "tikhonov-y": (lambda: tikhonov_solve(OP_2X3, np.ones(3), 1.0), "codomain"),
@@ -85,6 +99,14 @@ LIBRARY_CASES = {
                     "layer count"),
     "target-length": (lambda: loss(forward(SPEC, ONE_LAYER, np.ones(2)), np.ones(2)),
                       "target length"),
+    "train-no-samples": (lambda: train(SPEC, ONE_LAYER, [], iters=1),
+                         "at least one"),
+    "train-uneven-x": (lambda: train(SPEC, ONE_LAYER, [(np.ones(2), np.ones(1)),
+                                                       (np.ones(3), np.ones(1))], iters=1),
+                       re.escape("sample 1 x has shape (3,), sample 0 (2,)")),
+    "train-uneven-a_obs": (lambda: train(SPEC, ONE_LAYER, [(np.ones(2), np.ones(1))] * 2
+                                         + [(np.ones(2), np.ones(2))], iters=1),
+                           re.escape("sample 2 a_obs has shape (2,), sample 0 (1,)")),
     # optim
     "reduced_objective-length": (lambda: reduced_objective(ADVECTION_4, [1.0, 2.0, 3.0]),
                                  "control length 3 does not match control_dim 1"),
@@ -237,6 +259,18 @@ CLI_CASES = {
                              "same shape"),
     "pdeopt-control-non-finite": (["pdeopt", "--problem", "advection", "--z=-inf"],
                                   "control has non-finite entries"),
+    # an object where a number belongs, and operator records of impossible sizes
+    "solve-rhs-object": (["solve", "--op", "{op}", "--rhs", "{object_pair}"],
+                         "flat JSON array of numbers"),
+    "picard-rhs-object": (["picard", "--op", "{op}", "--rhs", "{object_entries}"],
+                          "flat JSON array of numbers"),
+    "tikhonov-x0-object": (["tikhonov", "--op", "{op}", "--rhs", "{pair}", "--kappa", "1",
+                            "--x0", "{object_pair}"], "flat JSON array of numbers"),
+    "svd-metric-object": (["svd", "--op", "{op_object_metric}"], "malformed operator record"),
+    "svd-metric-size": (["svd", "--op", "{op_short_metric}"],
+                        "domain_metric: expected 4 entries, got 3"),
+    "svd-negative-sizes": (["svd", "--op", "{op_negative}"],
+                           "rows and cols must be positive, got rows -2, cols -2"),
 }
 
 
@@ -253,7 +287,14 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
              "nan_data": [{"x": [0.1, 0.2], "a_obs": [0.3]},
                           {"x": [float("nan"), 0.2], "a_obs": [0.3]}],
              "uneven": [{"x": [0.1, 0.2], "a_obs": [0.3]},
-                        {"x": [0.1, 0.2, 0.3], "a_obs": [0.3]}]}
+                        {"x": [0.1, 0.2, 0.3], "a_obs": [0.3]}],
+             "object_pair": [{"v": 1}, 2],
+             "object_entries": {"entries": [{}, 1]},
+             "op_object_metric": {"rows": 2, "cols": 3, "entries": [1.0] * 6,
+                                  "domain_metric": {"a": 1}},
+             "op_short_metric": {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0],
+                                 "domain_metric": [1.0, 0.0, 1.0]},
+             "op_negative": {"rows": -2, "cols": -2, "entries": [1.0, 2.0, 3.0, 4.0]}}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
