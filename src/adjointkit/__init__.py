@@ -8,9 +8,9 @@ stability certificates, and Sturm-Liouville mode expansions.
 """
 
 from .core import (AdjointReport, DenseOperator, InnerProductSpace, adjoint,
-                   adjoint_consistency_check, euclidean, inner,
-                   matrix_operator, operator_from_record, operator_norm,
-                   operator_to_record, orthonormalize)
+                   adjoint_consistency_check, euclidean, matrix_operator,
+                   operator_from_record, operator_norm, operator_to_record,
+                   orthonormalize)
 from .errors import NumericalError
 from .leastsq import (PicardTable, TikhonovSolution, instability_demo,
                       integration_operator, normal_solve, picard_diagnostic,
@@ -43,11 +43,11 @@ __all__ = [
     "build_elliptic_problem", "discrete_infsup", "discretize",
     "eig_self_adjoint", "euclidean", "fd_gradient_check", "forward",
     "fourier_coefficients", "fundamental_subspaces", "gradient_descent",
-    "gradients", "hurwitz_check", "init_parameters", "inner",
-    "instability_demo", "integration_operator", "jacobian_verdict",
-    "kkt_residuals", "linearize", "loss", "lyapunov_solve", "matrix_operator",
-    "normal_solve", "operator_from_record", "operator_norm",
-    "operator_to_record", "orthogonal_projector", "orthonormalize",
+    "gradients", "hurwitz_check", "init_parameters", "instability_demo",
+    "integration_operator", "jacobian_verdict", "kkt_residuals", "linearize",
+    "loss", "lyapunov_solve", "matrix_operator", "normal_solve",
+    "operator_from_record", "operator_norm", "operator_to_record",
+    "orthogonal_projector", "orthonormalize",
     "picard_diagnostic", "r0", "reduced_gradient", "solvability_check",
     "solve_modes", "stability_verdict", "svd", "tikhonov_solve",
     "truncation_error",

@@ -158,7 +158,7 @@ def cmd_train(args) -> str:
     records = _load_json(args.data)
     if not isinstance(records, list) or not records:
         raise ValueError("training data must be a non-empty JSON list")
-    try:  # the training problem checks the shapes and entries
+    try:  # train and the training problem check the shapes and entries
         samples = [(np.asarray(rec["x"], dtype=float), np.asarray(rec["a_obs"], dtype=float))
                    for rec in records]
     except (KeyError, TypeError):

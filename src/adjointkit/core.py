@@ -145,11 +145,6 @@ class AdjointReport:
     max_defect: float
 
 
-def inner(space: InnerProductSpace, x, y) -> float:
-    """Inner product ``x^T M y`` of the given space."""
-    return space.inner(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
 def adjoint(op: DenseOperator) -> DenseOperator:
     """Adjoint operator, ``M_dom^{-1} A^T M_cod`` with swapped spaces.
 
@@ -253,9 +248,21 @@ def operator_to_record(op: DenseOperator) -> dict:
     return rec
 
 
+def _record_size(rec: dict, key: str) -> int:
+    """A record's ``rows`` or ``cols``: an integer, or an integral float such as ``2.0``."""
+    size = rec[key]
+    if isinstance(size, float):
+        integral = size.is_integer()  # false for inf and NaN
+    else:
+        integral = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+    if not integral:
+        raise ValueError(f"{key} must be an integer, got {size!r}")
+    return int(size)
+
+
 def operator_from_record(rec: dict) -> DenseOperator:
     try:
-        m, n = int(rec["rows"]), int(rec["cols"])
+        m, n = _record_size(rec, "rows"), _record_size(rec, "cols")
         entries = np.asarray(rec["entries"], dtype=float)
         metrics = {key: np.asarray(rec[key], dtype=float)
                    for key in ("domain_metric", "codomain_metric") if rec.get(key) is not None}

@@ -309,8 +309,12 @@ def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
     samples = [(np.asarray(x, dtype=float), np.asarray(a, dtype=float)) for x, a in samples]
     if not samples:
         raise ValueError("training needs at least one (x, a_obs) sample")
+    sizes = (spec.layer_sizes[0], spec.layer_sizes[-1])
     for i, pair in enumerate(samples):
-        for name, v, v0 in zip(("x", "a_obs"), pair, samples[0]):
+        for name, v, v0, size in zip(("x", "a_obs"), pair, samples[0], sizes):
+            if v.ndim != 1:
+                raise ValueError(f"sample {i} {name} has shape {v.shape}: sample shapes do not "
+                                 f"match the network sizes, need a flat {name} of length {size}")
             if v.shape != v0.shape:
                 raise ValueError(f"sample {i} {name} has shape {v.shape}, sample 0 {v0.shape}: "
                                  "every sample must have the same shape")

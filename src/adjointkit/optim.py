@@ -10,9 +10,9 @@ forward solve, one linear adjoint solve
 and the combination ``grad_z f + [d c / d z]^T y``.  The adjoint system
 is linear even when the constraint is not, which is what makes the
 gradient as cheap as a pair of solves regardless of the control
-dimension.  Problems expose their structure through callbacks; dense
-fallbacks are provided for the adjoint operations so simple problems
-only need the forward pieces.
+dimension.  Each problem supplies its own adjoint solve, written for
+the structure of its constraint (a downwind sweep, a symmetric solve, a
+backward substitution); no generic dense route stands in for it.
 """
 
 from abc import ABC, abstractmethod
@@ -30,12 +30,10 @@ MAX_BACKTRACKS = 60
 class ConstrainedProblem(ABC):
     """Callback bundle for one equality-constrained problem instance.
 
-    Subclasses set ``state_dim`` and ``control_dim`` and implement the
-    abstract methods.  The default adjoint operations densify the state
-    Jacobian column by column, once per call, so ``reduced_gradient``,
-    which calls both, builds it twice.  Override them when the
-    constraint has exploitable structure (triangular, tridiagonal, ...).
-    Instances must be safe for concurrent read-only evaluation.
+    Subclasses set ``state_dim`` and ``control_dim`` and implement all
+    nine abstract methods, the two adjoint operations included: the
+    transposed state Jacobian is the problem's own to apply and to
+    invert.  Instances must be safe for concurrent read-only evaluation.
     """
 
     state_dim: int
@@ -54,6 +52,14 @@ class ConstrainedProblem(ABC):
         """Directional derivative of the residual in the state."""
 
     @abstractmethod
+    def apply_state_adjoint(self, u, z, w) -> np.ndarray:
+        """Transposed state Jacobian applied to a multiplier."""
+
+    @abstractmethod
+    def solve_adjoint(self, u, z, rhs) -> np.ndarray:
+        """Solve the transposed state-Jacobian system for the multiplier."""
+
+    @abstractmethod
     def apply_control_adjoint(self, u, z, y) -> np.ndarray:
         """Transposed control Jacobian applied to a multiplier."""
 
@@ -69,34 +75,11 @@ class ConstrainedProblem(ABC):
     def objective_grad_control(self, u, z) -> np.ndarray:
         pass
 
-    # -- dense fallbacks ------------------------------------------------------
-
-    def _dense_state_jacobian(self, u, z) -> np.ndarray:
-        cols = []
-        for j in range(self.state_dim):
-            e = np.zeros(self.state_dim)
-            e[j] = 1.0
-            cols.append(self.apply_state_jacobian(u, z, e))
-        return np.column_stack(cols)
-
-    def apply_state_adjoint(self, u, z, w) -> np.ndarray:
-        """Transposed state Jacobian applied to a multiplier."""
-        return self._dense_state_jacobian(u, z).T @ w
-
-    def solve_adjoint(self, u, z, rhs) -> np.ndarray:
-        """Solve the transposed state-Jacobian system for the multiplier."""
-        try:
-            return np.linalg.solve(self._dense_state_jacobian(u, z).T, rhs)
-        except np.linalg.LinAlgError:
-            raise NumericalError("adjoint system is singular") from None
-
 
 @dataclass(frozen=True)
 class ReducedGradientReport:
     f_value: float
     gradient: np.ndarray
-    forward_residual_norm: float
-    adjoint_residual_norm: float
     state: np.ndarray
     multiplier: np.ndarray
 
@@ -118,30 +101,25 @@ def _control_block(problem: ConstrainedProblem, u, z, y):
     return problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
 
 
-def _gradient_at_state(problem: ConstrainedProblem, u, z) -> np.ndarray:
-    """Reduced gradient at a state solving ``c(u, z) = 0``, from one adjoint solve."""
+def _adjoint_gradient(problem: ConstrainedProblem, u, z):
+    """Multiplier and reduced gradient at a state solving ``c(u, z) = 0``: one adjoint solve."""
     y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
-    return _control_block(problem, u, z, y)
+    return y, _control_block(problem, u, z, y)
 
 
 def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradientReport:
     """Objective value and total control gradient at ``z``.
 
     One forward solve, one adjoint solve and the gradient assembly; the
-    report also carries the state, the multiplier and both residual norms.
-    The adjoint residual applies ``apply_state_adjoint`` to the multiplier,
-    so a problem on both dense fallbacks densifies its Jacobian twice.
+    report also carries the state and the multiplier, which
+    ``kkt_residuals`` turns into residual norms.
     A control of the wrong length or with non-finite entries is a ``ValueError``.
     """
     z = _checked_control(problem, z)
     u = problem.solve_forward(z)
-    gu = problem.objective_grad_state(u, z)
-    y = problem.solve_adjoint(u, z, -gu)
-    return ReducedGradientReport(
-        f_value=float(problem.objective(u, z)), gradient=_control_block(problem, u, z, y),
-        forward_residual_norm=float(np.linalg.norm(problem.residual(u, z))),
-        adjoint_residual_norm=float(np.linalg.norm(gu + problem.apply_state_adjoint(u, z, y))),
-        state=u, multiplier=y)
+    y, g = _adjoint_gradient(problem, u, z)
+    return ReducedGradientReport(f_value=float(problem.objective(u, z)), gradient=g,
+                                 state=u, multiplier=y)
 
 
 def _objective_at(problem: ConstrainedProblem, z: np.ndarray) -> float:
@@ -169,7 +147,7 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     z = _checked_control(problem, z)
     if not all(0.0 < h < np.inf for h in steps):
         raise ValueError("finite-difference steps must be positive and finite")
-    grad = _gradient_at_state(problem, problem.solve_forward(z), z)
+    _, grad = _adjoint_gradient(problem, problem.solve_forward(z), z)
     out = {}
     for h in steps:
         fd = np.zeros(problem.control_dim)
@@ -193,7 +171,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     one objective; a trial whose forward solve raises ``NumericalError``
     is rejected like one that fails the test.  An iteration adds one
     adjoint solve and one control-adjoint product at the accepted
-    trial's state.  Residual norms come only from ``reduced_gradient``.
+    trial's state.  Residual norms come only from ``kkt_residuals``.
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -210,7 +188,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
                 u = problem.solve_forward(z)
                 f_curr = float(problem.objective(u, z))
             stage = "adjoint solve"
-            g = _gradient_at_state(problem, u, z)
+            _, g = _adjoint_gradient(problem, u, z)
         except NumericalError as exc:
             raise NumericalError(f"{stage} failed at iteration {k}: {exc}") from None
         gnorm = float(np.linalg.norm(g))
@@ -238,6 +216,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
 def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
     """Norms of the three first-order optimality blocks at (u, y, z).
+
+    This is the one place that evaluates the constraint and adjoint residuals.
 
     Each vector of the wrong length or with non-finite entries is a ``ValueError``.
     """

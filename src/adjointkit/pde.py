@@ -90,10 +90,6 @@ class AdvectionControlProblem(ConstrainedProblem):
     def objective_grad_control(self, u, z):
         return np.zeros(1)
 
-    def inflow_adjoint_trace(self, y):
-        """Adjoint value at the inflow boundary (equals the gradient)."""
-        return float(y[0])
-
     def fields(self, u, y):
         """Nodes, state and continuous adjoint ``v = [y0, y[1:] / h]``."""
         x = np.arange(self.state_dim) * self.h

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
-                        euclidean, inner, matrix_operator,
-                        operator_from_record, operator_norm,
-                        operator_to_record, orthogonal_projector, orthonormalize)
+                        euclidean, matrix_operator, operator_from_record,
+                        operator_norm, operator_to_record, orthogonal_projector,
+                        orthonormalize)
 from adjointkit.core import DenseOperator
 from adjointkit.errors import NumericalError
 from adjointkit.rand import Lcg
@@ -44,21 +44,21 @@ def test_non_finite_metric_and_entries_rejected():
 
 def test_inner_examples():
     # orthogonal canonical vectors
-    assert inner(euclidean(2), [1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert euclidean(2).inner([1.0, 0.0], [0.0, 1.0]) == 0.0
     # hand expansion 2*1*1 + 3*1*1
     weighted = InnerProductSpace(2, [[2.0, 0.0], [0.0, 3.0]])
-    assert inner(weighted, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
+    assert weighted.inner([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
     # squared norm
-    assert inner(euclidean(2), [3.0, 4.0], [3.0, 4.0]) == pytest.approx(25.0)
+    assert euclidean(2).inner([3.0, 4.0], [3.0, 4.0]) == pytest.approx(25.0)
 
 
 def test_inner_symmetry_and_dimension_error():
     space = InnerProductSpace(3, np.diag([1.0, 2.0, 5.0]))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
-    assert inner(space, x, y) == pytest.approx(inner(space, y, x))
+    assert space.inner(x, y) == pytest.approx(space.inner(y, x))
     with pytest.raises(ValueError):
-        inner(space, [1.0, 2.0], y)
+        space.inner([1.0, 2.0], y)
 
 
 # -- adjoint -------------------------------------------------------------------
@@ -347,6 +347,12 @@ def test_operator_record_defaults_identity_metric():
     rec = {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]}
     op = operator_from_record(rec)
     assert op.domain.is_euclidean and op.codomain.is_euclidean
+
+
+def test_operator_record_accepts_integral_sizes():
+    for rows, cols in ((2, 3), (2.0, 3.0), (np.int64(2), np.float64(3.0))):
+        op = operator_from_record({"rows": rows, "cols": cols, "entries": [1.0] * 6})
+        assert op.shape == (2, 3)
 
 
 def test_operator_record_rejects_bad_entries():

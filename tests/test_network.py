@@ -8,8 +8,9 @@ from adjointkit.network import (AdjointTrace, NetworkSpec,
                                 flatten_parameters, forward, gradients,
                                 init_parameters, loss, loss_gradients,
                                 parameter_count, train, unflatten_parameters)
-from adjointkit.optim import fd_gradient_check, reduced_gradient
+from adjointkit.optim import fd_gradient_check, kkt_residuals, reduced_gradient
 from adjointkit.rand import Lcg
+from reference import dense_state_jacobian
 
 
 def fd_loss_gradient(spec, params, x, a_obs, h=1e-5):
@@ -131,7 +132,7 @@ def test_adjoint_pass_matches_dense_adjoint_solve():
     problem = as_constrained_problem(spec, x, a_obs)
     z = flatten_parameters(params)
     u = problem.solve_forward(z)
-    jac = problem._dense_state_jacobian(u, z)
+    jac = dense_state_jacobian(problem, u, z)
     # block lower bidiagonal with identity diagonal blocks
     offsets = np.cumsum((0,) + spec.layer_sizes)
     for bi in range(len(spec.layer_sizes)):
@@ -236,10 +237,11 @@ def test_backprop_equals_reduced_space_three_layers():
     a_obs = np.array([0.5, -0.3])
     _, g = loss_gradients(spec, params, x, a_obs)
     problem = as_constrained_problem(spec, x, a_obs)
-    report = reduced_gradient(problem, flatten_parameters(params))
+    z = flatten_parameters(params)
+    report = reduced_gradient(problem, z)
     diff = np.abs(report.gradient - flatten_parameters(g)).max()
     assert diff <= 1e-13
-    assert report.forward_residual_norm == 0.0
+    assert kkt_residuals(problem, report.state, z, report.multiplier)["forward"] == 0.0
 
 
 def test_batched_problem_matches_sum_of_single_sample_passes():
@@ -255,11 +257,12 @@ def test_batched_problem_matches_sum_of_single_sample_passes():
         total_loss += f
         total_grad += flatten_parameters(g)
     problem = NetworkTrainingProblem(spec, xs.T, targets.T)
-    report = reduced_gradient(problem, flatten_parameters(params))
+    z = flatten_parameters(params)
+    report = reduced_gradient(problem, z)
     assert report.f_value == pytest.approx(total_loss, rel=1e-13)
     assert (np.abs(report.gradient - total_grad).max()
             <= 1e-13 * np.abs(total_grad).max())
-    assert report.forward_residual_norm == 0.0
+    assert kkt_residuals(problem, report.state, z, report.multiplier)["forward"] == 0.0
 
 
 def test_batched_problem_rejects_mismatched_columns():

@@ -13,6 +13,7 @@ from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
                               kkt_residuals, reduced_gradient,
                               reduced_objective)
 from adjointkit.pde import build_advection_problem, make_elliptic_demo
+from adjointkit.rand import Lcg
 
 
 class LinearQuadratic(ConstrainedProblem):
@@ -30,6 +31,12 @@ class LinearQuadratic(ConstrainedProblem):
 
     def apply_state_jacobian(self, u, z, du):
         return du
+
+    def apply_state_adjoint(self, u, z, w):
+        return w  # identity Jacobian
+
+    def solve_adjoint(self, u, z, rhs):
+        return rhs
 
     def apply_control_adjoint(self, u, z, y):
         return -self.b.T @ y
@@ -59,6 +66,12 @@ class ControlOnly(ConstrainedProblem):
     def apply_state_jacobian(self, u, z, du):
         return du
 
+    def apply_state_adjoint(self, u, z, w):
+        return w  # identity Jacobian
+
+    def solve_adjoint(self, u, z, rhs):
+        return rhs
+
     def apply_control_adjoint(self, u, z, y):
         return np.zeros(self.control_dim)
 
@@ -71,15 +84,12 @@ class ControlOnly(ConstrainedProblem):
     def objective_grad_control(self, u, z):
         return 2.0 * z
 
-    def solve_adjoint(self, u, z, rhs):
-        return rhs  # identity Jacobian
-
 
 class NonlinearScalar(ConstrainedProblem):
     """c(u, z) = u^3 + u - z with f = 0.5 (u - 1)^2 + 0.5 z^2.
 
-    Uses the dense fallback adjoint; the forward solve is a Newton
-    iteration on the monotone cubic.
+    The state Jacobian is the scalar ``3 u^2 + 1``; the forward solve is
+    a Newton iteration on the monotone cubic.
     """
 
     state_dim = 1
@@ -99,6 +109,12 @@ class NonlinearScalar(ConstrainedProblem):
 
     def apply_state_jacobian(self, u, z, du):
         return (3.0 * u[0] ** 2 + 1.0) * du
+
+    def apply_state_adjoint(self, u, z, w):
+        return (3.0 * u[0] ** 2 + 1.0) * w
+
+    def solve_adjoint(self, u, z, rhs):
+        return rhs / (3.0 * u[0] ** 2 + 1.0)
 
     def apply_control_adjoint(self, u, z, y):
         return -y
@@ -120,8 +136,9 @@ def test_reduced_gradient_matches_eliminated_form():
     z = rng.standard_normal(2)
     report = reduced_gradient(problem, z)
     np.testing.assert_allclose(report.gradient, b.T @ b @ z, atol=1e-12)
-    assert report.forward_residual_norm <= 1e-12
-    assert report.adjoint_residual_norm <= 1e-12
+    res = kkt_residuals(problem, report.state, z, report.multiplier)
+    assert res["forward"] <= 1e-12
+    assert res["adjoint"] <= 1e-12
 
 
 def test_reduced_gradient_state_independent_objective():
@@ -138,24 +155,6 @@ def test_adjoint_system_linearity():
     y1 = problem.solve_adjoint(u, z, np.array([1.0]))
     y3 = problem.solve_adjoint(u, z, np.array([3.0]))
     assert abs(y3[0] - 3.0 * y1[0]) <= 1e-10 * abs(y3[0])
-
-
-def test_dense_fallback_adjoint_residual_matches_kkt():
-    problem = NonlinearScalar()
-    z = np.array([0.8])
-    report = reduced_gradient(problem, z)
-    kkt = kkt_residuals(problem, report.state, z, report.multiplier)
-    assert report.adjoint_residual_norm == kkt["adjoint"]
-
-
-def test_dense_fallback_singular_state_jacobian_raises():
-    class SingularState(LinearQuadratic):
-        def apply_state_jacobian(self, u, z, du):
-            return np.zeros_like(du)
-
-    problem = SingularState(np.ones((3, 2)))
-    with pytest.raises(NumericalError, match="^adjoint system is singular$"):
-        reduced_gradient(problem, np.array([0.5, -0.5]))
 
 
 def test_fd_check_linear_quadratic():
@@ -286,6 +285,41 @@ def test_descent_rejects_negative_iters():
     assert result.history == [] and result.iterations == 0
 
 
+# -- every shipped problem's state pair passes the dot-product test -------------------
+
+def advection_at(rng):
+    return build_advection_problem(64, 1.3), rng.floats(1)
+
+
+def elliptic_at(rng):
+    problem, _ = make_elliptic_demo(127)
+    return problem, rng.floats(problem.control_dim, -0.5, 0.5)
+
+
+def network_at(rng):
+    spec = NetworkSpec((2, 16, 16, 1))
+    problem = NetworkTrainingProblem(spec, rng.matrix(2, 64), rng.matrix(1, 64))
+    return problem, flatten_parameters(init_parameters(spec, seed=7))
+
+
+@pytest.mark.parametrize("build", [advection_at, elliptic_at, network_at],
+                         ids=["advection", "elliptic", "network"])
+def test_state_adjoint_pair_passes_the_dot_product_test(build):
+    rng = Lcg(91)
+    problem, z = build(rng)
+    u = problem.solve_forward(z)
+    norm = np.linalg.norm
+    for _ in range(5):
+        du, w = rng.floats(problem.state_dim), rng.floats(problem.state_dim)
+        j_du = problem.apply_state_jacobian(u, z, du)
+        jt_w = problem.apply_state_adjoint(u, z, w)
+        scale = norm(j_du) * norm(w) + norm(du) * norm(jt_w)
+        assert abs(j_du @ w - du @ jt_w) <= 1e-15 * scale
+        # the adjoint solve inverts the transposed Jacobian it is paired with
+        y = problem.solve_adjoint(u, z, w)
+        assert norm(problem.apply_state_adjoint(u, z, y) - w) <= 1e-12 * norm(w)
+
+
 # -- the descent pays only for what it reads ------------------------------------------
 
 COUNTED = ("solve_forward", "solve_adjoint", "objective", "residual",
@@ -366,8 +400,7 @@ def test_descent_solves_forward_once_per_trial():
     trials = trial_counts(result.history, step)
     assert sum(trials) > len(trials)  # some steps backtracked
     assert problem.forward_calls == 1 + sum(trials)
-    # the dense fallbacks build the state Jacobian once per iteration
-    assert problem.calls["apply_state_jacobian"] == problem.state_dim * len(result.history)
+    assert problem.calls["solve_adjoint"] == len(result.history)
 
 
 def network_problem():
@@ -400,7 +433,7 @@ def test_descent_bitwise_equal_to_full_evaluation_oracle(build):
     lambda: (build_advection_problem(31, 1.0), np.array([1.0]), 1.5),
     network_problem,
     lambda: (NonlinearScalar(), np.array([2.0]), 4.0),
-], ids=["elliptic", "advection", "network", "dense-fallbacks"])
+], ids=["elliptic", "advection", "network", "scalar"])
 def test_descent_reads_no_residual_and_one_objective_per_trial(build):
     problem, z0, step = build()
     problem = counted(problem)

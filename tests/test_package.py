@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import adjointkit
+from adjointkit.optim import ConstrainedProblem
 
 
 def imported_public_names():
@@ -40,3 +41,11 @@ def test_no_module_forms_an_explicit_inverse():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if "linalg.inv(" in line]
     assert hits == []
+
+
+def test_every_constrained_problem_operation_is_abstract():
+    # each problem derives its own adjoint; no generic default may stand in for it
+    assert ConstrainedProblem.__abstractmethods__ == {
+        "residual", "solve_forward", "apply_state_jacobian", "apply_state_adjoint",
+        "solve_adjoint", "apply_control_adjoint", "objective", "objective_grad_state",
+        "objective_grad_control"}

@@ -79,6 +79,17 @@ LIBRARY_CASES = {
         "rows and cols must be positive, got rows -2, cols -2"),
     "record-cols-zero": (lambda: operator_from_record({"rows": 1, "cols": 0, "entries": []}),
                          "rows and cols must be positive, got rows 1, cols 0"),
+    "record-rows-fractional": (lambda: operator_from_record(
+        {"rows": 2.5, "cols": 2, "entries": [1.0, 2.0, 3.0, 4.0]}),
+        "rows must be an integer, got 2.5"),
+    "record-rows-bool": (lambda: operator_from_record(
+        {"rows": True, "cols": 1, "entries": [1.0]}), "rows must be an integer, got True"),
+    "record-cols-string": (lambda: operator_from_record(
+        {"rows": 1, "cols": "1", "entries": [1.0]}), "cols must be an integer, got '1'"),
+    "record-rows-inf": (lambda: operator_from_record(
+        {"rows": INF, "cols": 1, "entries": [1.0]}), "rows must be an integer, got inf"),
+    "record-cols-nan": (lambda: operator_from_record(
+        {"rows": 1, "cols": NAN, "entries": [1.0]}), "cols must be an integer, got nan"),
     "record-domain-metric-size": (lambda: operator_from_record(
         {"rows": 1, "cols": 2, "entries": [1.0, 2.0], "domain_metric": [1.0, 0.0, 1.0]}),
         "domain_metric: expected 4 entries, got 3"),
@@ -107,6 +118,13 @@ LIBRARY_CASES = {
     "train-uneven-a_obs": (lambda: train(SPEC, ONE_LAYER, [(np.ones(2), np.ones(1))] * 2
                                          + [(np.ones(2), np.ones(2))], iters=1),
                            re.escape("sample 2 a_obs has shape (2,), sample 0 (1,)")),
+    "train-scalar-x": (lambda: train(SPEC, ONE_LAYER, [(0.5, np.ones(1))], iters=1),
+                       re.escape("sample 0 x has shape (): sample shapes do not match the "
+                                 "network sizes, need a flat x of length 2")),
+    "train-scalar-a_obs": (lambda: train(SPEC, ONE_LAYER, [(np.ones(2), np.ones(1)),
+                                                           (np.ones(2), 0.5)], iters=1),
+                           re.escape("sample 1 a_obs has shape (): sample shapes do not match "
+                                     "the network sizes, need a flat a_obs of length 1")),
     # optim
     "reduced_objective-length": (lambda: reduced_objective(ADVECTION_4, [1.0, 2.0, 3.0]),
                                  "control length 3 does not match control_dim 1"),
@@ -271,6 +289,12 @@ CLI_CASES = {
                         "domain_metric: expected 4 entries, got 3"),
     "svd-negative-sizes": (["svd", "--op", "{op_negative}"],
                            "rows and cols must be positive, got rows -2, cols -2"),
+    "svd-fractional-rows": (["svd", "--op", "{op_fractional}"],
+                            "rows must be an integer, got 2.5"),
+    "svd-overflowing-rows": (["svd", "--op", "{op_overflowing}"],
+                             "rows must be an integer, got inf"),
+    "train-scalar-sample": (["train", "--spec", "1,1", "--data", "{scalar_data}"],
+                            "sample 0 x has shape (): sample shapes do not match"),
 }
 
 
@@ -294,11 +318,15 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
                                   "domain_metric": {"a": 1}},
              "op_short_metric": {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0],
                                  "domain_metric": [1.0, 0.0, 1.0]},
-             "op_negative": {"rows": -2, "cols": -2, "entries": [1.0, 2.0, 3.0, 4.0]}}
+             "op_negative": {"rows": -2, "cols": -2, "entries": [1.0, 2.0, 3.0, 4.0]},
+             "op_fractional": {"rows": 2.5, "cols": 2, "entries": [1.0, 2.0, 3.0, 4.0]},
+             # JSON text, not a payload: json.dumps cannot write 1e400
+             "op_overflowing": '{"rows": 1e400, "cols": 2, "entries": [1, 2, 3, 4]}',
+             "scalar_data": [{"x": 1, "a_obs": 0.5}]}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(payload))
+        paths[name].write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
