@@ -25,12 +25,17 @@ import numpy as np
 from .optim import ConstrainedProblem, gradient_descent
 from .rand import Lcg
 
-# name -> (activation, its derivative), both componentwise
+
+def _logistic(t, out=None):
+    with np.errstate(over="ignore"):  # exp(-t) = inf below t = -709: 1 / (1 + inf) = 0 is exact
+        return np.divide(1.0, 1.0 + np.exp(-t), out=out)
+
+
+# name -> (activation, its derivative), both componentwise; the activation takes ``out=``
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda t: 1.0 - np.tanh(t) ** 2),
-    "logistic": (lambda t: 1.0 / (1.0 + np.exp(-t)),
-                 lambda t: (s := 1.0 / (1.0 + np.exp(-t))) * (1.0 - s)),
-    "identity": (lambda t: t, lambda t: np.ones_like(t)),
+    "logistic": (_logistic, lambda t: (s := _logistic(t)) * (1.0 - s)),
+    "identity": (np.positive, lambda t: np.ones_like(t)),
 }
 
 
@@ -170,25 +175,26 @@ def flatten_parameters(params: Parameters) -> np.ndarray:
     return _ravel([block for pair in zip(params.weights, params.biases) for block in pair])
 
 
-def _layer_views(spec: NetworkSpec, z: np.ndarray):
-    """Yield ``(W_i, b_i)`` for each layer as views of the flat vector ``z``."""
-    if z.size != parameter_count(spec):
+def _control_layout(sizes) -> list:
+    """``(weight slice, weight shape, bias slice)`` of each layer in the flat control."""
+    ends = np.cumsum([rows * (cols + 1) for rows, cols in zip(sizes[1:], sizes)]).tolist()
+    return [(slice(end - rows * (cols + 1), end - rows), (rows, cols), slice(end - rows, end))
+            for end, rows, cols in zip(ends, sizes[1:], sizes)]
+
+
+def _layer_views(layout, z: np.ndarray) -> list:
+    """``(W_i, b_i)`` for each layer of ``layout`` as views of the flat vector ``z``."""
+    if z.size != layout[-1][2].stop:
         raise ValueError("flat parameter vector has wrong length")
-    sizes = spec.layer_sizes
-    pos = 0
-    for rows, cols in zip(sizes[1:], sizes):
-        end = pos + rows * cols
-        yield z[pos:end].reshape(rows, cols), z[end:end + rows]
-        pos = end + rows
+    return [(z[w].reshape(shape), z[b]) for w, shape, b in layout]
 
 
 def unflatten_parameters(spec: NetworkSpec, z: np.ndarray) -> Parameters:
-    return Parameters(*zip(*_layer_views(spec, z)))
+    return Parameters(*zip(*_layer_views(_control_layout(spec.layer_sizes), z)))
 
 
 def parameter_count(spec: NetworkSpec) -> int:
-    sizes = spec.layer_sizes
-    return sum(sizes[i + 1] * (sizes[i] + 1) for i in range(spec.num_layers))
+    return _control_layout(spec.layer_sizes)[-1][2].stop
 
 
 def _ravel(blocks) -> np.ndarray:
@@ -201,7 +207,9 @@ class NetworkTrainingProblem(ConstrainedProblem):
     The samples are columns: ``x`` has shape ``(n0, m)`` and ``a_obs``
     shape ``(nL, m)``, and a single sample is a batch of one column.
     State: the ``(size, m)`` activation blocks, input layer included,
-    raveled and concatenated layer by layer.  Control: flattened weights
+    raveled and concatenated layer by layer; ``solve_forward`` writes them
+    layer by layer in place into one new state, whose layout, like the
+    control's, is fixed at construction.  Control: flattened weights
     and biases.  Objective: the half squared error summed over the
     batch.  The layer structure makes the adjoint solve one backward
     substitution, the sweep of ``adjoint_pass`` applied to every column
@@ -223,16 +231,17 @@ class NetworkTrainingProblem(ConstrainedProblem):
             raise ValueError(f"training samples have non-finite entries (shapes {shapes})")
         self.state_dim = sum(sizes) * m
         self.control_dim = parameter_count(spec)
-        self._offsets = np.cumsum((0,) + sizes) * m
+        self._act, self._act_prime = ACTIVATIONS[spec.activation]
+        self._control_layout = _control_layout(sizes)
+        self._blocks = [(slice((end - size) * m, end * m), (size, m))
+                        for size, end in zip(sizes, np.cumsum(sizes).tolist())]
 
     def _split_state(self, u):
-        m = self.x.shape[1]
-        return [u[lo:hi].reshape(-1, m)
-                for lo, hi in zip(self._offsets, self._offsets[1:])]
+        return [u[block].reshape(shape) for block, shape in self._blocks]
 
     def _layers(self, u, z):
         """Weights, activation blocks and pre-activations at ``(u, z)``."""
-        layers = list(_layer_views(self.spec, z))
+        layers = _layer_views(self._control_layout, z)
         acts = self._split_state(u)
         pres = [w @ a + b[:, None] for (w, b), a in zip(layers, acts)]
         return [w for w, _ in layers], acts, pres
@@ -240,51 +249,57 @@ class NetworkTrainingProblem(ConstrainedProblem):
     def residual(self, u, z):
         _, acts, pres = self._layers(u, z)
         return _ravel([acts[0] - self.x]
-                      + [a - self.spec.act(t) for a, t in zip(acts[1:], pres)])
+                      + [a - self._act(t) for a, t in zip(acts[1:], pres)])
 
     def solve_forward(self, z):
-        acts = [self.x]
-        for w, b in _layer_views(self.spec, z):
-            acts.append(self.spec.act(w @ acts[-1] + b[:, None]))
-        return _ravel(acts)
+        u = np.empty(self.state_dim)
+        acts = self._split_state(u)
+        acts[0][...] = a_prev = self.x
+        for (w, b), a in zip(_layer_views(self._control_layout, z), acts[1:]):
+            np.add(np.matmul(w, a_prev, out=a), b[:, None], out=a)
+            a_prev = self._act(a, out=a)
+        return u
 
     def apply_state_jacobian(self, u, z, du):
         weights, _, pres = self._layers(u, z)
         d = self._split_state(du)
-        return _ravel([d[0]] + [d_next - self.spec.act_prime(t) * (w @ d_i)
+        return _ravel([d[0]] + [d_next - self._act_prime(t) * (w @ d_i)
                                 for d_i, d_next, w, t
                                 in zip(d, d[1:], weights, pres)])
 
     def apply_state_adjoint(self, u, z, y):
         weights, _, pres = self._layers(u, z)
         ys = self._split_state(y)
-        return _ravel([y_i - w.T @ (self.spec.act_prime(t) * y_next)
+        return _ravel([y_i - w.T @ (self._act_prime(t) * y_next)
                        for y_i, y_next, w, t in zip(ys, ys[1:], weights, pres)]
                       + [ys[-1]])
 
     def solve_adjoint(self, u, z, rhs):
-        # identity diagonal blocks: a single backward substitution
+        # identity diagonal blocks: a single backward substitution, in place on a copy
         weights, _, pres = self._layers(u, z)
-        ys = self._split_state(rhs)
+        y = np.array(rhs, dtype=float)
+        ys = self._split_state(y)
         for i in range(self.spec.num_layers - 1, -1, -1):
-            ys[i] = ys[i] + weights[i].T @ (self.spec.act_prime(pres[i]) * ys[i + 1])
-        return _ravel(ys)
+            ys[i] += weights[i].T @ (self._act_prime(pres[i]) * ys[i + 1])
+        return y
 
     def apply_control_adjoint(self, u, z, y):
         _, acts, pres = self._layers(u, z)
-        parts = []
-        for a, t, y_next in zip(acts, pres, self._split_state(y)[1:]):
-            masked = y_next * self.spec.act_prime(t)
-            parts += [-(masked @ a.T), -masked.sum(axis=1)]
-        return _ravel(parts)
+        g = np.empty(self.control_dim)
+        for (w, shape, b), a, t, y_next in zip(self._control_layout, acts, pres,
+                                               self._split_state(y)[1:]):
+            masked = y_next * self._act_prime(t)
+            np.matmul(masked, a.T, out=g[w].reshape(shape))
+            np.add.reduce(masked, axis=1, out=g[b])
+        return np.negative(g, out=g)
 
     def objective(self, u, z):
-        diff = self.a_obs - u[self._offsets[-2]:].reshape(self.a_obs.shape)
+        diff = self.a_obs - u[self._blocks[-1][0]].reshape(self.a_obs.shape)
         return 0.5 * float(np.vdot(diff, diff))
 
     def objective_grad_state(self, u, z):
         g = np.zeros(self.state_dim)
-        g[self._offsets[-2]:] = (self._split_state(u)[-1] - self.a_obs).ravel()
+        g[self._blocks[-1][0]] = (self._split_state(u)[-1] - self.a_obs).ravel()
         return g
 
     def objective_grad_control(self, u, z):

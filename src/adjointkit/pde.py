@@ -23,7 +23,7 @@ import numpy as np
 from .core import DenseOperator, matrix_operator
 from .errors import NumericalError
 from .optim import ConstrainedProblem
-from .spectral import svd
+from .spectral import checked_vector, svd
 
 
 class AdvectionControlProblem(ConstrainedProblem):
@@ -114,9 +114,7 @@ class EllipticInversionProblem(ConstrainedProblem):
         self.g0 = float(g0)
         self.g1 = float(g1)
         self.h = 1.0 / (n + 1)
-        self.u_obs = np.asarray(u_obs, dtype=float)
-        if self.u_obs.shape != (self.n,):
-            raise ValueError("observation length must equal interior node count")
+        self.u_obs = checked_vector(u_obs, self.n, "observations u_obs", "interior node count")
         self.state_dim = n
         self.control_dim = n + 1
         self.kappa = float(kappa)
@@ -127,7 +125,10 @@ class EllipticInversionProblem(ConstrainedProblem):
 
     def _jumps(self, u, g0, g1):
         """``D u``: the jump of ``u`` across each cell, with end values (g0, g1)."""
-        return np.diff(np.concatenate([[g0], u, [g1]]))
+        d = np.empty(self.n + 1)
+        d[0], d[-1] = u[0] - g0, g1 - u[-1]
+        np.subtract(u[1:], u[:-1], out=d[1:-1])
+        return d
 
     def _divergence(self, z, u, g0, g1):
         """``K u = D* (exp(z) D u) / h^2``: minus the divergence of the cell fluxes."""
@@ -142,18 +143,26 @@ class EllipticInversionProblem(ConstrainedProblem):
         by ``w_i (F0 - s_i)`` across cell i, ``w = h / exp(z)`` being the
         cell resistances; the end values fix ``F0``.  With no ``rhs`` the
         flux is the constant ``F0 = (g1 - g0) / sum(w)``.
+
+        The guard passes exactly when every ``w`` is in (0, inf) and every
+        ``v`` is finite.  With ``min(w) > 0`` a finite ``sum(w)`` makes every
+        ``w`` finite; only an overflowing sum needs ``max(w)``.  A running
+        sum that reaches inf or NaN stays there, so a finite ``v[-1]`` clears
+        the adjoint (end value zero) and the forward ``v``, which is monotone
+        because every step has the sign of ``F0``.
         """
         with np.errstate(all="ignore"):  # the guard below reports instead
             w = self.h / np.exp(z)
+            w_sum = w.sum()
             if rhs is None:
-                v = g0 + np.add.accumulate(w[:-1] * ((g1 - g0) / w.sum()))
+                v = g0 + np.add.accumulate(w[:-1] * ((g1 - g0) / w_sum))
             else:
                 s = np.zeros(self.n + 1)
                 np.add.accumulate(self.h * rhs, out=s[1:])  # np.cumsum, without its wrapper
-                f0 = (g1 - g0 + w @ s) / w.sum()
+                f0 = (g1 - g0 + w @ s) / w_sum
                 v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
         # NaN-safe: every comparison with NaN is false
-        if not (0.0 < w.min() and w.max() < np.inf and np.isfinite(v).all()):
+        if not (0.0 < w.min() and (w_sum < np.inf or w.max() < np.inf) and abs(v[-1]) < np.inf):
             raise NumericalError("exp(z) is not positive and finite in every cell, "
                                  "or the elliptic solve overflowed")
         return v

@@ -1,9 +1,114 @@
-"""Reference implementations shared by the tests; not part of the library."""
+"""Reference implementations shared by the tests; not part of the library.
+
+Besides the dense state Jacobian, these are the elliptic and network
+kernels in their first, plainer form (more NumPy passes, concatenated
+blocks, a full finiteness scan); the library's kernels must match them
+bit for bit.
+"""
 
 import numpy as np
+
+from adjointkit.errors import NumericalError
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, for exact comparisons."""
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def dense_state_jacobian(problem, u, z):
     """The state Jacobian at ``(u, z)``, one ``apply_state_jacobian`` per column."""
     return np.column_stack([problem.apply_state_jacobian(u, z, e)
                             for e in np.eye(problem.state_dim)])
+
+
+# -- the elliptic kernels with the three-reduction guard ------------------------------
+
+def elliptic_solve(problem, z, rhs, g0, g1):
+    """``K v = rhs`` with end values (g0, g1) by two running sums, guarded by
+    ``min(w)``, ``max(w)`` and the finiteness of every ``v``."""
+    with np.errstate(all="ignore"):
+        w = problem.h / np.exp(z)
+        if rhs is None:
+            v = g0 + np.add.accumulate(w[:-1] * ((g1 - g0) / w.sum()))
+        else:
+            s = np.zeros(problem.n + 1)
+            np.add.accumulate(problem.h * rhs, out=s[1:])
+            f0 = (g1 - g0 + w @ s) / w.sum()
+            v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
+    if not (0.0 < w.min() and w.max() < np.inf and np.isfinite(v).all()):
+        raise NumericalError("exp(z) is not positive and finite in every cell, "
+                             "or the elliptic solve overflowed")
+    return v
+
+
+def elliptic_jumps(u, g0, g1):
+    """``D u`` by padding with the end values and differencing."""
+    return np.diff(np.concatenate([[g0], u, [g1]]))
+
+
+def elliptic_control_adjoint(problem, u, z, y):
+    du = elliptic_jumps(u, problem.g0, problem.g1)
+    return np.exp(z) * du * elliptic_jumps(y, 0.0, 0.0) / problem.h ** 2
+
+
+# -- the network sweeps that concatenate their blocks ---------------------------------
+
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda t: 1.0 - np.tanh(t) ** 2),
+    "logistic": (lambda t: 1.0 / (1.0 + np.exp(-t)),
+                 lambda t: (s := 1.0 / (1.0 + np.exp(-t))) * (1.0 - s)),
+    "identity": (lambda t: t, lambda t: np.ones_like(t)),
+}
+
+
+def _ravel(blocks):
+    return np.concatenate([block.ravel() for block in blocks])
+
+
+def _layer_views(sizes, z):
+    pos = 0
+    for rows, cols in zip(sizes[1:], sizes):
+        end = pos + rows * cols
+        yield z[pos:end].reshape(rows, cols), z[end:end + rows]
+        pos = end + rows
+
+
+def _split_state(problem, u):
+    m = problem.x.shape[1]
+    offsets = np.cumsum((0,) + problem.spec.layer_sizes) * m
+    return [u[lo:hi].reshape(-1, m) for lo, hi in zip(offsets, offsets[1:])]
+
+
+def _network_layers(problem, u, z):
+    layers = list(_layer_views(problem.spec.layer_sizes, z))
+    acts = _split_state(problem, u)
+    pres = [w @ a + b[:, None] for (w, b), a in zip(layers, acts)]
+    return [w for w, _ in layers], acts, pres
+
+
+def network_forward(problem, z):
+    act = ACTIVATIONS[problem.spec.activation][0]
+    acts = [problem.x]
+    for w, b in _layer_views(problem.spec.layer_sizes, z):
+        acts.append(act(w @ acts[-1] + b[:, None]))
+    return _ravel(acts)
+
+
+def network_adjoint(problem, u, z, rhs):
+    act_prime = ACTIVATIONS[problem.spec.activation][1]
+    weights, _, pres = _network_layers(problem, u, z)
+    ys = _split_state(problem, rhs)
+    for i in range(problem.spec.num_layers - 1, -1, -1):
+        ys[i] = ys[i] + weights[i].T @ (act_prime(pres[i]) * ys[i + 1])
+    return _ravel(ys)
+
+
+def network_control_adjoint(problem, u, z, y):
+    act_prime = ACTIVATIONS[problem.spec.activation][1]
+    _, acts, pres = _network_layers(problem, u, z)
+    parts = []
+    for a, t, y_next in zip(acts, pres, _split_state(problem, y)[1:]):
+        masked = y_next * act_prime(t)
+        parts += [-(masked @ a.T), -masked.sum(axis=1)]
+    return _ravel(parts)

@@ -587,6 +587,19 @@ def test_train_emits_decreasing_loss_curve(capsys, tmp_path):
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
+def test_train_logistic_saturation_is_silent(capsys, tmp_path):
+    # a step of 1e6 drives the pre-activations below -709, where exp(-t)
+    # overflows; the activation 1 / (1 + inf) = 0 is exact and nothing is reported
+    data_file = write_json(tmp_path / "data.json", [{"x": [1.0], "a_obs": [0.9]},
+                                                    {"x": [-1.0], "a_obs": [0.1]}])
+    code, out, err = run(capsys, "train", "--spec", "1,1", "--act", "logistic",
+                         "--data", data_file, "--iters", "3", "--step", "1e6")
+    assert (code, err) == (0, "")
+    assert out == ("k,loss,grad_norm,step\n"
+                   "0,0.13439958216004794,0.18002244431577727,31250\n"
+                   "1,0.0099999999999999985,0,0\n")
+
+
 def test_train_rejects_bad_samples(capsys, tmp_path):
     data_file = write_json(tmp_path / "data.json", [{"x": [1.0]}])
     code, out, err = run(capsys, "train", "--spec", "2,2", "--data", data_file)

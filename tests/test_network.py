@@ -10,7 +10,8 @@ from adjointkit.network import (AdjointTrace, NetworkSpec,
                                 parameter_count, train, unflatten_parameters)
 from adjointkit.optim import fd_gradient_check, kkt_residuals, reduced_gradient
 from adjointkit.rand import Lcg
-from reference import dense_state_jacobian
+from reference import (bits, dense_state_jacobian, network_adjoint,
+                       network_control_adjoint, network_forward)
 
 
 def fd_loss_gradient(spec, params, x, a_obs, h=1e-5):
@@ -271,6 +272,42 @@ def test_batched_problem_rejects_mismatched_columns():
         NetworkTrainingProblem(spec, np.zeros((2, 4)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="columns"):
         NetworkTrainingProblem(spec, np.zeros(2), np.zeros(1))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "logistic", "identity"])
+@pytest.mark.parametrize("sizes, m", [((2, 16, 16, 1), 64), ((3, 5, 2), 1)],
+                         ids=["2-16-16-1x64", "3-5-2x1"])
+def test_sweeps_match_the_concatenating_reference_bitwise(sizes, m, activation):
+    rng = Lcg(53)
+    spec = NetworkSpec(sizes, activation)
+    problem = NetworkTrainingProblem(spec, rng.matrix(sizes[0], m), rng.matrix(sizes[-1], m))
+    for _ in range(3):
+        z = rng.floats(problem.control_dim, -1.5, 1.5)
+        u = problem.solve_forward(z)
+        assert np.array_equal(bits(u), bits(network_forward(problem, z)))
+        # at the forward state and at an arbitrary one
+        for state in (u, rng.floats(problem.state_dim)):
+            rhs = rng.floats(problem.state_dim)
+            y = problem.solve_adjoint(state, z, rhs)
+            assert np.array_equal(bits(y), bits(network_adjoint(problem, state, z, rhs)))
+            assert np.array_equal(bits(problem.apply_control_adjoint(state, z, y)),
+                                  bits(network_control_adjoint(problem, state, z, y)))
+
+
+def test_logistic_saturates_without_overflow_warnings():
+    # pre-activations of -1e6: exp(-t) overflows to inf and the activation is
+    # exactly 0; warnings are errors, so an overflow warning fails this test
+    spec = NetworkSpec((1, 1), activation="logistic")
+    params = Parameters([np.array([[1e6]])], [np.zeros(1)])
+    trace = forward(spec, params, [-1.0])
+    assert trace.activations[-1][0] == 0.0
+    adjoints = adjoint_pass(spec, params, trace, [0.1])
+    assert gradients(spec, params, trace, adjoints).weights[0][0, 0] == 0.0
+    problem = NetworkTrainingProblem(spec, np.array([[1.0, -1.0]]), np.array([[0.9, 0.1]]))
+    z = flatten_parameters(params)
+    u = problem.solve_forward(z)
+    assert np.array_equal(u, [1.0, -1.0, 1.0, 0.0])
+    assert np.all(np.isfinite(reduced_gradient(problem, z).gradient))
 
 
 def test_constrained_problem_fd_check():

@@ -320,6 +320,59 @@ def test_state_adjoint_pair_passes_the_dot_product_test(build):
         assert norm(problem.apply_state_adjoint(u, z, y) - w) <= 1e-12 * norm(w)
 
 
+# -- every shipped problem is safe for concurrent read-only evaluation ---------------
+
+def frozen(value):
+    """A bitwise-comparable image of an attribute: arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, (list, tuple)):
+        return tuple(frozen(v) for v in value)
+    if isinstance(value, dict):
+        return {key: frozen(v) for key, v in value.items()}
+    return value
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from arrays_in(v)
+
+
+@pytest.mark.parametrize("build", [advection_at, elliptic_at, network_at],
+                         ids=["advection", "elliptic", "network"])
+def test_operations_share_no_memory_and_keep_no_state(build):
+    rng = Lcg(17)
+    problem, z = build(rng)
+    before = frozen(vars(problem))
+    attributes = list(arrays_in(list(vars(problem).values())))
+    u, u_again = problem.solve_forward(z), problem.solve_forward(z)
+    assert np.array_equal(u.view(np.uint64), u_again.view(np.uint64))
+    assert not any(np.shares_memory(u, a) for a in [u_again, z] + attributes)
+    assert not any(np.shares_memory(u_again, a) for a in attributes)
+    w = rng.floats(problem.state_dim)
+    operations = {"residual": (u, z), "solve_forward": (z,),
+                  "apply_state_jacobian": (u, z, w), "apply_state_adjoint": (u, z, w),
+                  "solve_adjoint": (u, z, w), "apply_control_adjoint": (u, z, w),
+                  "objective": (u, z), "objective_grad_state": (u, z),
+                  "objective_grad_control": (u, z)}
+    assert set(operations) == ConstrainedProblem.__abstractmethods__
+    for name, args in operations.items():
+        inputs = frozen(args)
+        out = getattr(problem, name)(*args)
+        assert frozen(args) == inputs, f"{name} wrote into an argument"
+        assert frozen(vars(problem)) == before, f"{name} changed the problem"
+        if isinstance(out, np.ndarray):
+            assert not any(np.shares_memory(out, a) for a in list(args) + attributes), name
+            want = out.copy()
+            out[...] = 7.0  # a later call must not hand back this array
+            assert frozen(getattr(problem, name)(*args)) == frozen(want), name
+
+
 # -- the descent pays only for what it reads ------------------------------------------
 
 COUNTED = ("solve_forward", "solve_adjoint", "objective", "residual",

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjointkit import cli, matrix_operator
 from adjointkit.errors import NumericalError
@@ -10,7 +12,9 @@ from adjointkit.optim import (fd_gradient_check, gradient_descent,
 from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
                             default_target_field, discrete_infsup,
                             elliptic_stiffness_operator, make_elliptic_demo)
-from reference import dense_state_jacobian
+from adjointkit.rand import Lcg
+from reference import (bits, dense_state_jacobian, elliptic_control_adjoint,
+                       elliptic_jumps, elliptic_solve)
 
 
 # -- advection problem --------------------------------------------------------------
@@ -268,6 +272,100 @@ def test_elliptic_coefficient_out_of_range_raises(bad, capsys, monkeypatch):
             assert '"numerical-failure"' in out
         else:  # a non-finite control is invalid input
             assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("n", [31, 127])
+def test_elliptic_kernels_match_the_three_reduction_reference_bitwise(n):
+    rng = Lcg(n)
+    problem = build_elliptic_problem(n, -0.5, 2.0, rng.floats(n))
+    for _ in range(5):
+        z = rng.floats(n + 1, -10.0, 10.0)
+        z[int(rng.uniform() * (n + 1))], z[int(rng.uniform() * (n + 1))] = 10.0, -10.0
+        u = problem.solve_forward(z)
+        assert np.array_equal(bits(u), bits(elliptic_solve(problem, z, None, -0.5, 2.0)))
+        rhs = rng.floats(n)
+        y = problem.solve_adjoint(u, z, rhs)
+        assert np.array_equal(bits(y), bits(elliptic_solve(problem, z, rhs, 0.0, 0.0)))
+        for v, g0, g1 in ((u, -0.5, 2.0), (y, 0.0, 0.0), (rhs, 1e300, -1e300)):
+            assert np.array_equal(bits(problem._jumps(v, g0, g1)),
+                                  bits(elliptic_jumps(v, g0, g1)))
+        assert np.array_equal(bits(problem.apply_control_adjoint(u, z, y)),
+                              bits(elliptic_control_adjoint(problem, u, z, y)))
+
+
+def cell(n, value, at=5):
+    z = np.zeros(n + 1)
+    z[at] = value
+    return z
+
+
+GUARD_N = 31
+GUARD_H = 1.0 / (GUARD_N + 1)
+
+
+def both_branches(z):
+    """``(z, rhs, g0, g1)`` for the forward (no ``rhs``) and the adjoint solve."""
+    return [(z, None, 0.0, 1.0), (z, np.ones(GUARD_N), 0.0, 0.0)]
+
+
+REJECTED = {
+    "exp-overflows": both_branches(cell(GUARD_N, 709.8)),
+    "exp-underflows": both_branches(cell(GUARD_N, -745.2)),
+    "w-overflows": both_branches(cell(GUARD_N, np.log(GUARD_H) - 709.79)),
+    "nan": both_branches(cell(GUARD_N, np.nan)),
+    "inf": both_branches(cell(GUARD_N, np.inf)),
+    "-inf": both_branches(cell(GUARD_N, -np.inf)),
+    # at z = 0 this right-hand side still has a finite solution; at z = -3 it overflows
+    "adjoint-rhs-1e308": [(np.full(GUARD_N + 1, -3.0), np.full(GUARD_N, 1e308), 0.0, 0.0)],
+    "g1-minus-g0-overflows": [(np.zeros(GUARD_N + 1), None, -1e308, 1e308),
+                              (np.zeros(GUARD_N + 1), np.zeros(GUARD_N), -1e308, 1e308)],
+}
+
+
+@pytest.mark.parametrize("solves", REJECTED.values(), ids=REJECTED)
+def test_elliptic_guard_rejects_what_the_three_reduction_guard_rejects(solves):
+    problem = build_elliptic_problem(GUARD_N, 0.0, 1.0, np.zeros(GUARD_N))
+    for z, rhs, g0, g1 in solves:
+        with pytest.raises(NumericalError, match="positive and finite"):
+            problem._solve(z, rhs, g0, g1)
+        with pytest.raises(NumericalError, match="positive and finite"):
+            elliptic_solve(problem, z, rhs, g0, g1)
+
+
+def test_elliptic_guard_accepts_finite_cells_whose_resistances_overflow_their_sum():
+    # two cells with w = h / exp(z) near 1.3e308: each finite, their sum inf, so
+    # the flux is 0 and the state sits at g0; the three-reduction guard accepts it too
+    problem = build_elliptic_problem(GUARD_N, 0.25, 1.0, np.zeros(GUARD_N))
+    z = np.zeros(GUARD_N + 1)
+    z[[3, 9]] = np.log(GUARD_H) - 709.5
+    u = problem.solve_forward(z)
+    assert np.array_equal(bits(u), bits(elliptic_solve(problem, z, None, 0.25, 1.0)))
+    assert np.all(u == 0.25)
+
+
+def accepts(solve, *args):
+    try:
+        return bits(solve(*args))
+    except NumericalError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(3, 12), adjoint=st.booleans())
+def test_elliptic_guard_accepts_exactly_what_the_reference_accepts(data, n, adjoint):
+    # z from [-800, 800], with draws close to the edges where exp(z), w = h / exp(z)
+    # or sum(w) first overflow
+    log_h = np.log(1.0 / (n + 1))
+    edges = [709.78, 709.79, -745.13, -745.14, log_h - 709.78, log_h - 709.79,
+             log_h - 709.5, log_h - 709.0]
+    z = np.array(data.draw(st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(edges)),
+                                    min_size=n + 1, max_size=n + 1)))
+    problem = build_elliptic_problem(n, -0.5, 2.0, np.zeros(n))
+    rhs, g0, g1 = (np.linspace(-1.0, 1.0, n), 0.0, 0.0) if adjoint else (None, -0.5, 2.0)
+    got = accepts(problem._solve, z, rhs, g0, g1)
+    want = accepts(elliptic_solve, problem, z, rhs, g0, g1)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
 
 
 def test_elliptic_validates_inputs():

@@ -26,7 +26,8 @@ from adjointkit.network import (NetworkSpec, Parameters, forward, init_parameter
                                 loss, train)
 from adjointkit.optim import (fd_gradient_check, gradient_descent, kkt_residuals,
                              reduced_gradient, reduced_objective)
-from adjointkit.pde import build_advection_problem, make_elliptic_demo
+from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
+                            make_elliptic_demo)
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
@@ -168,6 +169,15 @@ LIBRARY_CASES = {
                             "sample length"),
     "sturm-too-many-terms": (lambda: truncation_error(np.ones(5), sturm_modes(), [4]),
                              "exceeds available modes"),
+    # pde
+    "elliptic-u_obs-nan": (lambda: build_elliptic_problem(7, 0.0, 1.0, [0.0, 0.0, 0.0, NAN,
+                                                                        0.0, 0.0, 0.0]),
+                           "observations u_obs has non-finite entries"),
+    "elliptic-u_obs-inf": (lambda: build_elliptic_problem(7, 0.0, 1.0, [0.0, 0.0, 0.0, INF,
+                                                                        0.0, 0.0, 0.0]),
+                           "observations u_obs has non-finite entries"),
+    "elliptic-u_obs-length": (lambda: build_elliptic_problem(7, 0.0, 1.0, np.zeros(6)),
+                              "observations u_obs length 6 does not match interior node count 7"),
     # selftest
     "unknown-suite": (lambda: run_suites(["bogus"]), "unknown suite"),
 }
