@@ -7,10 +7,10 @@ Tikhonov regularization reads the same singular system through filter
 factors, ``x = x0 + sum_i s_i / (s_i^2 + kappa) (y - A x0, v_i) u_i``,
 so neither it nor the pseudo-inverse forms the normal operator
 ``A* A`` and squares the condition number.  Every consumer shares the
-one SVD that ``spectral.svd`` keeps per operator.  A discretized
-integration operator is provided as the standard ill-posed test
-problem: inverting it amplifies data errors by the reciprocal of the
-smallest retained singular value.
+one SVD that ``spectral.svd`` keeps per operator, and a result past the
+float range is a ``NumericalError`` naming it.  A discretized integration
+operator is the standard ill-posed test problem: inverting it amplifies
+data errors by the reciprocal of the smallest retained singular value.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace
+from .errors import NumericalError
 from .spectral import checked_vector, left_coefficients, null_defect, svd
 
 
@@ -51,6 +52,12 @@ class TikhonovSolution:
     prior_distance: float
 
 
+def _finite(**values):
+    """Raise ``NumericalError`` naming every value with an entry that is not finite."""
+    if bad := [name for name, value in values.items() if not np.isfinite(value).all()]:
+        raise NumericalError(f"non-finite {', '.join(bad)}: the result overflows the float range")
+
+
 def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution via the SVD pseudo-inverse.
 
@@ -61,7 +68,10 @@ def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     r = dec.rank
-    return dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
+    with np.errstate(all="ignore"):  # _finite reports an overflow
+        x = dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
+    _finite(x=x)
+    return x
 
 
 def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
@@ -81,16 +91,17 @@ def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
           else checked_vector(x0, op.domain.dim, "prior", "domain dimension"))
     dec = svd(op)
     s = dec.sigma
-    c = left_coefficients(dec, y - op.matvec(x0))[:s.size]
     # s / (s^2 + kappa) as 1 / (s + kappa / s), since s^2 overflows from
     # s = 1.3e154 on; s = 0 (or kappa / s past the float range) gives 1 / inf = 0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):  # and _finite reports an overflow of the results
+        c = left_coefficients(dec, y - op.matvec(x0))[:s.size]
         f = 1.0 / (s + kappa / s)
-    x = x0 + dec.right_vectors[:, :s.size] @ (f * c)
-    return TikhonovSolution(
-        x=x, kappa=float(kappa),
-        residual_norm=op.codomain.norm(op.matvec(x) - y),
-        prior_distance=op.domain.norm(x - x0))
+        x = x0 + dec.right_vectors[:, :s.size] @ (f * c)
+        residual_norm = op.codomain.norm(op.matvec(x) - y)
+        prior_distance = op.domain.norm(x - x0)
+    _finite(x=x, residual_norm=residual_norm, prior_distance=prior_distance)
+    return TikhonovSolution(x=x, kappa=float(kappa), residual_norm=residual_norm,
+                            prior_distance=prior_distance)
 
 
 def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
@@ -102,14 +113,17 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
     """
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
-    coeffs = left_coefficients(dec, y)
     sigma = dec.sigma[:dec.rank]
-    coeff = np.abs(coeffs[:dec.rank])
-    ratio = coeff / sigma
-    rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(),
-               np.cumsum(ratio * ratio).tolist())
+    with np.errstate(all="ignore"):  # _finite reports an overflow
+        coeffs = left_coefficients(dec, y)
+        coeff = np.abs(coeffs[:dec.rank])
+        ratio = coeff / sigma
+        cumulative = np.cumsum(ratio * ratio)
+        defect = null_defect(dec, y, coeffs)
+    _finite(coeff=coeff, ratio=ratio, cumulative=cumulative, null_defect=defect)
+    rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(), cumulative.tolist())
     return PicardTable(rows=tuple(PicardRow(i + 1, *row) for i, row in enumerate(rows)),
-                       null_defect=null_defect(dec, y, coeffs))
+                       null_defect=defect)
 
 
 def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,

@@ -186,7 +186,14 @@ def _layer_views(layout, z: np.ndarray) -> list:
     """``(W_i, b_i)`` for each layer of ``layout`` as views of the flat vector ``z``."""
     if z.size != layout[-1][2].stop:
         raise ValueError("flat parameter vector has wrong length")
-    return [(z[w].reshape(shape), z[b]) for w, shape, b in layout]
+    return [(z[w].reshape(shape), z[b]) for w, shape, b, *_ in layout]
+
+
+def _pull_layer(g, layer, masked, a):
+    """One layer's control blocks ``masked a^T`` and ``masked 1``, unnegated, into ``g``."""
+    w, shape, b, _, _ = layer
+    np.matmul(masked, a.T, out=g[w].reshape(shape))
+    np.add.reduce(masked, axis=1, out=g[b])
 
 
 def unflatten_parameters(spec: NetworkSpec, z: np.ndarray) -> Parameters:
@@ -214,6 +221,8 @@ class NetworkTrainingProblem(ConstrainedProblem):
     batch.  The layer structure makes the adjoint solve one backward
     substitution, the sweep of ``adjoint_pass`` applied to every column
     at once, so on one column the two gradient routes agree bit for bit.
+    The sweep forms each layer's masked adjoint ``act'(pre) o y_next`` once,
+    for the next multiplier and for that layer's blocks of the pull-back.
     """
 
     def __init__(self, spec: NetworkSpec, x, a_obs):
@@ -232,16 +241,17 @@ class NetworkTrainingProblem(ConstrainedProblem):
         self.state_dim = sum(sizes) * m
         self.control_dim = parameter_count(spec)
         self._act, self._act_prime = ACTIVATIONS[spec.activation]
-        self._control_layout = _control_layout(sizes)
-        self._blocks = [(slice((end - size) * m, end * m), (size, m))
-                        for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+        # per layer: weight slice and shape, bias slice, and its activation block and shape
+        self._layout = [(*layer, slice((end - size) * m, end * m), (size, m)) for layer, size, end
+                        in zip(_control_layout(sizes), sizes[1:], np.cumsum(sizes).tolist()[1:])]
 
     def _split_state(self, u):
-        return [u[block].reshape(shape) for block, shape in self._blocks]
+        return [u[:self.x.size].reshape(self.x.shape)] + [
+            u[block].reshape(shape) for _, _, _, block, shape in self._layout]
 
     def _layers(self, u, z):
         """Weights, activation blocks and pre-activations at ``(u, z)``."""
-        layers = _layer_views(self._control_layout, z)
+        layers = _layer_views(self._layout, z)
         acts = self._split_state(u)
         pres = [w @ a + b[:, None] for (w, b), a in zip(layers, acts)]
         return [w for w, _ in layers], acts, pres
@@ -252,11 +262,13 @@ class NetworkTrainingProblem(ConstrainedProblem):
                       + [a - self._act(t) for a, t in zip(acts[1:], pres)])
 
     def solve_forward(self, z):
+        if z.size != self.control_dim:
+            raise ValueError("flat parameter vector has wrong length")
         u = np.empty(self.state_dim)
-        acts = self._split_state(u)
-        acts[0][...] = a_prev = self.x
-        for (w, b), a in zip(_layer_views(self._control_layout, z), acts[1:]):
-            np.add(np.matmul(w, a_prev, out=a), b[:, None], out=a)
+        u[:self.x.size].reshape(self.x.shape)[...] = a_prev = self.x
+        for w, w_shape, b, block, shape in self._layout:
+            a = u[block].reshape(shape)
+            np.add(np.matmul(z[w].reshape(w_shape), a_prev, out=a), z[b, None], out=a)
             a_prev = self._act(a, out=a)
         return u
 
@@ -276,30 +288,30 @@ class NetworkTrainingProblem(ConstrainedProblem):
 
     def solve_adjoint(self, u, z, rhs):
         # identity diagonal blocks: a single backward substitution, in place on a copy
-        weights, _, pres = self._layers(u, z)
+        weights, acts, pres = self._layers(u, z)
         y = np.array(rhs, dtype=float)
         ys = self._split_state(y)
+        g = np.empty(self.control_dim)
         for i in range(self.spec.num_layers - 1, -1, -1):
-            ys[i] += weights[i].T @ (self._act_prime(pres[i]) * ys[i + 1])
-        return y
+            masked = self._act_prime(pres[i]) * ys[i + 1]
+            ys[i] += weights[i].T @ masked
+            _pull_layer(g, self._layout[i], masked, acts[i])
+        return y, np.negative(g, out=g)
 
     def apply_control_adjoint(self, u, z, y):
         _, acts, pres = self._layers(u, z)
         g = np.empty(self.control_dim)
-        for (w, shape, b), a, t, y_next in zip(self._control_layout, acts, pres,
-                                               self._split_state(y)[1:]):
-            masked = y_next * self._act_prime(t)
-            np.matmul(masked, a.T, out=g[w].reshape(shape))
-            np.add.reduce(masked, axis=1, out=g[b])
+        for layer, a, t, y_next in zip(self._layout, acts, pres, self._split_state(y)[1:]):
+            _pull_layer(g, layer, y_next * self._act_prime(t), a)
         return np.negative(g, out=g)
 
     def objective(self, u, z):
-        diff = self.a_obs - u[self._blocks[-1][0]].reshape(self.a_obs.shape)
+        diff = self.a_obs - u[self._layout[-1][3]].reshape(self.a_obs.shape)
         return 0.5 * float(np.vdot(diff, diff))
 
     def objective_grad_state(self, u, z):
         g = np.zeros(self.state_dim)
-        g[self._blocks[-1][0]] = (self._split_state(u)[-1] - self.a_obs).ravel()
+        g[self._layout[-1][3]] = (self._split_state(u)[-1] - self.a_obs).ravel()
         return g
 
     def objective_grad_control(self, u, z):

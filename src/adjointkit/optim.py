@@ -12,7 +12,9 @@ is linear even when the constraint is not, which is what makes the
 gradient as cheap as a pair of solves regardless of the control
 dimension.  Each problem supplies its own adjoint solve, written for
 the structure of its constraint (a downwind sweep, a symmetric solve, a
-backward substitution); no generic dense route stands in for it.
+backward substitution) and returning ``[d c / d z]^T y`` with ``y``, so
+a backward sweep builds that pull-back from its own pieces; no generic
+dense route stands in for it.
 """
 
 from abc import ABC, abstractmethod
@@ -56,8 +58,9 @@ class ConstrainedProblem(ABC):
         """Transposed state Jacobian applied to a multiplier."""
 
     @abstractmethod
-    def solve_adjoint(self, u, z, rhs) -> np.ndarray:
-        """Solve the transposed state-Jacobian system for the multiplier."""
+    def solve_adjoint(self, u, z, rhs) -> tuple:
+        """Multiplier ``y`` of the transposed state-Jacobian system, paired with its
+        pull-back ``c_z^T y``, bit for bit ``apply_control_adjoint(u, z, y)``."""
 
     @abstractmethod
     def apply_control_adjoint(self, u, z, y) -> np.ndarray:
@@ -97,14 +100,14 @@ def _checked_control(problem: ConstrainedProblem, z) -> np.ndarray:
 
 
 def _control_block(problem: ConstrainedProblem, u, z, y):
-    """KKT control block ``grad_z f + c_z^T y``: the reduced gradient at the multiplier."""
+    """KKT control block ``grad_z f + c_z^T y`` at any multiplier ``y``."""
     return problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
 
 
 def _adjoint_gradient(problem: ConstrainedProblem, u, z):
     """Multiplier and reduced gradient at a state solving ``c(u, z) = 0``: one adjoint solve."""
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
-    return y, _control_block(problem, u, z, y)
+    y, pull = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    return y, problem.objective_grad_control(u, z) + pull  # _control_block's order, bitwise
 
 
 def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradientReport:
@@ -170,8 +173,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     values are strictly decreasing.  A trial costs one forward solve and
     one objective; a trial whose forward solve raises ``NumericalError``
     is rejected like one that fails the test.  An iteration adds one
-    adjoint solve and one control-adjoint product at the accepted
-    trial's state.  Residual norms come only from ``kkt_residuals``.
+    adjoint solve, which returns the control pull-back too, at the
+    accepted trial's state.  Residual norms come only from ``kkt_residuals``.
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -191,7 +194,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
             _, g = _adjoint_gradient(problem, u, z)
         except NumericalError as exc:
             raise NumericalError(f"{stage} failed at iteration {k}: {exc}") from None
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.sqrt(g @ g))  # np.linalg.norm's own formula for a real vector
         history.append((k, f_curr, gnorm, 0.0))
         if gnorm <= tol:
             return DescentResult(z=z, history=history, converged=True, iterations=k)

@@ -76,7 +76,7 @@ class AdvectionControlProblem(ConstrainedProblem):
         y = np.empty(self.state_dim)
         y[1:] = np.add.accumulate((self.h * rhs[1:] / self.beta)[::-1])[::-1]
         y[0] = rhs[0] / self.beta + y[1] / self.h
-        return y
+        return y, self.apply_control_adjoint(u, z, y)
 
     def apply_control_adjoint(self, u, z, y):
         return np.array([y[0]])
@@ -180,7 +180,8 @@ class EllipticInversionProblem(ConstrainedProblem):
         return self.apply_state_jacobian(u, z, w)  # symmetric stencil
 
     def solve_adjoint(self, u, z, rhs):
-        return self._solve(z, rhs, 0.0, 0.0)
+        y = self._solve(z, rhs, 0.0, 0.0)
+        return y, self.apply_control_adjoint(u, z, y)
 
     def apply_control_adjoint(self, u, z, y):
         # per cell: coeff * (du/h) * (dv/h) * h with v = y/h, the multiplier

@@ -1,14 +1,18 @@
 """Reference implementations shared by the tests; not part of the library.
 
-Besides the dense state Jacobian, these are the elliptic and network
-kernels in their first, plainer form (more NumPy passes, concatenated
-blocks, a full finiteness scan); the library's kernels must match them
-bit for bit.
+Besides the dense state Jacobian, these are the advection, elliptic and
+network kernels in their first, plainer form (one node at a time, more
+NumPy passes, concatenated blocks, a full finiteness scan); the
+library's kernels must match them bit for bit.  ``adjoint_then_pull``
+takes the adjoint solve apart again: the multiplier by these kernels,
+then its pull-back by ``apply_control_adjoint``.
 """
 
 import numpy as np
 
 from adjointkit.errors import NumericalError
+from adjointkit.network import NetworkTrainingProblem
+from adjointkit.pde import AdvectionControlProblem
 
 
 def bits(a):
@@ -20,6 +24,27 @@ def dense_state_jacobian(problem, u, z):
     """The state Jacobian at ``(u, z)``, one ``apply_state_jacobian`` per column."""
     return np.column_stack([problem.apply_state_jacobian(u, z, e)
                             for e in np.eye(problem.state_dim)])
+
+
+def adjoint_then_pull(problem, u, z, rhs):
+    """``solve_adjoint``'s pair in two steps: the multiplier, then its control pull-back."""
+    if isinstance(problem, AdvectionControlProblem):
+        y = advection_sweep_oracle(problem, rhs)
+    elif isinstance(problem, NetworkTrainingProblem):
+        y = network_adjoint(problem, u, z, rhs)
+    else:
+        y = elliptic_solve(problem, z, rhs, 0.0, 0.0)
+    return y, problem.apply_control_adjoint(u, z, y)
+
+
+def advection_sweep_oracle(problem, rhs):
+    """The downwind sweep one node at a time, from the outflow end."""
+    y = np.zeros(problem.state_dim)
+    y[-1] = problem.h * rhs[-1] / problem.beta
+    for i in range(problem.n - 1, 0, -1):
+        y[i] = y[i + 1] + problem.h * rhs[i] / problem.beta
+    y[0] = rhs[0] / problem.beta + y[1] / problem.h
+    return y
 
 
 # -- the elliptic kernels with the three-reduction guard ------------------------------

@@ -362,6 +362,30 @@ def test_solve_and_picard_overflowing_operator_exit_3(capsys, tmp_path):
         assert "non-finite" in payload["detail"]
 
 
+@pytest.mark.parametrize("entry, command, names", [
+    (1e-100, ["solve"], "x"),
+    (1e-100, ["tikhonov", "--kappa", "1e-300"], "x, residual_norm, prior_distance"),
+    (1e-100, ["picard"], "ratio, cumulative"),
+    (1e-5, ["picard"], "cumulative"),  # every ratio finite, their squares' sum not
+])
+def test_least_squares_overflow_exit_3_without_warnings(capsys, tmp_path, entry, command,
+                                                        names):
+    # finite data whose result overflows; warnings are errors, so a leaked one fails here
+    op = write_json(tmp_path / "op.json", {"rows": 1, "cols": 1, "entries": [entry]})
+    rhs = write_json(tmp_path / "rhs.json", [1e300])
+    code, out, err = run(capsys, *command, "--op", op, "--rhs", rhs)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": "numerical-failure", "detail": f"non-finite {names}: "
+                               "the result overflows the float range"}
+
+
+def test_json_text_refuses_non_finite_values():
+    assert cli._json_text({"x": [1.0, -0.0]}) == '{"x": [1.0, -0.0]}\n'
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(NumericalError, match="non-finite values"):
+            cli._json_text({"x": [1.0, bad]})
+
+
 # -- stability / r0 -----------------------------------------------------------------
 
 def test_stability_logistic_equilibria(capsys):

@@ -288,10 +288,13 @@ def test_sweeps_match_the_concatenating_reference_bitwise(sizes, m, activation):
         # at the forward state and at an arbitrary one
         for state in (u, rng.floats(problem.state_dim)):
             rhs = rng.floats(problem.state_dim)
-            y = problem.solve_adjoint(state, z, rhs)
-            assert np.array_equal(bits(y), bits(network_adjoint(problem, state, z, rhs)))
+            y, pull = problem.solve_adjoint(state, z, rhs)
+            y_ref = network_adjoint(problem, state, z, rhs)
+            pull_ref = network_control_adjoint(problem, state, z, y_ref)
+            assert np.array_equal(bits(y), bits(y_ref))
+            assert np.array_equal(bits(pull), bits(pull_ref))
             assert np.array_equal(bits(problem.apply_control_adjoint(state, z, y)),
-                                  bits(network_control_adjoint(problem, state, z, y)))
+                                  bits(pull_ref))
 
 
 def test_logistic_saturates_without_overflow_warnings():

@@ -14,6 +14,7 @@ from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
                               reduced_objective)
 from adjointkit.pde import build_advection_problem, make_elliptic_demo
 from adjointkit.rand import Lcg
+from reference import adjoint_then_pull, bits
 
 
 class LinearQuadratic(ConstrainedProblem):
@@ -36,7 +37,7 @@ class LinearQuadratic(ConstrainedProblem):
         return w  # identity Jacobian
 
     def solve_adjoint(self, u, z, rhs):
-        return rhs
+        return rhs, self.apply_control_adjoint(u, z, rhs)
 
     def apply_control_adjoint(self, u, z, y):
         return -self.b.T @ y
@@ -70,7 +71,7 @@ class ControlOnly(ConstrainedProblem):
         return w  # identity Jacobian
 
     def solve_adjoint(self, u, z, rhs):
-        return rhs
+        return rhs, self.apply_control_adjoint(u, z, rhs)
 
     def apply_control_adjoint(self, u, z, y):
         return np.zeros(self.control_dim)
@@ -114,7 +115,8 @@ class NonlinearScalar(ConstrainedProblem):
         return (3.0 * u[0] ** 2 + 1.0) * w
 
     def solve_adjoint(self, u, z, rhs):
-        return rhs / (3.0 * u[0] ** 2 + 1.0)
+        y = rhs / (3.0 * u[0] ** 2 + 1.0)
+        return y, self.apply_control_adjoint(u, z, y)
 
     def apply_control_adjoint(self, u, z, y):
         return -y
@@ -152,8 +154,8 @@ def test_adjoint_system_linearity():
     problem = NonlinearScalar()
     z = np.array([0.8])
     u = problem.solve_forward(z)
-    y1 = problem.solve_adjoint(u, z, np.array([1.0]))
-    y3 = problem.solve_adjoint(u, z, np.array([3.0]))
+    y1, _ = problem.solve_adjoint(u, z, np.array([1.0]))
+    y3, _ = problem.solve_adjoint(u, z, np.array([3.0]))
     assert abs(y3[0] - 3.0 * y1[0]) <= 1e-10 * abs(y3[0])
 
 
@@ -241,7 +243,7 @@ def test_kkt_residuals_at_converged_point():
                               iters=500, tol=1e-12)
     z = result.z
     u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    y, _ = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
     res = kkt_residuals(problem, u, z, y)
     assert res["forward"] <= 1e-10
     assert res["adjoint"] <= 1e-10
@@ -252,7 +254,7 @@ def test_kkt_residuals_exact_optimum():
     problem = LinearQuadratic(np.array([[1.0, 0.0], [0.0, 2.0]]))
     z = np.zeros(2)
     u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    y, _ = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
     res = kkt_residuals(problem, u, z, y)
     assert max(res.values()) <= 1e-12
 
@@ -316,8 +318,22 @@ def test_state_adjoint_pair_passes_the_dot_product_test(build):
         scale = norm(j_du) * norm(w) + norm(du) * norm(jt_w)
         assert abs(j_du @ w - du @ jt_w) <= 1e-15 * scale
         # the adjoint solve inverts the transposed Jacobian it is paired with
-        y = problem.solve_adjoint(u, z, w)
+        y, _ = problem.solve_adjoint(u, z, w)
         assert norm(problem.apply_state_adjoint(u, z, y) - w) <= 1e-12 * norm(w)
+
+
+@pytest.mark.parametrize("build", [advection_at, elliptic_at, network_at],
+                         ids=["advection", "elliptic", "network"])
+def test_adjoint_solve_returns_its_control_pull_back_bitwise(build):
+    rng = Lcg(29)
+    problem, z = build(rng)
+    # at the forward state and at an arbitrary one
+    for state in (problem.solve_forward(z), rng.floats(problem.state_dim)):
+        rhs = rng.floats(problem.state_dim)
+        y, pull = problem.solve_adjoint(state, z, rhs)
+        y_ref, pull_ref = adjoint_then_pull(problem, state, z, rhs)
+        assert np.array_equal(bits(y), bits(y_ref))
+        assert np.array_equal(bits(pull), bits(pull_ref))
 
 
 # -- every shipped problem is safe for concurrent read-only evaluation ---------------
@@ -366,21 +382,34 @@ def test_operations_share_no_memory_and_keep_no_state(build):
         out = getattr(problem, name)(*args)
         assert frozen(args) == inputs, f"{name} wrote into an argument"
         assert frozen(vars(problem)) == before, f"{name} changed the problem"
-        if isinstance(out, np.ndarray):
-            assert not any(np.shares_memory(out, a) for a in list(args) + attributes), name
-            want = out.copy()
-            out[...] = 7.0  # a later call must not hand back this array
-            assert frozen(getattr(problem, name)(*args)) == frozen(want), name
+        # the adjoint solve returns the pair (multiplier, its control pull-back)
+        members = out if name == "solve_adjoint" else (out,)
+        arrays = [m for m in members if isinstance(m, np.ndarray)]
+        assert len(members) == (2 if name == "solve_adjoint" else 1), name
+        assert len(arrays) == (0 if name == "objective" else len(members)), name
+        for i, member in enumerate(arrays):
+            others = list(args) + attributes + arrays[:i] + arrays[i + 1:]
+            assert not any(np.shares_memory(member, a) for a in others), (name, i)
+        want = frozen(out)
+        for member in arrays:
+            member[...] = 7.0  # a later call must not hand back these arrays
+        assert frozen(getattr(problem, name)(*args)) == want, name
 
 
 # -- the descent pays only for what it reads ------------------------------------------
 
 COUNTED = ("solve_forward", "solve_adjoint", "objective", "residual",
-           "apply_state_adjoint", "apply_state_jacobian")
+           "apply_state_adjoint", "apply_state_jacobian", "apply_control_adjoint")
 
 
 class CountsCalls:
-    """Mixin that counts, per instance, the calls of the methods in ``COUNTED``."""
+    """Mixin that counts, per instance, the calls of the methods in ``COUNTED``.
+
+    Only calls from outside the problem count, not a problem's calls to itself
+    (``solve_adjoint`` may return its pull-back by ``apply_control_adjoint``).
+    """
+
+    depth = 0
 
     @property
     def forward_calls(self):
@@ -389,8 +418,13 @@ class CountsCalls:
 
 def _counting(name):
     def method(self, *args):
-        self.calls[name] += 1
-        return getattr(super(CountsCalls, self), name)(*args)
+        if self.depth == 0:
+            self.calls[name] += 1
+        self.depth += 1
+        try:
+            return getattr(super(CountsCalls, self), name)(*args)
+        finally:
+            self.depth -= 1
     return method
 
 
@@ -496,12 +530,14 @@ def test_descent_reads_no_residual_and_one_objective_per_trial(build):
     assert problem.calls["apply_state_adjoint"] == 0
     assert problem.calls["objective"] == problem.calls["solve_forward"] == 1 + trials
     assert problem.calls["solve_adjoint"] == len(result.history)
+    assert problem.calls["apply_control_adjoint"] == 0  # the adjoint solve returns the pull-back
 
 
 def test_fd_check_reads_no_residual():
     problem = counted(make_elliptic_demo(15)[0])
     fd_gradient_check(problem, np.zeros(16), steps=(1e-3,))
     assert problem.calls["residual"] == problem.calls["apply_state_adjoint"] == 0
+    assert problem.calls["apply_control_adjoint"] == 0
     assert problem.calls["solve_adjoint"] == 1
 
 

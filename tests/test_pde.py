@@ -13,8 +13,8 @@ from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
                             default_target_field, discrete_infsup,
                             elliptic_stiffness_operator, make_elliptic_demo)
 from adjointkit.rand import Lcg
-from reference import (bits, dense_state_jacobian, elliptic_control_adjoint,
-                       elliptic_jumps, elliptic_solve)
+from reference import (advection_sweep_oracle, bits, dense_state_jacobian,
+                       elliptic_control_adjoint, elliptic_jumps, elliptic_solve)
 
 
 # -- advection problem --------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_advection_zero_control_everything_vanishes():
     problem = build_advection_problem(6, beta=1.0)
     z = np.zeros(1)
     u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    y, _ = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
     assert np.abs(u).max() == 0.0
     assert np.abs(y).max() == 0.0
     assert reduced_gradient(problem, z).gradient[0] == 0.0
@@ -51,7 +51,7 @@ def test_advection_gradient_is_inflow_adjoint_trace():
     problem = build_advection_problem(12, beta=1.5)
     z = np.array([0.7])
     u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    y, _ = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
     grad = reduced_gradient(problem, z).gradient[0]
     assert y[0] == grad
 
@@ -62,20 +62,10 @@ def test_advection_adjoint_solve_consistent_with_transpose():
     z = np.array([0.3])
     u = problem.solve_forward(z)
     rhs = rng.standard_normal(problem.state_dim)
-    y = problem.solve_adjoint(u, z, rhs)
+    y, _ = problem.solve_adjoint(u, z, rhs)
     assert np.abs(problem.apply_state_adjoint(u, z, y) - rhs).max() <= 1e-12
     jac = dense_state_jacobian(problem, u, z)
     np.testing.assert_allclose(jac.T @ y, rhs, atol=1e-12)
-
-
-def advection_sweep_oracle(problem, rhs):
-    """The downwind sweep one node at a time, from the outflow end."""
-    y = np.zeros(problem.state_dim)
-    y[-1] = problem.h * rhs[-1] / problem.beta
-    for i in range(problem.n - 1, 0, -1):
-        y[i] = y[i + 1] + problem.h * rhs[i] / problem.beta
-    y[0] = rhs[0] / problem.beta + y[1] / problem.h
-    return y
 
 
 def advection_residual_oracle(problem, u, z):
@@ -94,7 +84,7 @@ def test_advection_sweep_and_residual_match_oracles_bitwise():
             for _ in range(5):
                 u, rhs = rng.standard_normal((2, problem.state_dim))
                 z = rng.standard_normal(1)
-                assert np.array_equal(problem.solve_adjoint(u, z, rhs),
+                assert np.array_equal(problem.solve_adjoint(u, z, rhs)[0],
                                       advection_sweep_oracle(problem, rhs))
                 assert np.array_equal(problem.residual(u, z),
                                       advection_residual_oracle(problem, u, z))
@@ -174,7 +164,7 @@ def test_elliptic_kkt_residuals_after_descent():
                               step=1000.0, iters=400, tol=0.0)
     z = result.z
     u = problem.solve_forward(z)
-    y = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
+    y, _ = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
     res = kkt_residuals(problem, u, z, y)
     scale = max(np.abs(problem.u_obs).max(), 1.0)
     assert res["forward"] <= 1e-6 * scale
@@ -237,7 +227,7 @@ def test_elliptic_solves_match_exact_reference(pattern, n):
     rhs = np.random.default_rng(77).standard_normal(n)
     u = problem.solve_forward(z)
     assert relative_error(u, exact_solution(problem, z, np.zeros(n), -0.5, 2.0)) <= 1e-13
-    y = problem.solve_adjoint(u, z, rhs)
+    y, _ = problem.solve_adjoint(u, z, rhs)
     assert relative_error(y, exact_solution(problem, z, rhs, 0.0, 0.0)) <= 1e-13
 
 
@@ -284,8 +274,9 @@ def test_elliptic_kernels_match_the_three_reduction_reference_bitwise(n):
         u = problem.solve_forward(z)
         assert np.array_equal(bits(u), bits(elliptic_solve(problem, z, None, -0.5, 2.0)))
         rhs = rng.floats(n)
-        y = problem.solve_adjoint(u, z, rhs)
+        y, pull = problem.solve_adjoint(u, z, rhs)
         assert np.array_equal(bits(y), bits(elliptic_solve(problem, z, rhs, 0.0, 0.0)))
+        assert np.array_equal(bits(pull), bits(elliptic_control_adjoint(problem, u, z, y)))
         for v, g0, g1 in ((u, -0.5, 2.0), (y, 0.0, 0.0), (rhs, 1e300, -1e300)):
             assert np.array_equal(bits(problem._jumps(v, g0, g1)),
                                   bits(elliptic_jumps(v, g0, g1)))
