@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--act", default="tanh", choices=tuple(ACTIVATIONS))
     p.add_argument("--data", required=True, help='JSON list of {"x", "a_obs"}')
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--step", type=float, default=1.0)
+    p.add_argument("--step", type=float, default=1.0,
+                   help="first trial step and the largest the line search tries")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = command("stability", cmd_stability, "equilibrium stability report")
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--check-gradient", action="store_true")
     mode.add_argument("--descend", action="store_true")
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--step", type=float, default=100.0)
+    p.add_argument("--step", type=float, default=100.0,
+                   help="first trial step and the largest the line search tries")
     p.add_argument("--tol", type=float, default=0.0)
 
     p = sub.add_parser("selftest", help="run the cross-module invariant suites")

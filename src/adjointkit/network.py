@@ -331,7 +331,9 @@ def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
     as the columns of one ``NetworkTrainingProblem``.  Runs ``iters`` iterations, stopping
     early only at an exactly zero gradient, and returns the trained
     parameters and the per-iteration history rows (k, loss, grad_norm,
-    step).  A failed Armijo line search raises ``NumericalError``.
+    step).  Each Armijo line search starts at ``min(step, 8 × the last
+    accepted step)``, the first at ``step``; a failed one raises
+    ``NumericalError``.
     """
     samples = [(np.asarray(x, dtype=float), np.asarray(a, dtype=float)) for x, a in samples]
     if not samples:

@@ -27,6 +27,7 @@ from .spectral import checked_vector
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
+WARM_START_GROWTH = 8.0  # a line search starts at min(step, this times the last accepted step)
 
 
 class ConstrainedProblem(ABC):
@@ -93,6 +94,7 @@ class DescentResult:
     history: list = field(default_factory=list)  # rows (k, f, grad_norm, step)
     converged: bool = False
     iterations: int = 0
+    backtracks: list = field(default_factory=list)  # rejected trials per line search
 
 
 def _checked_control(problem: ConstrainedProblem, z) -> np.ndarray:
@@ -170,11 +172,16 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
     Each iteration halves the step until the sufficient-decrease test
     ``f(z - a g) <= f - 1e-4 a |g|^2`` passes, so the recorded objective
-    values are strictly decreasing.  A trial costs one forward solve and
-    one objective; a trial whose forward solve raises ``NumericalError``
-    is rejected like one that fails the test.  An iteration adds one
-    adjoint solve, which returns the control pull-back too, at the
-    accepted trial's state.  Residual norms come only from ``kkt_residuals``.
+    values are strictly decreasing.  The first search starts at ``step``
+    and each later one at ``min(step, 8 a)``, ``a`` the last accepted
+    step: every trial stays on the grid ``step / 2^j``, and a search
+    accepts what one started at ``step`` would, unless that is more than
+    8 times the last step.  A trial costs one forward solve and one
+    objective; a trial whose forward solve raises ``NumericalError`` is
+    rejected like one that fails the test, and ``backtracks`` counts each
+    search's rejected trials.  An iteration adds one adjoint solve, which
+    returns the control pull-back too, at the accepted trial's state.
+    Residual norms come only from ``kkt_residuals``.
     """
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -183,7 +190,8 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     z = _checked_control(problem, z0).copy()
-    history = []
+    history, backtracks = [], []
+    start = step
     for k in range(iters):
         try:
             if k == 0:  # later iterations start at the trial the line search accepted
@@ -197,9 +205,10 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
         gnorm = float(np.sqrt(g @ g))  # np.linalg.norm's own formula for a real vector
         history.append((k, f_curr, gnorm, 0.0))
         if gnorm <= tol:
-            return DescentResult(z=z, history=history, converged=True, iterations=k)
-        alpha = step
-        for _ in range(MAX_BACKTRACKS):
+            return DescentResult(z=z, history=history, converged=True, iterations=k,
+                                 backtracks=backtracks)
+        alpha = start
+        for rejected in range(MAX_BACKTRACKS):
             candidate = z - alpha * g
             try:
                 u = problem.solve_forward(candidate)
@@ -213,8 +222,11 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
         else:
             raise NumericalError(f"line search failed at iteration {k}")
         history[-1] = (k, f_curr, gnorm, alpha)
+        backtracks.append(rejected)
+        start = min(step, WARM_START_GROWTH * alpha)
         z, f_curr = candidate, f_new
-    return DescentResult(z=z, history=history, converged=False, iterations=iters)
+    return DescentResult(z=z, history=history, converged=False, iterations=iters,
+                         backtracks=backtracks)
 
 
 def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjointkit import network
 from adjointkit.errors import NumericalError
-from adjointkit.network import (NetworkSpec, NetworkTrainingProblem,
-                                flatten_parameters, init_parameters)
+from adjointkit.network import (NetworkSpec, NetworkTrainingProblem, Parameters,
+                                flatten_parameters, init_parameters, train)
 from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
                               fd_gradient_check, gradient_descent,
                               kkt_residuals, reduced_gradient,
@@ -441,15 +442,17 @@ def counted(problem):
     return twin
 
 
-def descent_oracle(problem, z0, step, iters, tol):
+def _full_evaluation_descent(problem, z0, step, iters, tol, next_start):
     """Descent as a full reduced-gradient evaluation per iteration.
 
     Every iteration solves forward again at the point the previous line
     search accepted; the history and iterate must not depend on that.  A
-    trial whose forward solve fails is rejected.
+    trial whose forward solve fails is rejected.  Each line search after
+    the first starts at ``next_start(alpha)``, ``alpha`` the last accepted step.
     """
     z = np.asarray(z0, dtype=float).copy()
     history = []
+    start = step
     for k in range(iters):
         report = reduced_gradient(problem, z)
         g = report.gradient
@@ -458,7 +461,7 @@ def descent_oracle(problem, z0, step, iters, tol):
         history.append((k, f_curr, gnorm, 0.0))
         if gnorm <= tol:
             return z, history
-        alpha = step
+        alpha = start
         for _ in range(MAX_BACKTRACKS):
             candidate = z - alpha * g
             try:
@@ -471,13 +474,31 @@ def descent_oracle(problem, z0, step, iters, tol):
         else:
             raise AssertionError("oracle line search failed")
         history[-1] = (k, f_curr, gnorm, alpha)
+        start = next_start(alpha)
         z = candidate
     return z, history
 
 
+def descent_oracle(problem, z0, step, iters, tol):
+    """Full-evaluation descent whose searches start at ``min(step, 8 alpha)``."""
+    return _full_evaluation_descent(problem, z0, step, iters, tol,
+                                    lambda alpha: min(step, 8.0 * alpha))
+
+
+def cold_descent_oracle(problem, z0, step, iters, tol):
+    """Full-evaluation descent whose every search starts at ``step``."""
+    return _full_evaluation_descent(problem, z0, step, iters, tol, lambda alpha: step)
+
+
 def trial_counts(history, step):
-    """Line-search trials per iteration, from the accepted steps ``step / 2^j``."""
-    return [1 + round(np.log2(step / alpha)) for *_, alpha in history if alpha > 0.0]
+    """Line-search trials per iteration, from the accepted steps ``start / 2^j``
+    with ``start = min(step, 8 alpha)`` after the first search."""
+    counts, start = [], step
+    for *_, alpha in history:
+        if alpha > 0.0:
+            counts.append(1 + round(np.log2(start / alpha)))
+            start = min(step, 8.0 * alpha)
+    return counts
 
 
 def test_descent_solves_forward_once_per_trial():
@@ -487,6 +508,7 @@ def test_descent_solves_forward_once_per_trial():
     trials = trial_counts(result.history, step)
     assert sum(trials) > len(trials)  # some steps backtracked
     assert problem.forward_calls == 1 + sum(trials)
+    assert result.backtracks == [t - 1 for t in trials]
     assert problem.calls["solve_adjoint"] == len(result.history)
 
 
@@ -526,6 +548,8 @@ def test_descent_reads_no_residual_and_one_objective_per_trial(build):
     problem = counted(problem)
     result = gradient_descent(problem, z0, step=step, iters=15, tol=0.0)
     trials = sum(trial_counts(result.history, step))
+    assert len(result.backtracks) == result.iterations == 15
+    assert problem.forward_calls == 1 + result.iterations + sum(result.backtracks)
     assert problem.calls["residual"] == 0
     assert problem.calls["apply_state_adjoint"] == 0
     assert problem.calls["objective"] == problem.calls["solve_forward"] == 1 + trials
@@ -544,9 +568,12 @@ def test_fd_check_reads_no_residual():
 def test_line_search_backtracks_past_a_failed_forward_solve():
     # the first trials overflow exp(z); they must be halved away, not raised
     problem, _ = make_elliptic_demo(31)
-    result = gradient_descent(problem, np.zeros(32), step=1e8, iters=3, tol=0.0)
+    tally = counted(problem)
+    result = gradient_descent(tally, np.zeros(32), step=1e8, iters=3, tol=0.0)
     steps = [alpha for *_, alpha in result.history]
     assert steps == [1e8 / 2 ** 17, 1e8 / 2 ** 17, 1e8 / 2 ** 16]
+    assert result.backtracks == [17, 3, 2]  # the warm starts 1e8, 1e8 / 2^14, 1e8 / 2^14
+    assert tally.forward_calls == 1 + 3 + 22  # a failed forward solve is a backtrack too
     fs = [row[1] for row in result.history]
     assert all(b < a for a, b in zip(fs, fs[1:]))
     z_ref, history_ref = descent_oracle(problem, np.zeros(32), 1e8, iters=3, tol=0.0)
@@ -611,3 +638,113 @@ def test_elliptic_descent_matches_oracle_bitwise(n, kappa, step, seed):
     z_ref, history_ref = descent_oracle(problem, z0, step, iters=8, tol=0.0)
     assert np.array_equal(np.array(result.history), np.array(history_ref))
     assert np.array_equal(result.z.view(np.uint64), z_ref.view(np.uint64))
+
+
+# -- warm-started line search ---------------------------------------------------------
+
+def control_batch(seed):
+    """A 2-16-16-1 tanh network on 64 samples, drawn like the ``control`` benchmark's
+    training instance but from ``default_rng(seed)``, a stream the benchmark never uses."""
+    rng = np.random.default_rng(seed)
+    sizes = (2, 16, 16, 1)
+    x = rng.uniform(-1.0, 1.0, (2, 64))
+    amp, freq, phase = rng.uniform(0.3, 0.8), rng.uniform(1.0, 3.0), rng.uniform(0.0, np.pi)
+    target = amp * np.sin(freq * x[0] + phase) * x[1]
+    params = Parameters([rng.uniform(-0.5, 0.5, (m, n)) for n, m in zip(sizes, sizes[1:])],
+                        [rng.uniform(-0.5, 0.5, m) for m in sizes[1:]])
+    return NetworkSpec(sizes), params, x, target[None, :]
+
+
+def test_backtracks_stop_with_the_descent():
+    problem = LinearQuadratic(np.diag([32.0, 1.0]))
+    result = gradient_descent(problem, np.ones(2), step=1.0, iters=50, tol=1e-3)
+    assert result.converged and len(result.backtracks) == result.iterations > 0
+    assert gradient_descent(problem, np.ones(2), step=1.0, iters=0, tol=0.0).backtracks == []
+
+
+def assert_warm_follows_cold(problem, z0, step, iters):
+    """Warm and cold searches agree bit for bit up to the first iteration at which the
+    cold search accepts more than 8 times its previous step; return that iteration
+    (``iters`` when there is none)."""
+    z_cold, cold = cold_descent_oracle(problem, z0, step, iters, tol=0.0)
+    result = gradient_descent(problem, z0, step=step, iters=iters, tol=0.0)
+    alphas = [row[3] for row in cold]
+    grows = [k for k in range(1, iters) if alphas[k] > 8.0 * alphas[k - 1]]
+    first = grows[0] if grows else iters
+    assert np.array_equal(np.array(result.history[:first]), np.array(cold[:first]))
+    if first == iters:
+        assert np.array_equal(result.z.view(np.uint64), z_cold.view(np.uint64))
+    else:
+        assert result.history[first][:3] == cold[first][:3]
+        assert result.history[first][3] <= 8.0 * alphas[first - 1] < alphas[first]
+    return first
+
+
+def test_warm_search_matches_cold_on_the_control_network():
+    iters = 30
+    firsts = []
+    for seed in range(8):
+        spec, params, x, a_obs = control_batch(1000 + seed)
+        firsts.append(assert_warm_follows_cold(NetworkTrainingProblem(spec, x, a_obs),
+                                               flatten_parameters(params), 1.0, iters))
+    assert firsts.count(iters) >= 6  # seed 1006 alone grows the cold step 16-fold
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_warm_search_matches_cold_on_the_elliptic_demo(seed):
+    problem, _ = make_elliptic_demo(127)
+    z0 = np.zeros(128) if seed is None else 0.1 * np.random.default_rng(seed).standard_normal(128)
+    assert assert_warm_follows_cold(problem, z0, 100.0, 150) == 150
+
+
+def test_warm_search_caps_the_growth_of_the_step():
+    # f = 0.5 (1024 z1^2 + z2^2): the first step 2^-10 zeroes z1, after which the cold
+    # search takes step = 1 at once, and the warm one climbs 2^-7, 2^-4, 2^-1, 1
+    problem = LinearQuadratic(np.diag([32.0, 1.0]))
+    _, cold = cold_descent_oracle(problem, np.ones(2), 1.0, 10, tol=0.0)
+    assert [row[3] for row in cold] == [2.0 ** -10, 1.0, 0.0]
+    counted_problem = counted(problem)
+    result = gradient_descent(counted_problem, np.ones(2), step=1.0, iters=10, tol=0.0)
+    assert [row[3] for row in result.history] == [2.0 ** -10, 2.0 ** -7, 2.0 ** -4, 0.5, 1.0, 0.0]
+    assert result.backtracks == [10, 0, 0, 0, 0]
+    assert result.converged and result.iterations == 5
+    assert counted_problem.forward_calls == 16
+    z_ref, history_ref = descent_oracle(problem, np.ones(2), 1.0, 10, tol=0.0)
+    assert np.array_equal(np.array(result.history), np.array(history_ref))
+    assert np.array_equal(result.z, z_ref)
+
+
+def test_train_solves_forward_at_most_0_6_times_as_often_as_a_cold_search(monkeypatch):
+    spec, params, x, a_obs = control_batch(2000)
+    trained = []
+
+    def counted_problem(*args):
+        trained.append(counted(NetworkTrainingProblem(*args)))
+        return trained[-1]
+
+    monkeypatch.setattr(network, "NetworkTrainingProblem", counted_problem)
+    train(spec, params, list(zip(x.T, a_obs.T)), iters=30)
+    cold = counted(NetworkTrainingProblem(spec, x, a_obs))
+    cold_descent_oracle(cold, flatten_parameters(params), 1.0, 30, tol=0.0)
+    cold_forward = cold.forward_calls - 30 + 1  # the oracle solves again at every iterate
+    assert len(trained) == 1
+    assert trained[0].forward_calls <= 0.6 * cold_forward
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problem=st.sampled_from(["scalar", "elliptic"]),
+       step=st.floats(1e-2, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_search_keeps_armijo_and_the_step_cap(problem, step, seed):
+    rng = np.random.default_rng(seed)
+    if problem == "scalar":
+        problem, z0 = NonlinearScalar(), rng.uniform(-5.0, 5.0, 1)
+    else:
+        problem, z0 = make_elliptic_demo(31)[0], 0.3 * rng.standard_normal(32)
+    result = gradient_descent(problem, z0, step=step, iters=12, tol=0.0)
+    rows, cap = result.history, step
+    for k, ((_, f, gnorm, alpha), rejected) in enumerate(zip(rows, result.backtracks)):
+        assert 0.0 < alpha <= cap and alpha == cap / 2 ** rejected
+        if k + 1 < len(rows):
+            assert rows[k + 1][1] <= f - ARMIJO_SLOPE * alpha * gnorm * gnorm
+        cap = min(step, 8.0 * alpha)
