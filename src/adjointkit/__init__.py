@@ -8,7 +8,7 @@ stability certificates, and Sturm-Liouville mode expansions.
 """
 
 from .core import (AdjointReport, DenseOperator, InnerProductSpace, adjoint,
-                   adjoint_consistency_check, euclidean, matrix_operator,
+                   adjoint_consistency_check, matrix_operator,
                    operator_from_record, operator_norm, operator_to_record,
                    orthonormalize)
 from .errors import NumericalError
@@ -41,7 +41,7 @@ __all__ = [
     "adjoint", "adjoint_consistency_check", "adjoint_pass",
     "as_constrained_problem", "build_advection_problem",
     "build_elliptic_problem", "discrete_infsup", "discretize",
-    "eig_self_adjoint", "euclidean", "fd_gradient_check", "forward",
+    "eig_self_adjoint", "fd_gradient_check", "forward",
     "fourier_coefficients", "fundamental_subspaces", "gradient_descent",
     "gradients", "hurwitz_check", "init_parameters", "instability_demo",
     "integration_operator", "jacobian_verdict", "kkt_residuals", "linearize",

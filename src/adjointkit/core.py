@@ -85,11 +85,6 @@ class InnerProductSpace:
         return f"InnerProductSpace(dim={self.dim}, {kind})"
 
 
-def euclidean(dim: int) -> InnerProductSpace:
-    """Space with the standard inner product."""
-    return InnerProductSpace(dim)
-
-
 class DenseOperator:
     """Linear map stored as a dense ``codomain.dim x domain.dim`` matrix."""
 
@@ -248,21 +243,23 @@ def operator_to_record(op: DenseOperator) -> dict:
     return rec
 
 
-def _record_size(rec: dict, key: str) -> int:
-    """A record's ``rows`` or ``cols``: an integer, or an integral float such as ``2.0``."""
-    size = rec[key]
+def checked_size(size, name: str) -> int:
+    """``size`` as an int: an integer, or an integral float such as ``2.0``.
+
+    A bool, NaN, inf or any other value raises ``ValueError`` naming ``name``.
+    """
     if isinstance(size, float):
         integral = size.is_integer()  # false for inf and NaN
     else:
         integral = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
     if not integral:
-        raise ValueError(f"{key} must be an integer, got {size!r}")
+        raise ValueError(f"{name} must be an integer, got {size!r}")
     return int(size)
 
 
 def operator_from_record(rec: dict) -> DenseOperator:
     try:
-        m, n = _record_size(rec, "rows"), _record_size(rec, "cols")
+        m, n = checked_size(rec["rows"], "rows"), checked_size(rec["cols"], "cols")
         entries = np.asarray(rec["entries"], dtype=float)
         metrics = {key: np.asarray(rec[key], dtype=float)
                    for key in ("domain_metric", "codomain_metric") if rec.get(key) is not None}

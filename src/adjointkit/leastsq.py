@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace
+from .core import DenseOperator, InnerProductSpace, checked_size
 from .errors import NumericalError
 from .spectral import checked_vector, left_coefficients, null_defect, svd
 
@@ -155,6 +155,7 @@ def integration_operator(n: int) -> DenseOperator:
     pairing and the singular values converge to those of the continuous
     integration operator.
     """
+    n = checked_size(n, "n")
     if n < 2:
         raise ValueError("need at least two quadrature cells")
     h = 1.0 / n

@@ -101,15 +101,10 @@ def _checked_control(problem: ConstrainedProblem, z) -> np.ndarray:
     return checked_vector(z, problem.control_dim, "control", "control_dim")
 
 
-def _control_block(problem: ConstrainedProblem, u, z, y):
-    """KKT control block ``grad_z f + c_z^T y`` at any multiplier ``y``."""
-    return problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
-
-
 def _adjoint_gradient(problem: ConstrainedProblem, u, z):
     """Multiplier and reduced gradient at a state solving ``c(u, z) = 0``: one adjoint solve."""
     y, pull = problem.solve_adjoint(u, z, -problem.objective_grad_state(u, z))
-    return y, problem.objective_grad_control(u, z) + pull  # _control_block's order, bitwise
+    return y, problem.objective_grad_control(u, z) + pull  # kkt_residuals' control order, bitwise
 
 
 def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradientReport:
@@ -240,6 +235,7 @@ def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
     z = _checked_control(problem, z)
     y = checked_vector(y, problem.state_dim, "multiplier", "state_dim")
     adjoint_block = problem.objective_grad_state(u, z) + problem.apply_state_adjoint(u, z, y)
+    control_block = problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
     return {"forward": float(np.linalg.norm(problem.residual(u, z))),
             "adjoint": float(np.linalg.norm(adjoint_block)),
-            "control": float(np.linalg.norm(_control_block(problem, u, z, y)))}
+            "control": float(np.linalg.norm(control_block))}

@@ -20,7 +20,7 @@ state and multiplier slopes.
 
 import numpy as np
 
-from .core import DenseOperator, matrix_operator
+from .core import DenseOperator, checked_size, matrix_operator
 from .errors import NumericalError
 from .optim import ConstrainedProblem
 from .spectral import checked_vector, svd
@@ -36,11 +36,12 @@ class AdvectionControlProblem(ConstrainedProblem):
     """
 
     def __init__(self, n: int, beta: float):
+        n = checked_size(n, "n")
         if n < 2:
             raise ValueError("need at least two grid cells")
         if not 0.0 < beta < np.inf:
             raise ValueError("transport velocity must be positive and finite")
-        self.n = int(n)
+        self.n = n
         self.beta = float(beta)
         self.h = 1.0 / n
         self.state_dim = n + 1
@@ -106,11 +107,12 @@ class EllipticInversionProblem(ConstrainedProblem):
     """
 
     def __init__(self, n: int, g0: float, g1: float, u_obs, kappa: float = 0.0):
+        n = checked_size(n, "n")
         if n < 3:
             raise ValueError("need at least three interior nodes")
         if not (np.isfinite(g0) and np.isfinite(g1)):
             raise ValueError("boundary data g0 and g1 must be finite")
-        self.n = int(n)
+        self.n = n
         self.g0 = float(g0)
         self.g1 = float(g1)
         self.h = 1.0 / (n + 1)

@@ -144,7 +144,7 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
     rows[1, :len(coeffs[1::2])] = coeffs[1::2]
     for i in range(1, n):
         if abs(rows[i, 0]) <= tol:
-            return HurwitzVerdict(hurwitz=False, margin=0.0, boundary=True)
+            break  # the rows below stay zero, so the margin test reports the boundary
         rows[i + 1, :width] = (rows[i, 0] * rows[i - 1, 1:]
                                - rows[i - 1, 0] * rows[i, 1:]) / rows[i, 0]
     first_col = rows[:n + 1, 0]

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import checked_vector
+
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 # Largest grid accepted.  Assembly and eigensolve are dense, O(n^3) time and
 # O(n^2) memory; at n = 2000 every constant-coefficient dirichlet eigenvalue
@@ -133,11 +135,12 @@ def solve_modes(disc: Discretization, k: int) -> ModeSet:
 
 
 def fourier_coefficients(f: np.ndarray, modes: ModeSet) -> np.ndarray:
-    """Expansion coefficients ``c_n = h sum(rho f v_n)``, all as ``V^T (h rho f)``."""
-    f = np.asarray(f, dtype=float)
+    """Expansion coefficients ``c_n = h sum(rho f v_n)``, all as ``V^T (h rho f)``.
+
+    Samples of the wrong length or with non-finite entries are a ``ValueError``.
+    """
     disc = modes.disc
-    if f.shape != disc.grid.shape:
-        raise ValueError("sample length does not match the grid")
+    f = checked_vector(f, disc.grid.size, "sample", "grid size")
     return modes.modes.T @ (disc.h * disc.rho * f)
 
 

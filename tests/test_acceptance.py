@@ -38,8 +38,7 @@ def test_criterion_1_adjoint_contract():
     rng = Lcg(42)
     worst = 0.0
     for index in range(100):
-        op = seeded_operator(rng, max_rows=12, max_cols=9,
-                             weighted=index % 2 == 1)
+        op = seeded_operator(rng, weighted=index % 2 == 1)
         result = adjoint_consistency_check(op, trials=20, seed=1000 + index)
         worst = max(worst, result.max_defect)
     elapsed = time.monotonic() - start

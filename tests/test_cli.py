@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,27 @@ def test_output_cases_cover_every_command_with_output():
                    if any("--output" in a.option_strings for a in parser._actions)}
     assert with_output == {argv[0] for argv in OUTPUT_CASES.values()}
     assert "selftest" not in with_output
+
+
+def readme_command_lines():
+    """Each ``adjointkit ...`` line of the README's "Command line" block, comment cut."""
+    readme = (Path(adjointkit.__file__).resolve().parents[2] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("adjointkit ")]
+
+
+def test_readme_command_lines_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {line.split()[1] for line in readme_command_lines()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_parses(line):
+    # argparse checks the flags, choices and required options; no file is opened
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.func)
 
 
 # -- adjoint-check ---------------------------------------------------------------

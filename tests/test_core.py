@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
-                        euclidean, matrix_operator, operator_from_record,
+                        matrix_operator, operator_from_record,
                         operator_norm, operator_to_record, orthogonal_projector,
                         orthonormalize)
 from adjointkit.core import DenseOperator
@@ -39,17 +39,17 @@ def test_non_finite_metric_and_entries_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         InnerProductSpace(2, [[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
-        DenseOperator(euclidean(2), euclidean(2), [[1.0, np.inf], [0.0, 1.0]])
+        DenseOperator(InnerProductSpace(2), InnerProductSpace(2), [[1.0, np.inf], [0.0, 1.0]])
 
 
 def test_inner_examples():
     # orthogonal canonical vectors
-    assert euclidean(2).inner([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert InnerProductSpace(2).inner([1.0, 0.0], [0.0, 1.0]) == 0.0
     # hand expansion 2*1*1 + 3*1*1
     weighted = InnerProductSpace(2, [[2.0, 0.0], [0.0, 3.0]])
     assert weighted.inner([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
     # squared norm
-    assert euclidean(2).inner([3.0, 4.0], [3.0, 4.0]) == pytest.approx(25.0)
+    assert InnerProductSpace(2).inner([3.0, 4.0], [3.0, 4.0]) == pytest.approx(25.0)
 
 
 def test_inner_symmetry_and_dimension_error():
@@ -249,14 +249,14 @@ def test_consistency_check_all_zero_probe_scores_zero():
 # -- orthonormalization --------------------------------------------------------
 
 def test_orthonormalize_hand_case():
-    basis = orthonormalize([np.array([1.0, 1.0]), np.array([1.0, 0.0])], euclidean(2))
+    basis = orthonormalize([np.array([1.0, 1.0]), np.array([1.0, 0.0])], InnerProductSpace(2))
     s = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(basis[:, 0], [s, s], atol=1e-12)
     np.testing.assert_allclose(basis[:, 1], [s, -s], atol=1e-12)
 
 
 def test_orthonormalize_keeps_orthonormal_input():
-    basis = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])], euclidean(2))
+    basis = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])], InnerProductSpace(2))
     np.testing.assert_allclose(basis, np.eye(2), atol=1e-14)
 
 
@@ -280,13 +280,13 @@ def test_orthonormalize_monomials_gives_legendre_directions():
 
 def test_orthonormalize_rejects_dependent_input():
     with pytest.raises(ValueError, match="dependent"):
-        orthonormalize([np.array([1.0, 2.0]), np.array([2.0, 4.0])], euclidean(2))
+        orthonormalize([np.array([1.0, 2.0]), np.array([2.0, 4.0])], InnerProductSpace(2))
 
 
 def test_orthonormalize_rejects_more_vectors_than_dimension():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="dependent"):
-        orthonormalize([rng.standard_normal(3) for _ in range(4)], euclidean(3))
+        orthonormalize([rng.standard_normal(3) for _ in range(4)], InnerProductSpace(3))
 
 
 def test_orthonormalize_twelve_monomials_nested_and_orthonormal():
@@ -310,7 +310,7 @@ def test_orthonormalize_twelve_monomials_nested_and_orthonormal():
 def test_orthonormalize_span_preserved():
     rng = np.random.default_rng(8)
     vecs = [rng.standard_normal(5) for _ in range(3)]
-    basis = orthonormalize(vecs, euclidean(5))
+    basis = orthonormalize(vecs, InnerProductSpace(5))
     # every input vector is reproduced by its expansion in the basis
     for v in vecs:
         rec = basis @ (basis.T @ v)

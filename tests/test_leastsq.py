@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adjointkit import (DenseOperator, InnerProductSpace, adjoint,
-                        matrix_operator, solvability_check, svd)
+                        adjoint_consistency_check, matrix_operator,
+                        solvability_check, svd)
 from adjointkit.cli import main
 from adjointkit.leastsq import (instability_demo, integration_operator,
                                 normal_solve, picard_diagnostic,
@@ -371,3 +375,61 @@ def test_integration_operator_conditioning_grows():
 def test_integration_operator_rejects_small_n():
     with pytest.raises(ValueError):
         integration_operator(1)
+
+
+# -- degenerate operators, property-tested ---------------------------------------
+
+# zero or of magnitude 1e-3 to 10, so that every Picard ratio stays in the float range
+ENTRY = st.just(0.0) | st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
+KAPPAS = (5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300)
+
+
+@st.composite
+def degenerate_operators(draw):
+    """A zero operator, a rank-1 outer product or a 1 x k, k x 1 or 1 x 1 matrix, k <= 6.
+
+    Each space is Euclidean or carries a diagonal SPD metric.
+    """
+    kind = draw(st.sampled_from(["zero", "outer", "row", "column", "scalar"]))
+    k = draw(st.integers(1, 6))
+    m, n = {"zero": (draw(st.integers(1, 6)), k), "outer": (draw(st.integers(1, 6)), k),
+            "row": (1, k), "column": (k, 1), "scalar": (1, 1)}[kind]
+    if kind == "zero":
+        entries = np.zeros((m, n))
+    elif kind == "outer":
+        entries = np.outer(draw(arrays(float, m, elements=ENTRY)),
+                           draw(arrays(float, n, elements=ENTRY)))
+    else:
+        entries = draw(arrays(float, (m, n), elements=ENTRY))
+
+    def metric(dim):
+        if draw(st.booleans()):
+            return None
+        return np.diag(draw(arrays(float, dim, elements=st.floats(0.25, 4.0))))
+
+    op = matrix_operator(entries, metric(n), metric(m))
+    return kind, op, draw(arrays(float, m, elements=ENTRY))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=degenerate_operators())
+def test_degenerate_operators_keep_every_contract(case):
+    kind, op, y = case
+    dec = svd(op)
+    assert dec.rank <= 1
+    if kind == "zero":
+        assert dec.rank == 0
+    # minimum-norm least squares in the whitened coordinates, same rank cut as svd
+    ld = np.linalg.cholesky(op.domain.metric)
+    lc = np.linalg.cholesky(op.codomain.metric)
+    whitened = lc.T @ np.linalg.solve(ld, op.entries.T).T
+    w, *_ = np.linalg.lstsq(whitened, lc.T @ y, rcond=1e-10)
+    reference = np.linalg.solve(ld.T, w)
+    np.testing.assert_allclose(normal_solve(op, y), reference, rtol=1e-12,
+                               atol=1e-12 * max(np.abs(reference).max(), 1.0))
+    assert picard_diagnostic(op, y).null_defect == solvability_check(op, y)["defect"]
+    assert adjoint_consistency_check(op).max_defect <= 1e-12
+    for kappa in KAPPAS:
+        sol = tikhonov_solve(op, y, kappa)
+        assert np.all(np.isfinite(sol.x))
+        assert np.isfinite(sol.residual_norm) and np.isfinite(sol.prior_distance)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjointkit import (DenseOperator, InnerProductSpace, adjoint, euclidean,
+from adjointkit import (DenseOperator, InnerProductSpace, adjoint,
                         eig_self_adjoint, fundamental_subspaces,
                         matrix_operator, operator_norm, orthogonal_projector,
                         solvability_check, svd)
@@ -377,18 +377,18 @@ def test_solvability_zero_rhs():
 # -- projectors ------------------------------------------------------------------
 
 def test_projector_onto_first_axis():
-    p = orthogonal_projector(np.array([[1.0], [0.0]]), euclidean(2))
+    p = orthogonal_projector(np.array([[1.0], [0.0]]), InnerProductSpace(2))
     np.testing.assert_allclose(p.entries, np.diag([1.0, 0.0]))
 
 
 def test_projector_full_basis_is_identity():
-    p = orthogonal_projector(np.eye(3), euclidean(3))
+    p = orthogonal_projector(np.eye(3), InnerProductSpace(3))
     np.testing.assert_allclose(p.entries, np.eye(3), atol=1e-14)
 
 
 def test_projector_rank_one_formula():
     s = 1.0 / np.sqrt(2.0)
-    p = orthogonal_projector(np.array([[s], [s]]), euclidean(2))
+    p = orthogonal_projector(np.array([[s], [s]]), InnerProductSpace(2))
     np.testing.assert_allclose(p.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
 
@@ -412,7 +412,7 @@ def test_projector_idempotent_self_adjoint_pythagorean():
 
 def test_projector_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
-        orthogonal_projector(np.array([[1.0], [1.0]]), euclidean(2))
+        orthogonal_projector(np.array([[1.0], [1.0]]), InnerProductSpace(2))
 
 
 def test_projector_checks_orthonormality_in_the_space_metric():

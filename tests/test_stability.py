@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 import adjointkit
 
-from adjointkit import selftest
+from adjointkit import selftest, stability
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (HurwitzVerdict, SeirsModel,
                                   characteristic_polynomial, damped_oscillator,
@@ -489,9 +489,17 @@ def test_lyapunov_suite_raises_on_non_singular_failure(monkeypatch):
     def failed_gate(a, q):
         raise NumericalError("Lyapunov residual gate failed")
 
-    monkeypatch.setattr(selftest, "lyapunov_solve", failed_gate)
+    monkeypatch.setattr(stability, "lyapunov_solve", failed_gate)
     with pytest.raises(NumericalError, match="residual"):
         selftest.lyapunov_suite(seed=42)
+
+
+def test_lyapunov_suite_counts_verdicts_that_miss_the_built_spectrum(monkeypatch):
+    # the suite holds the verdict users get against the spectrum it builds,
+    # so a verdict that calls every matrix Hurwitz misses the 25 unstable ones
+    monkeypatch.setattr(selftest, "jacobian_verdict",
+                        lambda a: HurwitzVerdict(hurwitz=True, margin=1.0))
+    assert selftest.lyapunov_suite(seed=42) == (False, "25 disagreements over 50 matrices")
 
 
 def test_verdict_logistic_both_equilibria():

@@ -4,7 +4,9 @@ Each library case must raise ``ValueError`` with its own message; each
 CLI case must exit 2 with nothing on stdout.  The vector gates (data,
 prior, training samples, controls) are also probed by property tests:
 a wrong length, or one non-finite entry at a drawn position, must be
-rejected by a message that names the sizes.
+rejected by a message that names the sizes.  So are operator records:
+one non-finite value in the entries or a metric, or a metric one entry
+short or long, which must be refused by a message naming the key.
 """
 
 import json
@@ -17,16 +19,17 @@ from hypothesis import strategies as st
 
 from adjointkit.cli import main
 from adjointkit.core import (DenseOperator, InnerProductSpace,
-                             adjoint_consistency_check, euclidean,
+                             adjoint_consistency_check,
                              matrix_operator, operator_from_record,
                              orthonormalize)
-from adjointkit.leastsq import (instability_demo, normal_solve, picard_diagnostic,
-                                tikhonov_solve)
+from adjointkit.leastsq import (instability_demo, integration_operator, normal_solve,
+                                picard_diagnostic, tikhonov_solve)
 from adjointkit.network import (NetworkSpec, Parameters, forward, init_parameters,
                                 loss, train)
 from adjointkit.optim import (fd_gradient_check, gradient_descent, kkt_residuals,
                              reduced_gradient, reduced_objective)
-from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
+from adjointkit.pde import (AdvectionControlProblem, EllipticInversionProblem,
+                            build_advection_problem, build_elliptic_problem,
                             make_elliptic_demo)
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
@@ -63,12 +66,13 @@ LIBRARY_CASES = {
     # core
     "space-dim-0": (lambda: InnerProductSpace(0), "dimension must be positive"),
     "metric-shape": (lambda: InnerProductSpace(2, np.eye(3)), "metric shape"),
-    "entries-shape": (lambda: DenseOperator(euclidean(2), euclidean(2), np.ones((2, 3))),
+    "entries-shape": (lambda: DenseOperator(InnerProductSpace(2), InnerProductSpace(2),
+                                            np.ones((2, 3))),
                       "does not match codomain x domain"),
     "matvec-length": (lambda: OP_2X3.matvec(np.ones(2)), "operator domain"),
     "adjoint-shape": (lambda: adjoint_consistency_check(OP_2X3, adjoint_op=OP_2X3),
                       "incompatible shape"),
-    "orthonormalize-length": (lambda: orthonormalize([np.ones(3)], euclidean(2)),
+    "orthonormalize-length": (lambda: orthonormalize([np.ones(3)], InnerProductSpace(2)),
                               "space dimension"),
     "record-missing-key": (lambda: operator_from_record({"rows": 1, "cols": 1}),
                            "malformed operator record"),
@@ -103,6 +107,8 @@ LIBRARY_CASES = {
     "tikhonov-x0": (lambda: tikhonov_solve(OP_2X3, np.ones(2), 1.0, np.ones(2)),
                     "prior length"),
     "picard-y": (lambda: picard_diagnostic(OP_2X3, np.ones(3)), "codomain"),
+    "integration-n-fractional": (lambda: integration_operator(4.5),
+                                 "n must be an integer, got 4.5"),
     # network
     "unpaired-parameters": (lambda: Parameters([np.ones((1, 2))], []), "pair up"),
     "bias-length": (lambda: Parameters([np.ones((1, 2))], [np.zeros(2)]),
@@ -141,7 +147,7 @@ LIBRARY_CASES = {
     "eig-two-spaces": (lambda: eig_self_adjoint(
         matrix_operator(np.eye(2), domain_metric=2.0 * np.eye(2))), "to itself"),
     "solvability-y": (lambda: solvability_check(OP_2X3, np.ones(3)), "codomain"),
-    "projector-height": (lambda: orthogonal_projector(np.ones((3, 1)), euclidean(2)),
+    "projector-height": (lambda: orthogonal_projector(np.ones((3, 1)), InnerProductSpace(2)),
                          "length space.dim"),
     # stability
     "lyapunov-non-square": (lambda: lyapunov_solve(np.ones((2, 3)), np.eye(2)), "square"),
@@ -167,6 +173,10 @@ LIBRARY_CASES = {
     "sturm-q-inf": (lambda: sturm_grid(q=-INF), "potential q must be finite"),
     "sturm-sample-length": (lambda: fourier_coefficients(np.ones(4), sturm_modes()),
                             "sample length"),
+    "sturm-sample-nan": (lambda: fourier_coefficients(np.full(5, NAN), sturm_modes()),
+                         re.escape("sample has non-finite entries (length 5, grid size 5)")),
+    "sturm-sample-inf": (lambda: truncation_error([0.0, 1.0, -INF, 1.0, 0.0], sturm_modes(), [2]),
+                         "sample has non-finite entries"),
     "sturm-too-many-terms": (lambda: truncation_error(np.ones(5), sturm_modes(), [4]),
                              "exceeds available modes"),
     # pde
@@ -178,6 +188,12 @@ LIBRARY_CASES = {
                            "observations u_obs has non-finite entries"),
     "elliptic-u_obs-length": (lambda: build_elliptic_problem(7, 0.0, 1.0, np.zeros(6)),
                               "observations u_obs length 6 does not match interior node count 7"),
+    "elliptic-n-fractional": (lambda: EllipticInversionProblem(4.5, 0.0, 1.0, np.zeros(4)),
+                              "n must be an integer, got 4.5"),
+    "advection-n-fractional": (lambda: AdvectionControlProblem(2.5, 1.0),
+                               "n must be an integer, got 2.5"),
+    "advection-n-inf": (lambda: AdvectionControlProblem(INF, 1.0),
+                        "n must be an integer, got inf"),
     # selftest
     "unknown-suite": (lambda: run_suites(["bogus"]), "unknown suite"),
 }
@@ -262,6 +278,38 @@ def test_training_sample_gate_names_the_shapes(data, bad_x):
         train(spec, init_parameters(spec), [(x, a_obs)], iters=1)
     assert f"({x.size}, 1)" in str(info.value)
     assert f"({a_obs.size}, 1)" in str(info.value)
+
+
+METRIC_KEYS = ("domain_metric", "codomain_metric")
+
+
+def identity_record(data):
+    """A valid 1-4 x 1-4 record with both metrics written out as flat identities."""
+    m, n = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    return {"rows": m, "cols": n, "entries": np.arange(1.0, m * n + 1.0).tolist(),
+            "domain_metric": np.eye(n).ravel().tolist(),
+            "codomain_metric": np.eye(m).ravel().tolist()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), key=st.sampled_from(("entries",) + METRIC_KEYS))
+def test_record_with_a_non_finite_value_is_refused(data, key):
+    rec = identity_record(data)
+    position = data.draw(st.integers(0, len(rec[key]) - 1), label="position")
+    rec[key][position] = data.draw(BAD_VALUES)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        operator_from_record(rec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), key=st.sampled_from(METRIC_KEYS), longer=st.booleans())
+def test_metric_one_entry_off_is_refused_by_name(data, key, longer):
+    rec = identity_record(data)
+    expected = len(rec[key])
+    rec[key] = rec[key] + [0.0] if longer else rec[key][:-1]
+    with pytest.raises(ValueError, match=f"^{key}: expected {expected} entries, "
+                                         f"got {len(rec[key])}$"):
+        operator_from_record(rec)
 
 
 CLI_CASES = {
