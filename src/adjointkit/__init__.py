@@ -21,8 +21,7 @@ from .network import (NetworkSpec, Parameters, adjoint_pass,
 from .optim import (ConstrainedProblem, ReducedGradientReport,
                     fd_gradient_check, gradient_descent, kkt_residuals,
                     reduced_gradient)
-from .pde import (build_advection_problem, build_elliptic_problem,
-                  discrete_infsup)
+from .pde import build_advection_problem, build_elliptic_problem
 from .spectral import (EigResult, SubspaceBases, SvdResult, eig_self_adjoint,
                        fundamental_subspaces, orthogonal_projector,
                        solvability_check, svd)
@@ -40,7 +39,7 @@ __all__ = [
     "StabilityReport", "SubspaceBases", "SvdResult", "TikhonovSolution",
     "adjoint", "adjoint_consistency_check", "adjoint_pass",
     "as_constrained_problem", "build_advection_problem",
-    "build_elliptic_problem", "discrete_infsup", "discretize",
+    "build_elliptic_problem", "discretize",
     "eig_self_adjoint", "fd_gradient_check", "forward",
     "fourier_coefficients", "fundamental_subspaces", "gradient_descent",
     "gradients", "hurwitz_check", "init_parameters", "instability_demo",

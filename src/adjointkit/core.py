@@ -29,6 +29,34 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def checked_size(size, name: str) -> int:
+    """``size`` as an int: an integer, or an integral float such as ``2.0``.
+
+    A bool, NaN, inf or any other value raises ``ValueError`` naming ``name``.
+    """
+    if isinstance(size, float):
+        integral = size.is_integer()  # false for inf and NaN
+    else:
+        integral = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {size!r}")
+    return int(size)
+
+
+def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
+    """``v`` as a float array, once it has length ``dim`` and finite entries.
+
+    Otherwise ``ValueError`` names ``what`` the vector is, its length and
+    ``where`` the length ``dim`` comes from.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"{what} length {v.size} does not match {where} {dim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite entries (length {v.size}, {where} {dim})")
+    return v
+
+
 class InnerProductSpace:
     """Real space of dimension ``dim`` with inner product ``x^T M y``.
 
@@ -37,9 +65,10 @@ class InnerProductSpace:
     """
 
     def __init__(self, dim: int, metric: np.ndarray | None = None):
+        dim = checked_size(dim, "dim")
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        self.dim = int(dim)
+        self.dim = dim
         if metric is None:
             metric = np.eye(self.dim)
         metric = np.asarray(metric, dtype=float)
@@ -174,6 +203,7 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     zero).  Defects are normalized by the larger operator norm; a norm or
     defect that overflows raises ``NumericalError`` rather than certifying.
     """
+    trials = checked_size(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = adjoint(op) if adjoint_op is None else adjoint_op
@@ -241,20 +271,6 @@ def operator_to_record(op: DenseOperator) -> dict:
     if not op.codomain.is_euclidean:
         rec["codomain_metric"] = [float(x) for x in op.codomain.metric.ravel()]
     return rec
-
-
-def checked_size(size, name: str) -> int:
-    """``size`` as an int: an integer, or an integral float such as ``2.0``.
-
-    A bool, NaN, inf or any other value raises ``ValueError`` naming ``name``.
-    """
-    if isinstance(size, float):
-        integral = size.is_integer()  # false for inf and NaN
-    else:
-        integral = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
-    if not integral:
-        raise ValueError(f"{name} must be an integer, got {size!r}")
-    return int(size)
 
 
 def operator_from_record(rec: dict) -> DenseOperator:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace, checked_size
+from .core import DenseOperator, InnerProductSpace, checked_size, checked_vector
 from .errors import NumericalError
-from .spectral import checked_vector, left_coefficients, null_defect, svd
+from .spectral import left_coefficients, null_defect, svd
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,7 @@ def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,
     """
     if not 0.0 < abs(delta) < np.inf:
         raise ValueError(f"perturbation size must be non-zero and finite, got {delta}")
+    mode_index = checked_size(mode_index, "mode index")
     dec = svd(op)
     if not 1 <= mode_index <= dec.rank:
         raise ValueError(f"mode index {mode_index} exceeds rank {dec.rank}")

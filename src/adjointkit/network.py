@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import checked_size
 from .optim import ConstrainedProblem, gradient_descent
 from .rand import Lcg
 
@@ -48,6 +49,8 @@ class NetworkSpec:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least one layer (two sizes)")
+        object.__setattr__(self, "layer_sizes",  # frozen: store the ints
+                           tuple(checked_size(s, "layer size") for s in self.layer_sizes))
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
         if self.activation not in ACTIVATIONS:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import checked_size, checked_vector
 from .errors import NumericalError
-from .spectral import checked_vector
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
@@ -182,6 +182,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
         raise ValueError("step must be positive and finite")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
+    iters = checked_size(iters, "iters")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     z = _checked_control(problem, z0).copy()

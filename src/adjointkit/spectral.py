@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace
+from .core import DenseOperator, InnerProductSpace, checked_vector
 from .errors import NumericalError
 
 _SELF_ADJOINT_TOL = 1e-8
@@ -147,20 +147,6 @@ def fundamental_subspaces(s: SvdResult) -> SubspaceBases:
         range_astar=s.right_vectors[:, :r],
         null_astar=s.left_vectors[:, r:],
     )
-
-
-def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
-    """``v`` as a float array, once it has length ``dim`` and finite entries.
-
-    Otherwise ``ValueError`` names ``what`` the vector is, its length and
-    ``where`` the length ``dim`` comes from.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{what} length {v.size} does not match {where} {dim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} has non-finite entries (length {v.size}, {where} {dim})")
-    return v
 
 
 def left_coefficients(s: SvdResult, y: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import checked_vector
+from .core import checked_size, checked_vector
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 # Largest grid accepted.  Assembly and eigensolve are dense, O(n^3) time and
@@ -44,6 +44,7 @@ class SLProblem:
     def __post_init__(self):
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
+        object.__setattr__(self, "n", checked_size(self.n, "n"))  # frozen: store the int
         if self.n < 3:
             raise ValueError("grid must have at least three nodes")
         if self.n > MAX_SL_NODES:
@@ -125,6 +126,7 @@ def solve_modes(disc: Discretization, k: int) -> ModeSet:
     ascending), and modes are scaled to unit discrete weighted L2 norm.
     """
     n = disc.stiffness.shape[0]
+    k = checked_size(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} modes from an {n}-point grid")
     d_half = np.sqrt(disc.rho)
@@ -158,6 +160,7 @@ def truncation_error(f: np.ndarray, modes: ModeSet, n_list) -> np.ndarray:
     coeffs = fourier_coefficients(f, modes)
     out = []
     for n_terms in n_list:
+        n_terms = checked_size(n_terms, "term count")
         if n_terms > modes.modes.shape[1]:
             raise ValueError("truncation length exceeds available modes")
         residual = f - reconstruct(coeffs, modes, n_terms)

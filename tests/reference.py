@@ -1,11 +1,12 @@
 """Reference implementations shared by the tests; not part of the library.
 
-Besides the dense state Jacobian, these are the advection, elliptic and
-network kernels in their first, plainer form (one node at a time, more
-NumPy passes, concatenated blocks, a full finiteness scan); the
-library's kernels must match them bit for bit.  ``adjoint_then_pull``
-takes the adjoint solve apart again: the multiplier by these kernels,
-then its pull-back by ``apply_control_adjoint``.
+Besides the dense state Jacobian and the dense elliptic stiffness, these
+are the advection, elliptic and network kernels in their first, plainer
+form (one node at a time, more NumPy passes, concatenated blocks, a full
+finiteness scan); the library's kernels must match them bit for bit.
+``adjoint_then_pull`` takes the adjoint solve apart again: the
+multiplier by these kernels, then its pull-back by
+``apply_control_adjoint``.
 """
 
 import numpy as np
@@ -70,6 +71,12 @@ def elliptic_solve(problem, z, rhs, g0, g1):
 def elliptic_jumps(u, g0, g1):
     """``D u`` by padding with the end values and differencing."""
     return np.diff(np.concatenate([[g0], u, [g1]]))
+
+
+def elliptic_stiffness(problem, z):
+    """``K = D^T diag(exp(z)) D / h^2``, with the same Dirichlet ``D`` as ``sturm``."""
+    d = np.eye(problem.n + 1, problem.n) - np.eye(problem.n + 1, problem.n, -1)
+    return d.T @ (np.exp(z)[:, None] * d) / problem.h ** 2
 
 
 def elliptic_control_adjoint(problem, u, z, y):

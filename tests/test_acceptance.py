@@ -18,8 +18,8 @@ from adjointkit.network import (NetworkSpec, as_constrained_problem,
                                 flatten_parameters, forward, init_parameters,
                                 loss, loss_gradients, unflatten_parameters)
 from adjointkit.optim import fd_gradient_check, gradient_descent, reduced_gradient
-from adjointkit.pde import (build_advection_problem, discrete_infsup,
-                            elliptic_stiffness_operator, make_elliptic_demo)
+from adjointkit.pde import (AdvectionControlProblem, EllipticInversionProblem,
+                            build_advection_problem, make_elliptic_demo)
 from adjointkit.rand import Lcg
 from adjointkit.selftest import seeded_operator
 from adjointkit.stability import (SeirsModel, hurwitz_check, is_spd, linearize,
@@ -27,6 +27,7 @@ from adjointkit.stability import (SeirsModel, hurwitz_check, is_spd, linearize,
 from adjointkit.sturm import (constant_coefficient_problem,
                               dirichlet_eigenvalue_formula, discretize,
                               solve_modes)
+from reference import dense_state_jacobian
 
 
 def report(number, description):
@@ -292,13 +293,53 @@ def test_criterion_10_pde_control():
                f"iterations, {elapsed:.2f}s")
 
 
+def infsup(problem, z, domain_weights, codomain_weights):
+    """``sigma_min`` and ``dim N(A*)`` of the state Jacobian at ``(solve_forward(z), z)``,
+    between the diagonal metrics given by the two weight vectors."""
+    jac = dense_state_jacobian(problem, problem.solve_forward(z), z)
+    dec = svd(matrix_operator(jac, np.diag(domain_weights), np.diag(codomain_weights)))
+    return float(dec.sigma[-1]), fundamental_subspaces(dec).null_astar.shape[1]
+
+
 def test_criterion_11_discrete_substitutes():
-    # infinite-dimensional theorems have no finite artifact; the discrete
-    # inf-sup diagnostic plus the property suites stand in for them
-    singular = discrete_infsup(matrix_operator([[1.0, 2.0], [1.0, 2.0]]))
+    # Banach-Necas-Babuska: each problem is well posed when its inf-sup constant
+    # (sigma_min between the discrete L2 norms) stays away from zero as the mesh
+    # refines and N(A*) = {0}; a singular operator has no such constant
+    singular = svd(matrix_operator([[1.0, 2.0], [1.0, 2.0]])).sigma[-1]
     assert singular <= 1e-10
-    elliptic = discrete_infsup(elliptic_stiffness_operator(15, np.zeros(16)))
+    # elliptic: K = D^T D / h^2 at z = 0, metric h I on both sides; sigma_min is
+    # the first discrete Dirichlet eigenvalue and tends to pi^2 at O(h^2)
+    sigmas = []
+    for n in (15, 31, 63, 127, 255):
+        problem = EllipticInversionProblem(n, 0.0, 1.0, np.zeros(n))
+        h_weights = np.full(n, problem.h)
+        sigma, null_astar = infsup(problem, np.zeros(n + 1), h_weights, h_weights)
+        exact = dirichlet_eigenvalue_formula(1, problem.h)
+        assert abs(sigma - exact) <= 1e-11 * exact
+        assert null_astar == 0
+        sigmas.append(sigma)
+    elliptic = sigmas[0]  # n = 15
     assert elliptic > 0.0
+    elliptic_gaps = np.pi ** 2 - np.array(sigmas)
+    assert np.all(np.abs(elliptic_gaps[:-1] / elliptic_gaps[1:] - 4.0) <= 0.1)
+    # hyperbolic: the upwind u -> (beta u(0), beta u') from the trapezoid-weighted
+    # nodes to weight 1 on the inflow row and h per cell; sigma_min / beta tends at
+    # O(h^2) to the root k of k tan k = 1 (-u'' = lambda u, u'(1) = 0, u'(0) = u(0))
+    k = 0.8603335890193541
+    assert abs(k * np.tan(k) - 1.0) <= 1e-12
+    for beta in (0.5, 1.0, 2.0):
+        sigmas = []
+        for n in (16, 32, 64, 128, 256):
+            problem = AdvectionControlProblem(n, beta)
+            nodes = np.full(n + 1, problem.h)
+            nodes[0] = nodes[-1] = 0.5 * problem.h
+            rows = np.full(n + 1, problem.h)
+            rows[0] = 1.0
+            sigma, null_astar = infsup(problem, np.ones(1), nodes, rows)
+            assert null_astar == 0
+            sigmas.append(sigma)
+        advection_gaps = np.array(sigmas) / beta - k
+        assert np.all(np.abs(advection_gaps[:-1] / advection_gaps[1:] - 4.0) <= 0.1)
     # metric Gram-Schmidt on sampled monomials recovers the Legendre
     # directions, the L2 machinery behind the criterion-2 matrix
     m = 400
@@ -310,5 +351,6 @@ def test_criterion_11_discrete_substitutes():
     legendre2 = 0.5 * (3.0 * x ** 2 - 1.0)
     align = abs(space.inner(basis[:, 2], legendre2 / space.norm(legendre2)))
     assert align >= 1.0 - 1e-6
-    report(11, f"inf-sup: sigma_min = {singular:.1e} on the singular 2x2, "
-               f"{elliptic:.3f} > 0 on the elliptic system")
+    report(11, f"inf-sup: sigma_min = {singular:.1e} on the singular 2x2; elliptic "
+               f"{elliptic:.3f} at n = 15, pi^2 gap {elliptic_gaps[-1]:.1e} at n = 255; "
+               f"advection k gap {advection_gaps[-1]:.1e} at n = 256; N(A*) = {{0}}")

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjointkit import cli, matrix_operator
+from adjointkit import cli, matrix_operator, svd
 from adjointkit.errors import NumericalError
 from adjointkit.optim import (fd_gradient_check, gradient_descent,
                               kkt_residuals, reduced_gradient)
-from adjointkit.pde import (build_advection_problem, build_elliptic_problem,
-                            default_target_field, discrete_infsup,
-                            elliptic_stiffness_operator, make_elliptic_demo)
+from adjointkit.pde import (EllipticInversionProblem, build_advection_problem,
+                            build_elliptic_problem, default_target_field,
+                            make_elliptic_demo)
 from adjointkit.rand import Lcg
 from reference import (advection_sweep_oracle, bits, dense_state_jacobian,
-                       elliptic_control_adjoint, elliptic_jumps, elliptic_solve)
+                       elliptic_control_adjoint, elliptic_jumps, elliptic_solve,
+                       elliptic_stiffness)
 
 
 # -- advection problem --------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_elliptic_adjoint_operator_matches_forward():
     problem, _ = make_elliptic_demo(15)
     rng = np.random.default_rng(74)
     z = rng.uniform(-0.4, 0.4, problem.control_dim)
-    k = problem.stiffness_matrix(z)
+    k = elliptic_stiffness(problem, z)
     assert np.abs(k - k.T).max() == 0.0
     u = problem.solve_forward(z)
     jac = dense_state_jacobian(problem, u, z)
@@ -378,20 +379,18 @@ def test_elliptic_rejects_non_finite_penalty_and_boundary_data():
 
 # -- discrete inf-sup -----------------------------------------------------------------
 
-def test_infsup_identity():
-    assert discrete_infsup(matrix_operator(np.eye(3))) == pytest.approx(1.0)
-
-
-def test_infsup_singular_example():
-    value = discrete_infsup(matrix_operator([[1.0, 2.0], [1.0, 2.0]]))
-    assert value <= 1e-10
+def stiffness_sigma_min(z):
+    """Smallest singular value of the n = 15 elliptic state Jacobian at ``z``, Euclidean."""
+    problem = EllipticInversionProblem(15, 0.0, 0.0, np.zeros(15))
+    jac = dense_state_jacobian(problem, np.zeros(15), z)
+    return float(svd(matrix_operator(jac)).sigma[-1])
 
 
 def test_infsup_elliptic_stiffness_scales_with_coercivity():
-    base = discrete_infsup(elliptic_stiffness_operator(15, np.zeros(16)))
+    base = stiffness_sigma_min(np.zeros(16))
     assert base > 0.0
     shift = np.log(3.0)
-    scaled = discrete_infsup(elliptic_stiffness_operator(15, shift * np.ones(16)))
+    scaled = stiffness_sigma_min(shift * np.ones(16))
     assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 
 

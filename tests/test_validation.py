@@ -66,6 +66,10 @@ LIBRARY_CASES = {
     # core
     "space-dim-0": (lambda: InnerProductSpace(0), "dimension must be positive"),
     "metric-shape": (lambda: InnerProductSpace(2, np.eye(3)), "metric shape"),
+    "space-dim-fractional": (lambda: InnerProductSpace(2.5, np.eye(2)),
+                             "dim must be an integer, got 2.5"),
+    "adjoint-check-trials-bool": (lambda: adjoint_consistency_check(OP_2X3, trials=True),
+                                  "trials must be an integer, got True"),
     "entries-shape": (lambda: DenseOperator(InnerProductSpace(2), InnerProductSpace(2),
                                             np.ones((2, 3))),
                       "does not match codomain x domain"),
@@ -109,12 +113,18 @@ LIBRARY_CASES = {
     "picard-y": (lambda: picard_diagnostic(OP_2X3, np.ones(3)), "codomain"),
     "integration-n-fractional": (lambda: integration_operator(4.5),
                                  "n must be an integer, got 4.5"),
+    "instability-mode-fractional": (lambda: instability_demo(OP_2X3, np.ones(2), 1.5, 0.1),
+                                    "mode index must be an integer, got 1.5"),
     # network
     "unpaired-parameters": (lambda: Parameters([np.ones((1, 2))], []), "pair up"),
     "bias-length": (lambda: Parameters([np.ones((1, 2))], [np.zeros(2)]),
                     "bias length"),
     "layer-count": (lambda: ONE_LAYER.check_spec(NetworkSpec((2, 2, 1))),
                     "layer count"),
+    "layer-size-fractional": (lambda: NetworkSpec((2, 2.5, 1)),
+                              "layer size must be an integer, got 2.5"),
+    "layer-size-bool": (lambda: NetworkSpec((2, True, 1)),
+                        "layer size must be an integer, got True"),
     "target-length": (lambda: loss(forward(SPEC, ONE_LAYER, np.ones(2)), np.ones(2)),
                       "target length"),
     "train-no-samples": (lambda: train(SPEC, ONE_LAYER, [], iters=1),
@@ -143,6 +153,8 @@ LIBRARY_CASES = {
     "kkt-z-inf": (lambda: kkt(z=(INF,)), "control has non-finite"),
     "kkt-y-length": (lambda: kkt(y=(1.0,) * 6), "multiplier length 6 does not match"),
     "kkt-y-inf": (lambda: kkt(y=(1.0, 1.0, 1.0, 1.0, -INF)), "multiplier has non-finite"),
+    "descent-iters-fractional": (lambda: gradient_descent(ADVECTION_4, [1.0], 1.0, 2.5, 0.0),
+                                 "iters must be an integer, got 2.5"),
     # spectral
     "eig-two-spaces": (lambda: eig_self_adjoint(
         matrix_operator(np.eye(2), domain_metric=2.0 * np.eye(2))), "to itself"),
@@ -162,6 +174,8 @@ LIBRARY_CASES = {
     # sturm
     "sturm-n-2": (lambda: constant_coefficient_problem("dirichlet", n=2),
                   "at least three nodes"),
+    "sturm-n-fractional": (lambda: constant_coefficient_problem("dirichlet", n=4.5),
+                           "n must be an integer, got 4.5"),
     "sturm-p-zero": (lambda: discretize(SLProblem(p=lambda x: 0.0, q=lambda x: 0.0,
                                                   rho=lambda x: 1.0, n=5)),
                      "diffusion coefficient"),
@@ -179,6 +193,10 @@ LIBRARY_CASES = {
                          "sample has non-finite entries"),
     "sturm-too-many-terms": (lambda: truncation_error(np.ones(5), sturm_modes(), [4]),
                              "exceeds available modes"),
+    "sturm-terms-fractional": (lambda: truncation_error(np.ones(5), sturm_modes(), [2.5]),
+                               "term count must be an integer, got 2.5"),
+    "sturm-modes-fractional": (lambda: solve_modes(sturm_grid(), 2.5),
+                               "k must be an integer, got 2.5"),
     # pde
     "elliptic-u_obs-nan": (lambda: build_elliptic_problem(7, 0.0, 1.0, [0.0, 0.0, 0.0, NAN,
                                                                         0.0, 0.0, 0.0]),
@@ -190,6 +208,8 @@ LIBRARY_CASES = {
                               "observations u_obs length 6 does not match interior node count 7"),
     "elliptic-n-fractional": (lambda: EllipticInversionProblem(4.5, 0.0, 1.0, np.zeros(4)),
                               "n must be an integer, got 4.5"),
+    "elliptic-demo-n-fractional": (lambda: make_elliptic_demo(4.5),
+                                   "n must be an integer, got 4.5"),
     "advection-n-fractional": (lambda: AdvectionControlProblem(2.5, 1.0),
                                "n must be an integer, got 2.5"),
     "advection-n-inf": (lambda: AdvectionControlProblem(INF, 1.0),
@@ -203,6 +223,15 @@ LIBRARY_CASES = {
 def test_library_rejects_invalid_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_integral_float_sizes_are_stored_as_ints():
+    # the frozen records keep what checked_size returns, so the grid and layers build
+    problem = constant_coefficient_problem("dirichlet", n=4.0)
+    assert type(problem.n) is int and discretize(problem).stiffness.shape == (4, 4)
+    spec = NetworkSpec((2, 2.0, 1))
+    assert spec.layer_sizes == (2, 2, 1) and all(type(s) is int for s in spec.layer_sizes)
+    assert init_parameters(spec, seed=1).weights[1].shape == (1, 2)
 
 
 def test_is_spd_rejects_non_symmetric():
