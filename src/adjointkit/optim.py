@@ -28,6 +28,7 @@ from .errors import NumericalError
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
 WARM_START_GROWTH = 8.0  # a line search starts at min(step, this times the last accepted step)
+_FD_BLOCK = 32  # perturbed controls per reduced_objectives call; bounds the memory
 
 
 class ConstrainedProblem(ABC):
@@ -37,6 +38,12 @@ class ConstrainedProblem(ABC):
     nine abstract methods, the two adjoint operations included: the
     transposed state Jacobian is the problem's own to apply and to
     invert.  Instances must be safe for concurrent read-only evaluation.
+
+    ``reduced_objectives`` is the one concrete method: the eliminated
+    objective at each row of a stack of controls, by default one forward
+    solve and one objective per row.  A problem whose forward solve can
+    take the whole stack at once overrides it, and ``fd_gradient_check``
+    then costs two stacked sweeps per step and block of controls.
     """
 
     state_dim: int
@@ -78,6 +85,14 @@ class ConstrainedProblem(ABC):
     @abstractmethod
     def objective_grad_control(self, u, z) -> np.ndarray:
         pass
+
+    def reduced_objectives(self, zs: np.ndarray) -> np.ndarray:
+        """Objective after eliminating the state, at each row of ``zs``.
+
+        An override must give each row the value of this loop bit for bit,
+        and raise ``NumericalError`` exactly when some row's forward solve does.
+        """
+        return np.array([self.objective(self.solve_forward(z), z) for z in zs], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,17 +137,12 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
                                  state=u, multiplier=y)
 
 
-def _objective_at(problem: ConstrainedProblem, z: np.ndarray) -> float:
-    """``reduced_objective`` at a control the caller has checked or built."""
-    return float(problem.objective(problem.solve_forward(z), z))
-
-
 def reduced_objective(problem: ConstrainedProblem, z: np.ndarray) -> float:
     """Objective after eliminating the state through the constraint.
 
     A control of the wrong length or with non-finite entries is a ``ValueError``.
     """
-    return _objective_at(problem, _checked_control(problem, z))
+    return float(problem.reduced_objectives(_checked_control(problem, z)[None])[0])
 
 
 def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
@@ -143,19 +153,26 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     and reports, per step size, the relative mismatch against the
     adjoint-based gradient.  Errors decay like the square of the step
     until roundoff takes over.
+
+    The controls ``z + h e_j`` and ``z - h e_j`` go to ``reduced_objectives``
+    in blocks of at most 32 directions, so the memory is O(32 p) for p
+    controls.  That is 2p forward solves per step by the default row
+    loop, and two stacked forward solves per step and block for a problem
+    that overrides it, such as ``EllipticInversionProblem``; the errors
+    are those of the per-direction loop, bit for bit.
     """
     z = _checked_control(problem, z)
     if not all(0.0 < h < np.inf for h in steps):
         raise ValueError("finite-difference steps must be positive and finite")
     _, grad = _adjoint_gradient(problem, problem.solve_forward(z), z)
+    p = problem.control_dim
     out = {}
     for h in steps:
-        fd = np.zeros(problem.control_dim)
-        for j in range(problem.control_dim):
-            e = np.zeros(problem.control_dim)
-            e[j] = h
-            fd[j] = (_objective_at(problem, z + e)
-                     - _objective_at(problem, z - e)) / (2.0 * h)
+        fd = np.zeros(p)
+        for lo in range(0, p, _FD_BLOCK):
+            e = h * np.eye(min(_FD_BLOCK, p - lo), p, lo)  # rows h e_lo, h e_(lo+1), ...
+            fd[lo:lo + len(e)] = (problem.reduced_objectives(z + e)
+                                  - problem.reduced_objectives(z - e)) / (2.0 * h)
         scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
         out[h] = float(np.linalg.norm(fd - grad) / scale)
     return out

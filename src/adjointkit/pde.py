@@ -110,6 +110,11 @@ class EllipticInversionProblem(ConstrainedProblem):
     Control: n+1 midpoint samples of the log coefficient.  An optional
     quadratic penalty ``0.5 kappa h |z|^2`` regularizes the inversion
     towards the constant coefficient ``exp(0) = 1``.
+
+    ``solve_forward`` and ``objective`` also take stacks of controls and
+    states, one per row, so ``reduced_objectives`` evaluates a whole
+    stack by one forward solve and one objective, each row bit for bit
+    the single-control value.
     """
 
     def __init__(self, n: int, g0: float, g1: float, u_obs, kappa: float = 0.0):
@@ -150,27 +155,36 @@ class EllipticInversionProblem(ConstrainedProblem):
         ``s = [0, cumsum(h rhs)]``, and ``D v = h F / exp(z)`` steps ``v``
         by ``w_i (F0 - s_i)`` across cell i, ``w = h / exp(z)`` being the
         cell resistances; the end values fix ``F0``.  With no ``rhs`` the
-        flux is the constant ``F0 = (g1 - g0) / sum(w)``.
+        flux is the constant ``F0 = (g1 - g0) / sum(w)``, and ``z`` may be
+        a stack of controls along its last axis: each row of ``v`` is then
+        the solve at that row of ``z``, bit for bit.
 
         The guard passes exactly when every ``w`` is in (0, inf) and every
         ``v`` is finite.  With ``min(w) > 0`` a finite ``sum(w)`` makes every
         ``w`` finite; only an overflowing sum needs ``max(w)``.  A running
         sum that reaches inf or NaN stays there, so a finite ``v[-1]`` clears
         the adjoint (end value zero) and the forward ``v``, which is monotone
-        because every step has the sign of ``F0``.
+        because every step has the sign of ``F0``.  A stack is tested by one
+        reduction over all its rows per condition, ``max(w)`` in place of the
+        sum test, so it fails as a whole exactly when some row fails.
         """
         with np.errstate(all="ignore"):  # the guard below reports instead
             w = self.h / np.exp(z)
-            w_sum = w.sum()
+            w_sum = w.sum() if z.ndim == 1 else w.sum(axis=-1, keepdims=True)  # column of totals
             if rhs is None:
-                v = g0 + np.add.accumulate(w[:-1] * ((g1 - g0) / w_sum))
+                v = g0 + np.add.accumulate(w[..., :-1] * ((g1 - g0) / w_sum), axis=-1)
             else:
                 s = np.zeros(self.n + 1)
                 np.add.accumulate(self.h * rhs, out=s[1:])  # np.cumsum, without its wrapper
                 f0 = (g1 - g0 + w @ s) / w_sum
                 v = g0 + np.add.accumulate(w * (f0 - s))[:-1]
         # NaN-safe: every comparison with NaN is false
-        if not (0.0 < w.min() and (w_sum < np.inf or w.max() < np.inf) and abs(v[-1]) < np.inf):
+        if z.ndim == 1:  # scalar tests, which keep the one-control solves cheap
+            ok = 0.0 < w.min() and (w_sum < np.inf or w.max() < np.inf) and abs(v[-1]) < np.inf
+        else:  # the initial values let an empty stack through
+            ok = (0.0 < w.min(initial=np.inf) and w.max(initial=0.0) < np.inf
+                  and np.abs(v[..., -1]).max(initial=0.0) < np.inf)
+        if not ok:
             raise NumericalError("exp(z) is not positive and finite in every cell, "
                                  "or the elliptic solve overflowed")
         return v
@@ -198,9 +212,13 @@ class EllipticInversionProblem(ConstrainedProblem):
         return np.exp(z) * du * self._jumps(y, 0.0, 0.0) / self.h ** 2
 
     def objective(self, u, z):
+        # vecdot takes stacks along the last axis; on vectors it is ``@`` bit for bit
         misfit = u - self.u_obs
-        return (0.5 * self.h * float(misfit @ misfit)
-                + 0.5 * self.kappa * self.h * float(z @ z))
+        return (0.5 * self.h * np.vecdot(misfit, misfit)
+                + 0.5 * self.kappa * self.h * np.vecdot(z, z))
+
+    def reduced_objectives(self, zs):
+        return self.objective(self.solve_forward(zs), zs)  # one forward solve for the stack
 
     def objective_grad_state(self, u, z):
         return self.h * (u - self.u_obs)
@@ -230,7 +248,11 @@ def build_elliptic_problem(n: int, g0: float, g1: float, u_obs,
 
 
 def default_target_field(n: int) -> np.ndarray:
-    """Smooth log-diffusivity ``0.8 sin(2 pi x)`` that synthesizes inversion data."""
+    """Smooth log-diffusivity ``0.8 sin(2 pi x)`` that synthesizes inversion data.
+
+    Sampled at the ``n + 1`` cell midpoints; a fractional ``n`` is a ``ValueError``.
+    """
+    n = checked_size(n, "n")
     mid = (np.arange(n + 1) + 0.5) / (n + 1)
     return 0.8 * np.sin(2.0 * np.pi * mid)
 

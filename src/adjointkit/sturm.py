@@ -148,9 +148,17 @@ def fourier_coefficients(f: np.ndarray, modes: ModeSet) -> np.ndarray:
 
 def reconstruct(coefficients: np.ndarray, modes: ModeSet,
                 n_terms: int | None = None) -> np.ndarray:
-    cut = len(coefficients) if n_terms is None else n_terms
+    """Sum of the first ``n_terms`` coefficients times their modes, all by default.
+
+    A term count that is not a non-negative integer, or that exceeds the
+    modes or the coefficients available, is a ``ValueError``.
+    """
+    cut = len(coefficients) if n_terms is None else checked_size(n_terms, "term count")
+    available = min(len(coefficients), modes.modes.shape[1])
     if cut < 0:
         raise ValueError(f"term count must be non-negative, got {cut}")
+    if cut > available:
+        raise ValueError(f"term count {cut} exceeds available modes ({available})")
     return modes.modes[:, :cut] @ np.asarray(coefficients[:cut], dtype=float)
 
 
@@ -160,9 +168,6 @@ def truncation_error(f: np.ndarray, modes: ModeSet, n_list) -> np.ndarray:
     coeffs = fourier_coefficients(f, modes)
     out = []
     for n_terms in n_list:
-        n_terms = checked_size(n_terms, "term count")
-        if n_terms > modes.modes.shape[1]:
-            raise ValueError("truncation length exceeds available modes")
         residual = f - reconstruct(coeffs, modes, n_terms)
         out.append(modes.disc.weighted_norm(residual))
     return np.array(out)

@@ -9,13 +9,13 @@ from adjointkit import network
 from adjointkit.errors import NumericalError
 from adjointkit.network import (NetworkSpec, NetworkTrainingProblem, Parameters,
                                 flatten_parameters, init_parameters, train)
-from adjointkit.optim import (ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
+from adjointkit.optim import (_FD_BLOCK, ARMIJO_SLOPE, MAX_BACKTRACKS, ConstrainedProblem,
                               fd_gradient_check, gradient_descent,
                               kkt_residuals, reduced_gradient,
                               reduced_objective)
 from adjointkit.pde import build_advection_problem, make_elliptic_demo
 from adjointkit.rand import Lcg
-from reference import adjoint_then_pull, bits
+from reference import adjoint_then_pull, bits, fd_gradient_check_by_direction
 
 
 class LinearQuadratic(ConstrainedProblem):
@@ -376,8 +376,9 @@ def test_operations_share_no_memory_and_keep_no_state(build):
                   "apply_state_jacobian": (u, z, w), "apply_state_adjoint": (u, z, w),
                   "solve_adjoint": (u, z, w), "apply_control_adjoint": (u, z, w),
                   "objective": (u, z), "objective_grad_state": (u, z),
-                  "objective_grad_control": (u, z)}
-    assert set(operations) == ConstrainedProblem.__abstractmethods__
+                  "objective_grad_control": (u, z),
+                  "reduced_objectives": (np.stack([z, 0.5 * z, -z]),)}
+    assert set(operations) == ConstrainedProblem.__abstractmethods__ | {"reduced_objectives"}
     for name, args in operations.items():
         inputs = frozen(args)
         out = getattr(problem, name)(*args)
@@ -563,6 +564,52 @@ def test_fd_check_reads_no_residual():
     assert problem.calls["residual"] == problem.calls["apply_state_adjoint"] == 0
     assert problem.calls["apply_control_adjoint"] == 0
     assert problem.calls["solve_adjoint"] == 1
+
+
+def elliptic_fd_case(n, kappa):
+    def build(rng):
+        problem, _ = make_elliptic_demo(n, kappa=kappa)
+        return problem, rng.floats(problem.control_dim, -0.5, 0.5)
+    return build
+
+
+FD_CASES = {f"elliptic-{n}-kappa-{kappa:g}": elliptic_fd_case(n, kappa)
+            for n in (15, 31, 127, 255) for kappa in (0.0, 1e-3)}
+FD_CASES.update({
+    "advection": advection_at,
+    "network": network_at,
+    "linear-quadratic": lambda rng: (LinearQuadratic(rng.matrix(5, 3)), rng.floats(3)),
+    "scalar": lambda rng: (NonlinearScalar(), rng.floats(1)),
+})
+
+
+@pytest.mark.parametrize("build", FD_CASES.values(), ids=FD_CASES)
+def test_fd_check_matches_the_per_direction_reference_bitwise(build):
+    problem, z = build(Lcg(43))
+    got = fd_gradient_check(problem, z)
+    want = fd_gradient_check_by_direction(problem, z)
+    assert list(got) == list(want)
+    assert np.array_equal(bits(list(got.values())), bits(list(want.values())))
+
+
+@pytest.mark.parametrize("n", [15, 31, 63, 70])
+def test_elliptic_fd_check_solves_forward_twice_per_step_and_block(n):
+    # n = 31 is one full block of 32 controls, n = 70 three blocks, the last of 7
+    problem = counted(make_elliptic_demo(n)[0])
+    steps = (1e-2, 1e-3, 1e-4)
+    fd_gradient_check(problem, Lcg(n).floats(n + 1, -0.5, 0.5), steps=steps)
+    blocks = -(-(n + 1) // _FD_BLOCK)
+    assert problem.forward_calls == 1 + 2 * len(steps) * blocks
+    assert problem.calls["objective"] == 2 * len(steps) * blocks
+
+
+@pytest.mark.parametrize("build", [advection_at, network_at], ids=["advection", "network"])
+def test_row_loop_fd_check_solves_forward_twice_per_step_and_direction(build):
+    problem, z = build(Lcg(44))
+    problem = counted(problem)
+    steps = (1e-2, 1e-3, 1e-4)
+    fd_gradient_check(problem, z, steps=steps)
+    assert problem.forward_calls == 1 + 2 * problem.control_dim * len(steps)
 
 
 def test_line_search_backtracks_past_a_failed_forward_solve():

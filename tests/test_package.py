@@ -49,3 +49,8 @@ def test_every_constrained_problem_operation_is_abstract():
         "residual", "solve_forward", "apply_state_jacobian", "apply_state_adjoint",
         "solve_adjoint", "apply_control_adjoint", "objective", "objective_grad_state",
         "objective_grad_control"}
+    # the one default: the row loop of forward solve and objective, which a
+    # problem may replace by a stacked sweep
+    concrete = {name for name, value in vars(ConstrainedProblem).items()
+                if callable(value) and not name.startswith("_")}
+    assert concrete - ConstrainedProblem.__abstractmethods__ == {"reduced_objectives"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from adjointkit import cli, matrix_operator, svd
 from adjointkit.errors import NumericalError
-from adjointkit.optim import (fd_gradient_check, gradient_descent,
+from adjointkit.optim import (ConstrainedProblem, fd_gradient_check, gradient_descent,
                               kkt_residuals, reduced_gradient)
 from adjointkit.pde import (EllipticInversionProblem, build_advection_problem,
                             build_elliptic_problem, default_target_field,
@@ -342,22 +342,48 @@ def accepts(solve, *args):
         return None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), n=st.integers(3, 12), adjoint=st.booleans())
-def test_elliptic_guard_accepts_exactly_what_the_reference_accepts(data, n, adjoint):
-    # z from [-800, 800], with draws close to the edges where exp(z), w = h / exp(z)
-    # or sum(w) first overflow
+def wild_controls(n):
+    """Controls from [-800, 800], with draws close to the edges where exp(z),
+    w = h / exp(z) or sum(w) first overflow on n interior nodes."""
     log_h = np.log(1.0 / (n + 1))
     edges = [709.78, 709.79, -745.13, -745.14, log_h - 709.78, log_h - 709.79,
              log_h - 709.5, log_h - 709.0]
-    z = np.array(data.draw(st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(edges)),
-                                    min_size=n + 1, max_size=n + 1)))
+    return st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(edges)),
+                    min_size=n + 1, max_size=n + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(3, 12), adjoint=st.booleans())
+def test_elliptic_guard_accepts_exactly_what_the_reference_accepts(data, n, adjoint):
+    z = np.array(data.draw(wild_controls(n)))
     problem = build_elliptic_problem(n, -0.5, 2.0, np.zeros(n))
     rhs, g0, g1 = (np.linspace(-1.0, 1.0, n), 0.0, 0.0) if adjoint else (None, -0.5, 2.0)
     got = accepts(problem._solve, z, rhs, g0, g1)
     want = accepts(elliptic_solve, problem, z, rhs, g0, g1)
     assert (got is None) == (want is None)
     assert got is None or np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(3, 12), rows=st.integers(1, 5),
+       kappa=st.sampled_from([0.0, 1e-3]))
+def test_stacked_reduced_objectives_equal_the_row_loop(data, n, rows, kappa):
+    # wild rows or mild ones, so that a stack may mix rows whose forward solve
+    # fails with rows whose solve succeeds
+    row = st.one_of(wild_controls(n),
+                    st.lists(st.floats(-3.0, 3.0), min_size=n + 1, max_size=n + 1))
+    zs = np.array([data.draw(row) for _ in range(rows)])
+    problem = build_elliptic_problem(n, -0.5, 2.0, np.linspace(0.0, 1.0, n), kappa=kappa)
+    got = accepts(problem.reduced_objectives, zs)
+    want = accepts(ConstrainedProblem.reduced_objectives, problem, zs)  # one row at a time
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+
+
+def test_an_empty_stack_has_no_objectives():
+    problem, _ = make_elliptic_demo(7)
+    assert problem.solve_forward(np.empty((0, 8))).shape == (0, 7)
+    assert problem.reduced_objectives(np.empty((0, 8))).shape == (0,)
 
 
 def test_elliptic_validates_inputs():

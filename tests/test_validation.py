@@ -30,15 +30,15 @@ from adjointkit.optim import (fd_gradient_check, gradient_descent, kkt_residuals
                              reduced_gradient, reduced_objective)
 from adjointkit.pde import (AdvectionControlProblem, EllipticInversionProblem,
                             build_advection_problem, build_elliptic_problem,
-                            make_elliptic_demo)
+                            default_target_field, make_elliptic_demo)
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
 from adjointkit.stability import (MAX_LYAPUNOV_DIM, hurwitz_check, is_spd,
                                   lyapunov_solve, r0)
 from adjointkit.sturm import (SLProblem, constant_coefficient_problem,
-                              discretize, fourier_coefficients, solve_modes,
-                              truncation_error)
+                              discretize, fourier_coefficients, reconstruct,
+                              solve_modes, truncation_error)
 
 OP_2X3 = matrix_operator([[2.0, 0.0, 1.0], [2.0, 4.0 / 3.0, 1.0 / 3.0]])
 SPEC = NetworkSpec((2, 1))
@@ -197,6 +197,14 @@ LIBRARY_CASES = {
                                "term count must be an integer, got 2.5"),
     "sturm-modes-fractional": (lambda: solve_modes(sturm_grid(), 2.5),
                                "k must be an integer, got 2.5"),
+    "reconstruct-terms-bool": (lambda: reconstruct(np.ones(3), sturm_modes(), True),
+                               "term count must be an integer, got True"),
+    "reconstruct-terms-fractional": (lambda: reconstruct(np.ones(3), sturm_modes(), 2.5),
+                                     "term count must be an integer, got 2.5"),
+    "reconstruct-too-many-terms": (lambda: reconstruct(np.ones(3), sturm_modes(), 99),
+                                   re.escape("term count 99 exceeds available modes (3)")),
+    "reconstruct-too-few-coefficients": (lambda: reconstruct(np.ones(2), sturm_modes(), 3),
+                                         re.escape("term count 3 exceeds available modes (2)")),
     # pde
     "elliptic-u_obs-nan": (lambda: build_elliptic_problem(7, 0.0, 1.0, [0.0, 0.0, 0.0, NAN,
                                                                         0.0, 0.0, 0.0]),
@@ -210,6 +218,8 @@ LIBRARY_CASES = {
                               "n must be an integer, got 4.5"),
     "elliptic-demo-n-fractional": (lambda: make_elliptic_demo(4.5),
                                    "n must be an integer, got 4.5"),
+    "target-field-n-fractional": (lambda: default_target_field(4.5),
+                                  "n must be an integer, got 4.5"),
     "advection-n-fractional": (lambda: AdvectionControlProblem(2.5, 1.0),
                                "n must be an integer, got 2.5"),
     "advection-n-inf": (lambda: AdvectionControlProblem(INF, 1.0),
