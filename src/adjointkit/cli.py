@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .core import adjoint_consistency_check, operator_from_record
+from .core import adjoint_consistency_check, json_numbers, operator_from_record
 from .errors import NumericalError
 from .leastsq import normal_solve, picard_diagnostic, tikhonov_solve
 from .network import ACTIVATIONS, NetworkSpec, init_parameters, train
@@ -58,7 +58,7 @@ def _load_vector(path: str) -> np.ndarray:
     if isinstance(data, dict):
         data = data.get("entries")
     try:
-        vec = np.asarray(data, dtype=float)
+        vec = json_numbers(data, path)
     except TypeError:  # an object where a number belongs
         raise ValueError(f"expected a flat JSON array of numbers in {path}") from None
     if vec.ndim != 1:

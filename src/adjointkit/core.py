@@ -57,6 +57,35 @@ def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
     return v
 
 
+def checked_matrix(a, what: str, shape=None, where="", cap=None) -> np.ndarray:
+    """``a`` as a float array with finite entries, of ``shape`` (``where`` names it).
+
+    Without ``shape`` it must be square, non-empty and at most ``cap`` rows.
+    Otherwise ``ValueError`` names ``what`` the matrix is and its shape.
+    """
+    a = np.asarray(a, dtype=float)
+    if shape is None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"{what} must be square and non-empty, got shape {a.shape}")
+        if cap is not None and a.shape[0] > cap:
+            raise ValueError(f"{what} shape {a.shape}: size capped at n={cap}")
+    elif a.shape != shape:
+        raise ValueError(f"{what} shape {a.shape} does not match {where} {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite entries (shape {a.shape})")
+    return a
+
+
+def json_numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a string or bool in it (NumPy reads ``"1e3"`` and
+    ``true`` as numbers) raises ``ValueError`` naming ``name``, its key or file."""
+    items = np.asarray(values, dtype=object)
+    if {str, bool} & set(map(type, items.flat)):
+        bad = next(x for x in items.flat if type(x) in (str, bool))
+        raise ValueError(f"{name}: expected a number, got {bad!r}")
+    return items.astype(float)
+
+
 class InnerProductSpace:
     """Real space of dimension ``dim`` with inner product ``x^T M y``.
 
@@ -71,11 +100,7 @@ class InnerProductSpace:
         self.dim = dim
         if metric is None:
             metric = np.eye(self.dim)
-        metric = np.asarray(metric, dtype=float)
-        if metric.shape != (self.dim, self.dim):
-            raise ValueError(f"metric shape {metric.shape} does not match dim {dim}")
-        if not np.all(np.isfinite(metric)):
-            raise ValueError("metric has non-finite entries")
+        metric = checked_matrix(metric, "metric", (dim, dim), "dim x dim")
         scale = np.abs(metric).max()
         if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
             raise ValueError("metric is not symmetric")
@@ -119,13 +144,8 @@ class DenseOperator:
 
     def __init__(self, domain: InnerProductSpace, codomain: InnerProductSpace,
                  entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
-        if entries.shape != (codomain.dim, domain.dim):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match codomain x domain "
-                f"({codomain.dim}, {domain.dim})")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("operator has non-finite entries")
+        entries = checked_matrix(entries, "operator", (codomain.dim, domain.dim),
+                                 "codomain x domain")
         self.domain = domain
         self.codomain = codomain
         self.entries = _frozen(entries)
@@ -276,19 +296,16 @@ def operator_to_record(op: DenseOperator) -> dict:
 def operator_from_record(rec: dict) -> DenseOperator:
     try:
         m, n = checked_size(rec["rows"], "rows"), checked_size(rec["cols"], "cols")
-        entries = np.asarray(rec["entries"], dtype=float)
-        metrics = {key: np.asarray(rec[key], dtype=float)
-                   for key in ("domain_metric", "codomain_metric") if rec.get(key) is not None}
+        shapes = {"entries": (m, n), "domain_metric": (n, n), "codomain_metric": (m, m)}
+        arrays = {key: json_numbers(rec[key], key) for key in shapes
+                  if key == "entries" or rec.get(key) is not None}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from None
     if m < 1 or n < 1:
         raise ValueError(f"rows and cols must be positive, got rows {m}, cols {n}")
-    if entries.size != m * n:
-        raise ValueError(f"expected {m * n} entries, got {entries.size}")
-    for key, dim in (("domain_metric", n), ("codomain_metric", m)):
-        if key in metrics:
-            if metrics[key].size != dim * dim:
-                raise ValueError(f"{key}: expected {dim * dim} entries, got {metrics[key].size}")
-            metrics[key] = metrics[key].reshape(dim, dim)
-    return matrix_operator(entries.reshape(m, n), metrics.get("domain_metric"),
-                           metrics.get("codomain_metric"))
+    for key, values in arrays.items():
+        if values.size != np.prod(shapes[key]):
+            raise ValueError(f"{key}: expected {np.prod(shapes[key])} entries, got {values.size}")
+        arrays[key] = values.reshape(shapes[key])
+    return matrix_operator(arrays["entries"], arrays.get("domain_metric"),
+                           arrays.get("codomain_metric"))

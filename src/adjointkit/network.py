@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_size
+from .core import checked_size, checked_vector
 from .optim import ConstrainedProblem, gradient_descent
 from .rand import Lcg
 
@@ -109,9 +109,7 @@ def init_parameters(spec: NetworkSpec, seed: int = 42) -> Parameters:
 
 def forward(spec: NetworkSpec, params: Parameters, x) -> ForwardTrace:
     """Propagate an input through every layer."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.layer_sizes[0],):
-        raise ValueError("input length does not match first layer size")
+    x = checked_vector(x, spec.layer_sizes[0], "input", "first layer size")
     params.check_spec(spec)
     acts = [x]
     pres = []
@@ -124,11 +122,8 @@ def forward(spec: NetworkSpec, params: Parameters, x) -> ForwardTrace:
 
 def loss(trace: ForwardTrace, a_obs) -> float:
     """Half squared distance between the output layer and the target."""
-    a_obs = np.asarray(a_obs, dtype=float)
     out = trace.activations[-1]
-    if a_obs.shape != out.shape:
-        raise ValueError("target length does not match output layer")
-    diff = a_obs - out
+    diff = checked_vector(a_obs, out.size, "target", "output layer size") - out
     return 0.5 * float(diff @ diff)
 
 
@@ -140,10 +135,10 @@ def adjoint_pass(spec: NetworkSpec, params: Parameters, trace: ForwardTrace,
     next adjoint back through the transposed weights, masked by the
     activation slope at the stored pre-activations.
     """
-    a_obs = np.asarray(a_obs, dtype=float)
+    out = trace.activations[-1]
     n_layers = spec.num_layers
     ys = [None] * (n_layers + 1)
-    ys[n_layers] = a_obs - trace.activations[-1]
+    ys[n_layers] = checked_vector(a_obs, out.size, "target", "output layer size") - out
     for i in range(n_layers - 1, -1, -1):
         slope = spec.act_prime(trace.preactivations[i])
         ys[i] = params.weights[i].T @ (slope * ys[i + 1])
@@ -351,6 +346,7 @@ def train(spec: NetworkSpec, params: Parameters, samples, iters: int,
                 raise ValueError(f"sample {i} {name} has shape {v.shape}, sample 0 {v0.shape}: "
                                  "every sample must have the same shape")
     x, a_obs = (np.stack(side, axis=1) for side in zip(*samples))
+    params.check_spec(spec)
     result = gradient_descent(NetworkTrainingProblem(spec, x, a_obs),
                               flatten_parameters(params), step, iters, 0.0)
     return unflatten_parameters(spec, result.z), result.history

@@ -130,12 +130,17 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     The factorization is made once per operator and its arrays are
     read-only; each call only cuts the rank.
     """
-    if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
-        raise ValueError(f"rank_tol must be a finite non-negative number, got {rank_tol}")
+    if rank_tol is not None:
+        _check_tol(rank_tol, "rank_tol")
     sigma, right, left = _factors(op)
     tol = DEFAULT_RANK_TOL_FACTOR * sigma[0] if rank_tol is None else float(rank_tol)
     return SvdResult(sigma=sigma, right_vectors=right, left_vectors=left,
                      rank=int(np.sum(sigma > tol)), domain=op.domain, codomain=op.codomain)
+
+
+def _check_tol(tol: float, name: str):
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
 
 
 def fundamental_subspaces(s: SvdResult) -> SubspaceBases:
@@ -176,8 +181,9 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
 
     The equation is solvable exactly when ``y`` is orthogonal to
     ``N(A*)``; the defect reported is the relative norm of the offending
-    component.
+    component.  A NaN, negative or infinite ``tol`` raises ``ValueError``.
     """
+    _check_tol(tol, "tol")
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     defect = null_defect(dec, y, left_coefficients(dec, y))

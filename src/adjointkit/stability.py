@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import checked_matrix
 from .errors import NumericalError
 
 MAX_LYAPUNOV_DIM = 64
@@ -65,15 +66,8 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     every boundary (imaginary-axis) case; scipy only warns then.
     """
     from scipy.linalg import solve_continuous_lyapunov
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = a.shape[0]
-    if n < 1 or a.shape != (n, n) or q.shape != (n, n):
-        raise ValueError("matrices must be square, non-empty and share a dimension")
-    if n > MAX_LYAPUNOV_DIM:
-        raise ValueError(f"Lyapunov solve capped at n={MAX_LYAPUNOV_DIM}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
-        raise ValueError("matrices have non-finite entries")
+    a = checked_matrix(a, "A", cap=MAX_LYAPUNOV_DIM)
+    q = checked_matrix(q, "Q", a.shape, "A")
     if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
         raise ValueError("Q must be symmetric")
     with warnings.catch_warnings():
@@ -127,14 +121,8 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
     entry flags an imaginary-axis eigenvalue and is reported as a
     boundary non-Hurwitz verdict rather than an error.
     """
-    a = np.asarray(a, dtype=float)
+    a = checked_matrix(a, "matrix", cap=MAX_LYAPUNOV_DIM)
     n = a.shape[0]
-    if n < 1 or a.shape != (n, n):
-        raise ValueError("matrix must be square and non-empty")
-    if n > MAX_LYAPUNOV_DIM:
-        raise ValueError(f"tabulation capped at n={MAX_LYAPUNOV_DIM}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
     coeffs = characteristic_polynomial(a)
     tol = 1e-10 * max(np.abs(coeffs).max(), 1.0)
 
@@ -183,15 +171,8 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     issued when negative entries show up, since the splitting is then
     epidemiologically suspect.
     """
-    f_matrix = np.asarray(f_matrix, dtype=float)
-    v_matrix = np.asarray(v_matrix, dtype=float)
-    n = f_matrix.shape[0]
-    if n < 1 or f_matrix.shape != (n, n) or v_matrix.shape != (n, n):
-        raise ValueError("F and V must be square, non-empty and of equal dimension")
-    if not np.all(np.isfinite(f_matrix)):
-        raise ValueError("new-infection matrix F has non-finite entries")
-    if not np.all(np.isfinite(v_matrix)):
-        raise ValueError("transition matrix V has non-finite entries")
+    f_matrix = checked_matrix(f_matrix, "new-infection matrix F")
+    v_matrix = checked_matrix(v_matrix, "transition matrix V", f_matrix.shape, "F")
     try:
         k = np.linalg.solve(v_matrix.T, f_matrix.T).T
     except np.linalg.LinAlgError:
@@ -211,12 +192,11 @@ def stability_verdict(f, x_eq) -> StabilityReport:
 
 def jacobian_verdict(a: np.ndarray) -> StabilityReport:
     """Tabulate and certify ``x' = A x``; the two routes must agree."""
-    a = np.asarray(a, dtype=float)
     verdict = hurwitz_check(a)
     p = None
     spd = False
     try:
-        p = lyapunov_solve(a, np.eye(a.shape[0]))
+        p = lyapunov_solve(a, np.eye(len(a)))
         spd = is_spd(p)
     except SingularLyapunovError:
         pass  # A and -A share an eigenvalue, so A is not Hurwitz

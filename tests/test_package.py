@@ -54,3 +54,30 @@ def test_every_constrained_problem_operation_is_abstract():
     concrete = {name for name, value in vars(ConstrainedProblem).items()
                 if callable(value) and not name.startswith("_")}
     assert concrete - ConstrainedProblem.__abstractmethods__ == {"reduced_objectives"}
+
+
+def test_every_private_module_name_is_read():
+    # a private helper, class or constant that nothing reads is vestigial code
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(adjointkit.__file__).parent.glob("*.py"))]
+    reads = [node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [target.id for target in ast.walk(node)
+                         if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)]
+            else:
+                continue
+            for name in names:
+                # a read inside the definition itself, such as a recursive call, does not count
+                inside = sum(isinstance(sub, ast.Name) and sub.id == name
+                             and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node))
+                private = name.startswith("_") and not name.startswith("__")
+                if private and reads.count(name) <= inside:
+                    unread.append(name)
+    assert unread == []

@@ -24,8 +24,8 @@ from adjointkit.core import (DenseOperator, InnerProductSpace,
                              orthonormalize)
 from adjointkit.leastsq import (instability_demo, integration_operator, normal_solve,
                                 picard_diagnostic, tikhonov_solve)
-from adjointkit.network import (NetworkSpec, Parameters, forward, init_parameters,
-                                loss, train)
+from adjointkit.network import (NetworkSpec, Parameters, adjoint_pass, forward,
+                                init_parameters, loss, train)
 from adjointkit.optim import (fd_gradient_check, gradient_descent, kkt_residuals,
                              reduced_gradient, reduced_objective)
 from adjointkit.pde import (AdvectionControlProblem, EllipticInversionProblem,
@@ -35,7 +35,7 @@ from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
 from adjointkit.stability import (MAX_LYAPUNOV_DIM, hurwitz_check, is_spd,
-                                  lyapunov_solve, r0)
+                                  jacobian_verdict, lyapunov_solve, r0)
 from adjointkit.sturm import (SLProblem, constant_coefficient_problem,
                               discretize, fourier_coefficients, reconstruct,
                               solve_modes, truncation_error)
@@ -43,6 +43,10 @@ from adjointkit.sturm import (SLProblem, constant_coefficient_problem,
 OP_2X3 = matrix_operator([[2.0, 0.0, 1.0], [2.0, 4.0 / 3.0, 1.0 / 3.0]])
 SPEC = NetworkSpec((2, 1))
 ONE_LAYER = Parameters([np.ones((1, 2))], [np.zeros(1)])
+# 13 numbers each, as many as NetworkSpec((2, 3, 1)) has, in other layer shapes
+THREE_LAYERS = Parameters([np.ones((2, 2)), np.ones((1, 2)), np.ones((2, 1))],
+                          [np.zeros(2), np.zeros(1), np.zeros(2)])
+NARROW_LAYERS = Parameters([np.ones((1, 2)), np.ones((5, 1))], [np.zeros(1), np.zeros(5)])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -127,6 +131,25 @@ LIBRARY_CASES = {
                         "layer size must be an integer, got True"),
     "target-length": (lambda: loss(forward(SPEC, ONE_LAYER, np.ones(2)), np.ones(2)),
                       "target length"),
+    "loss-target-nan": (lambda: loss(forward(SPEC, ONE_LAYER, np.ones(2)), [NAN]),
+                        re.escape("target has non-finite entries (length 1, output layer size 1)")),
+    "adjoint-pass-target-length": (lambda: adjoint_pass(SPEC, ONE_LAYER,
+                                                        forward(SPEC, ONE_LAYER, np.ones(2)),
+                                                        np.ones(2)),
+                                   "target length 2 does not match output layer size 1"),
+    "adjoint-pass-target-inf": (lambda: adjoint_pass(SPEC, ONE_LAYER,
+                                                     forward(SPEC, ONE_LAYER, np.ones(2)), [INF]),
+                                "target has non-finite entries"),
+    "forward-input-length": (lambda: forward(SPEC, ONE_LAYER, np.ones(3)),
+                             "input length 3 does not match first layer size 2"),
+    "forward-input-nan": (lambda: forward(SPEC, ONE_LAYER, [1.0, NAN]),
+                          "input has non-finite entries"),
+    "train-params-layer-count": (lambda: train(NetworkSpec((2, 3, 1)), THREE_LAYERS,
+                                               [(np.ones(2), np.ones(1))], iters=1),
+                                 "layer count does not match spec"),
+    "train-params-layer-shape": (lambda: train(NetworkSpec((2, 3, 1)), NARROW_LAYERS,
+                                               [(np.ones(2), np.ones(1))], iters=1),
+                                 re.escape("layer 1 weight shape (1, 2), expected (3, 2)")),
     "train-no-samples": (lambda: train(SPEC, ONE_LAYER, [], iters=1),
                          "at least one"),
     "train-uneven-x": (lambda: train(SPEC, ONE_LAYER, [(np.ones(2), np.ones(1)),
@@ -159,6 +182,12 @@ LIBRARY_CASES = {
     "eig-two-spaces": (lambda: eig_self_adjoint(
         matrix_operator(np.eye(2), domain_metric=2.0 * np.eye(2))), "to itself"),
     "solvability-y": (lambda: solvability_check(OP_2X3, np.ones(3)), "codomain"),
+    "solvability-tol-nan": (lambda: solvability_check(OP_2X3, np.ones(2), tol=NAN),
+                            "tol must be a finite non-negative number, got nan"),
+    "solvability-tol-negative": (lambda: solvability_check(OP_2X3, np.ones(2), tol=-1.0),
+                                 "tol must be a finite non-negative number, got -1.0"),
+    "solvability-tol-inf": (lambda: solvability_check(OP_2X3, np.ones(2), tol=INF),
+                            "tol must be a finite non-negative number, got inf"),
     "projector-height": (lambda: orthogonal_projector(np.ones((3, 1)), InnerProductSpace(2)),
                          "length space.dim"),
     # stability
@@ -169,6 +198,10 @@ LIBRARY_CASES = {
     "r0-F-inf": (lambda: r0([[INF]], [[1.0]]), "matrix F has non-finite entries"),
     "r0-V-nan": (lambda: r0([[1.0]], [[NAN]]), "matrix V has non-finite entries"),
     "r0-V-inf": (lambda: r0([[1.0]], [[INF]]), "matrix V has non-finite entries"),
+    "hurwitz-0d": (lambda: hurwitz_check(5.0), "square and non-empty, got shape ()"),
+    "lyapunov-0d": (lambda: lyapunov_solve(-1.0, 1.0), "square and non-empty, got shape ()"),
+    "r0-0d": (lambda: r0(2.0, 1.0), "matrix F must be square and non-empty, got shape ()"),
+    "jacobian-verdict-0d": (lambda: jacobian_verdict(3.0), "square and non-empty, got shape ()"),
     "hurwitz-above-cap": (lambda: hurwitz_check(-np.eye(MAX_LYAPUNOV_DIM + 1)),
                           f"capped at n={MAX_LYAPUNOV_DIM}"),
     # sturm
@@ -392,6 +425,22 @@ CLI_CASES = {
                              "rows must be an integer, got inf"),
     "train-scalar-sample": (["train", "--spec", "1,1", "--data", "{scalar_data}"],
                             "sample 0 x has shape (): sample shapes do not match"),
+    # a JSON string or boolean where a number belongs: NumPy would read "1e3" and true
+    "svd-entries-string": (["svd", "--op", "{op_string_entries}"],
+                           "entries: expected a number, got '1e3'"),
+    "svd-entries-bool": (["svd", "--op", "{op_bool_entries}"],
+                         "entries: expected a number, got True"),
+    "svd-metric-string": (["svd", "--op", "{op_string_metric}"],
+                          "domain_metric: expected a number, got '2'"),
+    "svd-metric-bool": (["svd", "--op", "{op_bool_metric}"],
+                        "codomain_metric: expected a number, got True"),
+    "solve-rhs-string": (["solve", "--op", "{op}", "--rhs", "{string_pair}"],
+                         "string_pair.json: expected a number, got '5'"),
+    "solve-rhs-bool": (["solve", "--op", "{op}", "--rhs", "{bool_pair}"],
+                       "bool_pair.json: expected a number, got False"),
+    "tikhonov-x0-string": (["tikhonov", "--op", "{op}", "--rhs", "{pair}", "--kappa", "1",
+                            "--x0", "{string_triple}"],
+                           "string_triple.json: expected a number, got '0'"),
 }
 
 
@@ -419,7 +468,16 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
              "op_fractional": {"rows": 2.5, "cols": 2, "entries": [1.0, 2.0, 3.0, 4.0]},
              # JSON text, not a payload: json.dumps cannot write 1e400
              "op_overflowing": '{"rows": 1e400, "cols": 2, "entries": [1, 2, 3, 4]}',
-             "scalar_data": [{"x": 1, "a_obs": 0.5}]}
+             "scalar_data": [{"x": 1, "a_obs": 0.5}],
+             "op_string_entries": {"rows": 1, "cols": 2, "entries": ["1e3", True]},
+             "op_bool_entries": {"rows": 1, "cols": 2, "entries": [1.0, True]},
+             "op_string_metric": {"rows": 1, "cols": 1, "entries": [1.0],
+                                  "domain_metric": ["2"]},
+             "op_bool_metric": {"rows": 1, "cols": 1, "entries": [1.0],
+                                "codomain_metric": [True]},
+             "string_pair": ["5", False],
+             "bool_pair": [1.0, False],
+             "string_triple": [1.0, "0", 2.0]}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
