@@ -4,7 +4,10 @@ All operators map between finite-dimensional real spaces whose inner
 products are induced by SPD metric matrices, ``(x, y) = x^T M y``.  The
 adjoint of ``A`` is the unique map with ``(A u, v) = (u, A* v)`` in
 those products; for a dense matrix it is ``M_dom^{-1} A^T M_cod``, the
-plain transpose when both metrics are the identity.  Everything here is
+plain transpose when both metrics are the identity.  A space built
+without a metric stores the identity as its own Cholesky factor and
+skips the checks and the factorization; every map after that is the
+one a weighted space takes.  Everything here is
 immutable after construction and safe to share across threads.  The one
 lazily filled field, an operator's SVD, is benign under a race: two
 threads may both factor the operator, and they store identical
@@ -78,19 +81,31 @@ def checked_matrix(a, what: str, shape=None, where="", cap=None) -> np.ndarray:
 
 def json_numbers(values, name: str) -> np.ndarray:
     """``values`` as a float array; a string or bool in it (NumPy reads ``"1e3"`` and
-    ``true`` as numbers) raises ``ValueError`` naming ``name``, its key or file."""
-    items = np.asarray(values, dtype=object)
-    if {str, bool} & set(map(type, items.flat)):
-        bad = next(x for x in items.flat if type(x) in (str, bool))
-        raise ValueError(f"{name}: expected a number, got {bad!r}")
-    return items.astype(float)
+    ``true`` as numbers) or an integer beyond the float range raises ``ValueError``
+    naming ``name``, its key or file.
+
+    A flat list of only ints and floats, the common case, takes one conversion;
+    anything else (``null`` reads as NaN, a nested list as a 2-d array) goes
+    through an object array.
+    """
+    try:
+        if type(values) is list and {int, float}.issuperset(map(type, values)):
+            return np.array(values, dtype=float)
+        items = np.asarray(values, dtype=object)
+        if {str, bool} & set(map(type, items.flat)):
+            bad = next(x for x in items.flat if type(x) in (str, bool))
+            raise ValueError(f"{name}: expected a number, got {bad!r}")
+        return items.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name}: an integer is beyond the float range") from None
 
 
 class InnerProductSpace:
     """Real space of dimension ``dim`` with inner product ``x^T M y``.
 
     The metric must be symmetric positive definite; the Cholesky factor
-    is computed once and reused for all metric solves.
+    is computed once and reused for all metric solves.  Without a metric
+    the identity is both metric and factor, read-only like every other.
     """
 
     def __init__(self, dim: int, metric: np.ndarray | None = None):
@@ -98,14 +113,16 @@ class InnerProductSpace:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        if metric is None:
-            metric = np.eye(self.dim)
+        if metric is None:  # the identity is its own Cholesky factor
+            self.metric = self._chol = _frozen(np.eye(dim))
+            self.is_euclidean = True
+            return
         metric = checked_matrix(metric, "metric", (dim, dim), "dim x dim")
         scale = np.abs(metric).max()
         if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
             raise ValueError("metric is not symmetric")
         try:
-            self._chol = np.linalg.cholesky(metric)
+            self._chol = _frozen(np.linalg.cholesky(metric))
         except np.linalg.LinAlgError:
             raise ValueError("metric is not positive definite") from None
         self.metric = _frozen(metric)

@@ -8,8 +8,10 @@ recursion).  The certificate route solves the Lyapunov equation
     P A + A^T P + Q = 0
 
 by the Bartels-Stewart method (a real Schur form and a triangular
-Sylvester solve, one LAPACK-backed scipy call) and checks that P is
-symmetric positive definite, which holds exactly for Hurwitz A.
+Sylvester solve, the two LAPACK calls ``dgees`` and ``dtrsyl`` that
+SciPy wraps) and checks that P is symmetric positive definite, which
+holds exactly for Hurwitz A.  ``lyapunov_solve`` is the one place that
+imports SciPy, so no other routine pays for loading it.
 Verdicts chain the two: tabulate, certify, and insist the answers
 agree; only a singular Lyapunov equation counts as "no certificate".
 ``jacobian_verdict`` certifies a matrix exactly as given, with no
@@ -61,22 +63,32 @@ class SingularLyapunovError(NumericalError):
 def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``P A + A^T P + Q = 0`` for symmetric P.
 
-    Bartels-Stewart: real Schur form of A, then LAPACK ``trsyl``; O(n^3).
-    Singular exactly when A and -A share an eigenvalue, which covers
-    every boundary (imaginary-axis) case; scipy only warns then.
+    Bartels-Stewart straight from LAPACK, O(n^3): ``dgees`` gives the real
+    Schur form ``A^T = U T U^T``, ``dtrsyl`` solves ``T Y + Y T^T = -U^T Q U``
+    and ``P = U Y U^T``, bit for bit what
+    ``scipy.linalg.solve_continuous_lyapunov(A^T, -Q)`` returns.  Singular
+    exactly when A and -A share an eigenvalue, which covers every boundary
+    (imaginary-axis) case; ``dtrsyl`` then perturbs its pivots and reports
+    it, and this raises ``SingularLyapunovError``.  No Schur form, or a
+    residual above 1e-9 of ``|Q|``, raises ``NumericalError``.
     """
-    from scipy.linalg import solve_continuous_lyapunov
+    from scipy.linalg.lapack import dgees, dtrsyl
     a = checked_matrix(a, "A", cap=MAX_LYAPUNOV_DIM)
     q = checked_matrix(q, "Q", a.shape, "A")
     if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
         raise ValueError("Q must be symmetric")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", ".*eigenvalue pair", RuntimeWarning)
-        try:
-            p = solve_continuous_lyapunov(a.T, -q)
-        except RuntimeWarning:
-            raise SingularLyapunovError("Lyapunov system is singular "
-                                        "(A and -A share an eigenvalue)") from None
+    # workspace query first, as scipy.linalg.schur does, so that U and T keep
+    # its bits whichever block sizes LAPACK chooses for that workspace
+    lwork = int(dgees(lambda wr, wi: None, a.T, lwork=-1)[-2][0])
+    t, _, _, _, u, _, info = dgees(lambda wr, wi: None, a.T, lwork=lwork)
+    if info:
+        raise NumericalError(f"real Schur form of A not found (LAPACK dgees info {info})")
+    y, scale, info = dtrsyl(t, t, u.T @ (-q @ u), tranb="T")
+    if info == 1:
+        raise SingularLyapunovError("Lyapunov system is singular "
+                                    "(A and -A share an eigenvalue)")
+    y *= scale  # as SciPy does; dtrsyl sets scale below 1 only against overflow
+    p = u @ y @ u.T
     p = 0.5 * (p + p.T)
     residual = np.linalg.norm(p @ a + a.T @ p + q)
     if residual > _LYAP_RESIDUAL_TOL * np.linalg.norm(q):

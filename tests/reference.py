@@ -8,7 +8,12 @@ finiteness scan); the library's kernels must match them bit for bit.
 multiplier by these kernels, then its pull-back by
 ``apply_control_adjoint``.  ``fd_gradient_check_by_direction`` is the
 central-difference check as two single forward solves per direction.
+``lyapunov_by_scipy`` is the Lyapunov solve through SciPy's own
+``solve_continuous_lyapunov``, and ``json_numbers_by_object_array`` the
+JSON number conversion through an object array, each in its first form.
 """
+
+import warnings
 
 import numpy as np
 
@@ -16,6 +21,7 @@ from adjointkit.errors import NumericalError
 from adjointkit.network import NetworkTrainingProblem
 from adjointkit.optim import reduced_gradient
 from adjointkit.pde import AdvectionControlProblem
+from adjointkit.stability import SingularLyapunovError
 
 
 def bits(a):
@@ -57,6 +63,37 @@ def fd_gradient_check_by_direction(problem, z, steps=(1e-2, 1e-3, 1e-4)):
         scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
         out[h] = float(np.linalg.norm(fd - grad) / scale)
     return out
+
+
+def lyapunov_by_scipy(a, q):
+    """``P A + A^T P + Q = 0`` by ``scipy.linalg.solve_continuous_lyapunov(A^T, -Q)``.
+
+    SciPy's warning on an eigenvalue pair summing to zero becomes
+    ``SingularLyapunovError``; then come ``lyapunov_solve``'s symmetrization
+    and residual gate (1e-9 of ``|Q|``), with its messages.
+    """
+    from scipy.linalg import solve_continuous_lyapunov
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*eigenvalue pair", RuntimeWarning)
+        try:
+            p = solve_continuous_lyapunov(a.T, -q)
+        except RuntimeWarning:
+            raise SingularLyapunovError("Lyapunov system is singular "
+                                        "(A and -A share an eigenvalue)") from None
+    p = 0.5 * (p + p.T)
+    residual = np.linalg.norm(p @ a + a.T @ p + q)
+    if residual > 1e-9 * np.linalg.norm(q):
+        raise NumericalError(f"Lyapunov residual too large ({residual:.3e})")
+    return p
+
+
+def json_numbers_by_object_array(values, name):
+    """``core.json_numbers`` with every input going through an object array."""
+    items = np.asarray(values, dtype=object)
+    if {str, bool} & set(map(type, items.flat)):
+        bad = next(x for x in items.flat if type(x) in (str, bool))
+        raise ValueError(f"{name}: expected a number, got {bad!r}")
+    return items.astype(float)
 
 
 def advection_sweep_oracle(problem, rhs):

@@ -524,6 +524,21 @@ def test_stability_matrix_failed_residual_gate_exit_3(capsys, tmp_path):
     assert "residual" in payload["detail"]
 
 
+def test_stability_matrix_schur_failure_exit_3(capsys, tmp_path, monkeypatch):
+    # LAPACK finding no Schur form is a numerical failure, not "not Hurwitz"
+    import scipy.linalg.lapack as lapack
+    dgees = lapack.dgees
+    monkeypatch.setattr(lapack, "dgees",
+                        lambda *args, **kwargs: (*dgees(*args, **kwargs)[:-1], 2))
+    matrix = write_json(tmp_path / "a.json", {"rows": 2, "cols": 2,
+                                              "entries": [-1.0, 2.0, 0.0, -3.0]})
+    code, out, err = run(capsys, "stability", "--matrix", matrix)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": "numerical-failure",
+                               "detail": "real Schur form of A not found "
+                                         "(LAPACK dgees info 2)"}
+
+
 @pytest.mark.parametrize("beta", ["-1", "nan", "inf"])
 def test_stability_seirs_rejects_invalid_beta(capsys, beta):
     code, out, err = run(capsys, "stability", "--model", "seirs", "--beta", beta)

@@ -8,9 +8,11 @@ from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
                         matrix_operator, operator_from_record,
                         operator_norm, operator_to_record, orthogonal_projector,
                         orthonormalize)
-from adjointkit.core import DenseOperator
+from adjointkit.core import DenseOperator, json_numbers
 from adjointkit.errors import NumericalError
 from adjointkit.rand import Lcg
+from adjointkit.spectral import svd
+from reference import bits, json_numbers_by_object_array
 
 
 def random_operator(rng, m, n, weighted=False):
@@ -40,6 +42,31 @@ def test_non_finite_metric_and_entries_rejected():
         InnerProductSpace(2, [[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         DenseOperator(InnerProductSpace(2), InnerProductSpace(2), [[1.0, np.inf], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 48])
+def test_euclidean_space_is_the_explicit_identity_metric(n):
+    # without a metric the identity is stored as metric and factor, unfactored
+    plain, explicit = InnerProductSpace(n), InnerProductSpace(n, np.eye(n))
+    for space in (plain, explicit):
+        assert space.is_euclidean
+        assert not space.metric.flags.writeable
+        assert not space.cholesky.flags.writeable
+    assert np.array_equal(bits(plain.metric), bits(explicit.metric))
+    assert np.array_equal(bits(plain.cholesky), bits(explicit.cholesky))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (6, 4), (48, 48)])
+def test_default_metrics_give_the_bits_of_explicit_identities(m, n):
+    a = np.random.default_rng([62, m, n]).standard_normal((m, n))
+    plain, explicit = matrix_operator(a), matrix_operator(a, np.eye(n), np.eye(m))
+    got, want = svd(plain), svd(explicit)
+    assert got.rank == want.rank
+    for field in ("sigma", "right_vectors", "left_vectors"):
+        assert np.array_equal(bits(getattr(got, field)), bits(getattr(want, field)))
+    assert np.array_equal(bits(adjoint(plain).entries), bits(adjoint(explicit).entries))
+    assert np.array_equal(bits(plain.whitened()), bits(explicit.whitened()))
+    assert bits(operator_norm(plain)) == bits(operator_norm(explicit))
 
 
 def test_inner_examples():
@@ -358,6 +385,62 @@ def test_operator_record_accepts_integral_sizes():
 def test_operator_record_rejects_bad_entries():
     with pytest.raises(ValueError):
         operator_from_record({"rows": 2, "cols": 2, "entries": [1.0]})
+
+
+NUMBER_LISTS = {
+    "ints": [0, -3, 7, 2 ** 53 + 1, -(2 ** 63), 2 ** 64 + 1, 10 ** 300],
+    "floats": [0.0, -0.0, 1.5, -2.5e-310, 1.7976931348623157e308, float("inf"), float("nan")],
+    "mixed": [1, 2.5, -3, 1e-300, 2 ** 60 + 3, -0.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("values", NUMBER_LISTS.values(), ids=NUMBER_LISTS)
+def test_json_numbers_one_pass_matches_the_object_array(values):
+    got = json_numbers(values, "entries")
+    want = json_numbers_by_object_array(values, "entries")
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def json_outcome(convert, values):
+    try:
+        out = convert(values, "entries")
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return out.shape, bits(out).tolist()
+
+
+OTHER_JSON = {
+    "string": [1.0, "1e3"],
+    "bool": [2, True],
+    "null": [1.0, None],
+    "nested": [[1.0, 2.0], [3, 4.0]],
+    "ragged": [[1.0, 2.0], [3.0]],
+    "nested-string": [[1.0, "2"]],
+    "object": [{"v": 1}, 2],
+    "dict": {"a": 1},
+    "scalar": 2.5,
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("values", OTHER_JSON.values(), ids=OTHER_JSON)
+def test_json_numbers_other_input_keeps_the_object_array_outcome(values):
+    assert (json_outcome(json_numbers, values)
+            == json_outcome(json_numbers_by_object_array, values))
+
+
+def test_json_null_reads_as_nan_and_fails_the_finiteness_gate():
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_from_record({"rows": 1, "cols": 2, "entries": [1.0, None]})
+
+
+@pytest.mark.parametrize("values", [[10 ** 400], [1.0, -(10 ** 400)], [[10 ** 400]],
+                                    [None, 10 ** 400]])
+def test_json_numbers_huge_integer_names_its_source(values):
+    with pytest.raises(ValueError, match="^rhs.json: an integer is beyond the float range$"):
+        json_numbers(values, "rhs.json")
 
 
 def test_lcg_is_reproducible():

@@ -81,3 +81,28 @@ def test_every_private_module_name_is_read():
                 if private and reads.count(name) <= inside:
                     unread.append(name)
     assert unread == []
+
+
+def scipy_import_scopes(node, scope):
+    """The dotted scope (module, class, function) of each import of SciPy under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scipy_import_scopes(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            modules = [child.module]
+        else:
+            modules = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in modules):
+            yield scope
+        yield from scipy_import_scopes(child, scope)
+
+
+def test_only_lyapunov_solve_imports_scipy():
+    # loading scipy.linalg adds about 27 MB of resident memory; no module may pay
+    # for it at import, and no command but a Lyapunov solve may pay for it at all
+    scopes = [scope for path in sorted(Path(adjointkit.__file__).parent.glob("*.py"))
+              for scope in scipy_import_scopes(ast.parse(path.read_text()), path.stem)]
+    assert scopes == ["stability.lyapunov_solve"]

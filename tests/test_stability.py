@@ -9,17 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 import adjointkit
 
 from adjointkit import selftest, stability
 from adjointkit.errors import NumericalError
-from adjointkit.stability import (HurwitzVerdict, SeirsModel,
+from adjointkit.stability import (HurwitzVerdict, SeirsModel, SingularLyapunovError,
                                   characteristic_polynomial, damped_oscillator,
                                   hurwitz_check, is_spd, jacobian_verdict,
                                   linearize, logistic, lyapunov_solve, r0,
                                   stability_verdict)
+from reference import bits, lyapunov_by_scipy
 
 
 def lyapunov_quadrature_oracle(a, q, t_final=40.0, dt=2e-3):
@@ -165,6 +166,48 @@ def test_lyapunov_matches_kronecker_oracle():
             p = lyapunov_solve(a, q)
             oracle = kronecker_lyapunov_oracle(a, q)
             assert np.abs(p - oracle).max() <= 1e-8 * np.abs(p).max()
+
+
+def lyapunov_outcome(solve, a, q):
+    """The solution's bits, or the type and message of the failure."""
+    try:
+        return bits(solve(a, q)).tolist()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 48, 64])
+def test_lyapunov_bit_identical_to_scipy(n):
+    # the direct dgees/dtrsyl calls return SciPy's P, or fail where it fails
+    rng = np.random.default_rng([61, n])
+    q_raw = rng.standard_normal((n, n))
+    spd_q = q_raw @ q_raw.T + np.eye(n)
+    cases = (block_spectrum_matrix(rng, n, True),
+             block_spectrum_matrix(rng, n, False),
+             -np.eye(n) + np.eye(n, k=1),  # a defective Jordan block
+             matrix_with_spectrum(rng, -rng.uniform(0.3, 3.0, n)))  # strongly non-normal
+    solved = 0
+    for a in cases:
+        for q in (np.eye(n), spd_q):
+            expected = lyapunov_outcome(lyapunov_by_scipy, a, q)
+            assert lyapunov_outcome(lyapunov_solve, a, q) == expected
+            solved += isinstance(expected, list)
+    assert solved >= 6  # most cases give a certificate to compare bit for bit
+
+
+@pytest.mark.parametrize("a", [
+    [[0.0, 1.0], [-1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[-1e-300]],
+    [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+], ids=["rotation", "saddle", "tiny-scalar", "rotation-and-decay"])
+def test_lyapunov_singular_exactly_where_scipy_warns(a):
+    a = np.array(a)
+    q = np.eye(len(a))
+    with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+        solve_continuous_lyapunov(a.T, -q)
+    with pytest.raises(SingularLyapunovError):
+        lyapunov_solve(a, q)
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

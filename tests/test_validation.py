@@ -441,6 +441,13 @@ CLI_CASES = {
     "tikhonov-x0-string": (["tikhonov", "--op", "{op}", "--rhs", "{pair}", "--kappa", "1",
                             "--x0", "{string_triple}"],
                            "string_triple.json: expected a number, got '0'"),
+    # an integer literal beyond the float range used to escape as OverflowError
+    "svd-entries-huge-int": (["svd", "--op", "{op_huge_entries}"],
+                             "entries: an integer is beyond the float range"),
+    "solve-rhs-huge-int": (["solve", "--op", "{op}", "--rhs", "{huge_pair}"],
+                           "huge_pair.json: an integer is beyond the float range"),
+    "stability-matrix-huge-int": (["stability", "--matrix", "{op_huge_square}"],
+                                  "entries: an integer is beyond the float range"),
 }
 
 
@@ -477,7 +484,10 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
                                 "codomain_metric": [True]},
              "string_pair": ["5", False],
              "bool_pair": [1.0, False],
-             "string_triple": [1.0, "0", 2.0]}
+             "string_triple": [1.0, "0", 2.0],
+             "op_huge_entries": {"rows": 1, "cols": 1, "entries": [10 ** 400]},
+             "huge_pair": [10 ** 400, 1],
+             "op_huge_square": {"rows": 2, "cols": 2, "entries": [-1, 0, 10 ** 400, -1]}}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
