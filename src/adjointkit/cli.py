@@ -9,7 +9,7 @@ and alone sets the exit status: 0 success, 1 a failed selftest suite
 (with a diagnostic JSON payload).
 
 This layer parses JSON structure, ``--spec`` and the flags, and checks
-``sturm --modes`` before the dense assembly; the library routine that
+``sturm --modes`` before the grid is assembled; the library routine that
 reads any other input checks it, and its ``ValueError`` exits 2.  Seeded
 subcommands take ``--seed`` (default 42), so stdout depends only on argv
 and the files it names.
@@ -203,7 +203,7 @@ def cmd_r0(args) -> str:
 
 def cmd_sturm(args) -> str:
     problem = constant_coefficient_problem(args.bc, n=args.n)
-    if not 1 <= args.modes <= args.n:  # reject before the dense O(n^3) assembly
+    if not 1 <= args.modes <= args.n:  # reject before assembly and the O(n^3) eigensolve
         raise ValueError(f"requested {args.modes} modes from an {args.n}-point grid")
     modes = solve_modes(discretize(problem), args.modes)
     header = "lambda," + ",".join(f"v{i + 1}" for i in range(args.n))

@@ -9,7 +9,8 @@ without a metric stores the identity as its own Cholesky factor and
 skips the checks and the factorization; every map after that is the
 one a weighted space takes.  Everything here is
 immutable after construction and safe to share across threads.  The one
-lazily filled field, an operator's SVD, is benign under a race: two
+lazily filled field, an operator's SVD (``_factors``, which both
+``spectral.svd`` and ``operator_norm`` read), is benign under a race: two
 threads may both factor the operator, and they store identical
 read-only arrays.
 """
@@ -166,7 +167,7 @@ class DenseOperator:
         self.domain = domain
         self.codomain = codomain
         self.entries = _frozen(entries)
-        self._svd = None  # (sigma, right, left), filled by spectral.svd
+        self._svd = None  # (sigma, right, left), filled by _factors
 
     @property
     def shape(self):
@@ -216,13 +217,52 @@ def adjoint(op: DenseOperator) -> DenseOperator:
     return DenseOperator(op.codomain, op.domain, entries)
 
 
+def _dominant_signs(vectors: np.ndarray) -> np.ndarray:
+    """One +-1 per column: the sign of its largest-magnitude entry."""
+    rows = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[rows, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry is positive."""
+    return vectors * _dominant_signs(vectors)
+
+
+def _factors(op: DenseOperator) -> tuple:
+    """``(sigma, right, left)`` of the operator, factored on its first call.
+
+    LAPACK factors the whitened matrix with full bases, which are mapped
+    back through ``L^{-T}`` and signed as ``spectral.svd`` documents.  The
+    operator is immutable, so the read-only arrays kept on it serve every
+    later call, whichever of ``spectral.svd`` and ``operator_norm`` comes
+    first.  A non-finite singular value raises ``NumericalError``.
+    """
+    if op._svd is None:
+        left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
+        if not np.all(np.isfinite(sigma)):
+            raise NumericalError("singular values are non-finite "
+                                 "(the operator norm overflows)")
+        right = op.domain.unwhiten(right_wt.T)
+        signs = _dominant_signs(right)
+        right *= signs
+        left = op.codomain.unwhiten(left_w)
+        left[:, :sigma.size] *= signs[:sigma.size]
+        left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
+        for a in (sigma, right, left):
+            a.flags.writeable = False
+        op._svd = (sigma, right, left)
+    return op._svd
+
+
 def operator_norm(op: DenseOperator) -> float:
     """Operator norm between the weighted norms of domain and codomain.
 
-    This is the largest singular value, taken as the spectral norm of
-    the whitened matrix.
+    This is the largest singular value ``sigma_1``, read from the
+    operator's one cached factorization, so it has the bits of
+    ``spectral.svd(op).sigma[0]`` and costs nothing once either has run.
+    A norm that overflows raises ``NumericalError``.
     """
-    return float(np.linalg.norm(op.whitened(), 2))
+    return float(_factors(op)[0][0])
 
 
 def _unit_rows(space: InnerProductSpace, x: np.ndarray) -> np.ndarray:
@@ -237,18 +277,24 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     ``B`` defaults to the constructed adjoint of ``op``; passing another
     operator measures how badly it fails the identity.  Pair k is row k of
     ``Lcg(seed)``: ``u`` then ``v``, each at unit norm (a zero draw stays
-    zero).  Defects are normalized by the larger operator norm; a norm or
-    defect that overflows raises ``NumericalError`` rather than certifying.
+    zero).  Defects are normalized by ``|A|``, or by ``max(|A|, |B|)`` for
+    a supplied ``B``: the constructed adjoint needs no norm of its own,
+    since its whitened matrix is the transpose of ``A``'s and
+    ``|A*| = |A| = sigma_1``.  The norms come from the operators' cached
+    factorizations (``operator_norm``), so an ``op`` that ``spectral.svd``
+    has factored costs no further SVD.  A norm or defect that overflows
+    raises ``NumericalError`` rather than certifying.
     """
     trials = checked_size(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    b = adjoint(op) if adjoint_op is None else adjoint_op
-    if b.domain.dim != op.codomain.dim or b.codomain.dim != op.domain.dim:
-        raise ValueError("candidate adjoint has incompatible shape")
-    scale = max(operator_norm(op), operator_norm(b))
-    if not np.isfinite(scale):
-        raise NumericalError("operator norm overflows; adjoint defects cannot be measured")
+    if adjoint_op is None:
+        b, scale = adjoint(op), operator_norm(op)
+    else:
+        b = adjoint_op
+        if b.domain.dim != op.codomain.dim or b.codomain.dim != op.domain.dim:
+            raise ValueError("candidate adjoint has incompatible shape")
+        scale = max(operator_norm(op), operator_norm(b))
     if scale == 0.0:
         return AdjointReport(trials=trials, max_defect=0.0)
     rng = Lcg(seed)

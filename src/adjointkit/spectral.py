@@ -10,16 +10,16 @@ are mapped back through ``L^{-T}`` by ``InnerProductSpace.unwhiten`` so
 they come out orthonormal in the metric.  The full codomain basis of the
 SVD spans the null space of ``A*`` past the rank, and
 ``left_coefficients`` expands data in that basis for every consumer of
-the singular system.  Each operator is factored once: its singular
-values and bases are kept on it, read-only.
+the singular system.  Each operator is factored once, by
+``core._factors``: its singular values and bases are kept on it,
+read-only, and ``core.operator_norm`` reads the same factorization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace, checked_vector
-from .errors import NumericalError
+from .core import DenseOperator, InnerProductSpace, _factors, checked_vector
 
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
@@ -78,40 +78,6 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
     return EigResult(eigenvalues=vals[::-1], eigenvectors=space.unwhiten(vecs[:, ::-1]))
 
 
-def _dominant_signs(vectors: np.ndarray) -> np.ndarray:
-    """One +-1 per column: the sign of its largest-magnitude entry."""
-    rows = np.argmax(np.abs(vectors), axis=0)
-    return np.where(vectors[rows, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    return vectors * _dominant_signs(vectors)
-
-
-def _factors(op: DenseOperator) -> tuple:
-    """``(sigma, right, left)`` of the operator, factored on its first call.
-
-    The operator is immutable, so the read-only arrays kept on it serve
-    every later call (``core`` notes the benign race on first use).
-    """
-    if op._svd is None:
-        left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
-        if not np.all(np.isfinite(sigma)):
-            raise NumericalError("singular values are non-finite "
-                                 "(the operator norm overflows)")
-        right = op.domain.unwhiten(right_wt.T)
-        signs = _dominant_signs(right)
-        right *= signs
-        left = op.codomain.unwhiten(left_w)
-        left[:, :sigma.size] *= signs[:sigma.size]
-        left[:, sigma.size:] = _fix_signs(left[:, sigma.size:])
-        for a in (sigma, right, left):
-            a.flags.writeable = False
-        op._svd = (sigma, right, left)
-    return op._svd
-
-
 def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     """Singular value decomposition in the weighted inner products.
 
@@ -127,8 +93,9 @@ def svd(op: DenseOperator, rank_tol: float | None = None) -> SvdResult:
     NaN, negative or infinite ``rank_tol`` raises ``ValueError``; a
     non-finite singular value (the operator norm overflows) raises
     ``NumericalError``, since no rank tolerance can be derived from it.
-    The factorization is made once per operator and its arrays are
-    read-only; each call only cuts the rank.
+    The factorization is made once per operator, shared with
+    ``core.operator_norm``, and its arrays are read-only; each call only
+    cuts the rank.
     """
     if rank_tol is not None:
         _check_tol(rank_tol, "rank_tol")

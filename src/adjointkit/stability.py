@@ -69,8 +69,9 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``scipy.linalg.solve_continuous_lyapunov(A^T, -Q)`` returns.  Singular
     exactly when A and -A share an eigenvalue, which covers every boundary
     (imaginary-axis) case; ``dtrsyl`` then perturbs its pivots and reports
-    it, and this raises ``SingularLyapunovError``.  No Schur form, or a
-    residual above 1e-9 of ``|Q|``, raises ``NumericalError``.
+    it, and this raises ``SingularLyapunovError``.  No Schur form, a
+    solution beyond the float range (``dtrsyl`` scales it down), or a
+    residual above 1e-9 of ``|Q|`` or not finite, raises ``NumericalError``.
     """
     from scipy.linalg.lapack import dgees, dtrsyl
     a = checked_matrix(a, "A", cap=MAX_LYAPUNOV_DIM)
@@ -87,11 +88,15 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if info == 1:
         raise SingularLyapunovError("Lyapunov system is singular "
                                     "(A and -A share an eigenvalue)")
-    y *= scale  # as SciPy does; dtrsyl sets scale below 1 only against overflow
+    if scale < 1.0:  # dtrsyl solved for scale * P to keep it finite
+        raise NumericalError("Lyapunov solution is beyond the float range")
     p = u @ y @ u.T
     p = 0.5 * (p + p.T)
-    residual = np.linalg.norm(p @ a + a.T @ p + q)
-    if residual > _LYAP_RESIDUAL_TOL * np.linalg.norm(q):
+    # an overflowing residual is inf or NaN, and the test below refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(p @ a + a.T @ p + q)
+        bound = _LYAP_RESIDUAL_TOL * np.linalg.norm(q)
+    if not residual <= bound:
         raise NumericalError(f"Lyapunov residual too large ({residual:.3e})")
     return p
 

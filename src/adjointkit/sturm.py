@@ -8,9 +8,11 @@ The operator ``-(p v')' + q v = lambda rho v`` keeps its factored form
 where row ``i`` of the difference matrix ``D`` takes the jump of ``v``
 across flux interface ``i`` and ``p_half`` samples ``p`` there, so K is
 symmetric by construction.  The boundary condition only picks the grid,
-the interfaces and ``D``: interior nodes with zero end values
-(dirichlet), cell midpoints with no flux through the ends (neumann),
-and interfaces wrapping around (periodic).  Modes solve the generalized
+the interfaces and the node pair each one joins, which is its row of
+``D``: interior nodes with zero end values (dirichlet), cell midpoints
+with no flux through the ends (neumann), and interfaces wrapping around
+(periodic).  ``K`` is written from those pairs, never multiplied out.
+Modes solve the generalized
 problem ``K v = lambda diag(rho) v``, folded into the symmetric standard
 problem ``W^{-1/2} K W^{-1/2}`` (``W = diag(rho)``) that LAPACK ``eigh``
 solves, and are normalized in the discrete weighted L2 product
@@ -26,9 +28,10 @@ import numpy as np
 from .core import checked_size, checked_vector
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
-# Largest grid accepted.  Assembly and eigensolve are dense, O(n^3) time and
-# O(n^2) memory; at n = 2000 every constant-coefficient dirichlet eigenvalue
-# is within 1.1e-10 relative of dirichlet_eigenvalue_formula.
+# Largest grid accepted.  Assembly writes O(n) stencil entries into a dense
+# O(n^2) matrix; the dense eigensolve takes O(n^3) time.  At n = 2000 every
+# constant-coefficient dirichlet eigenvalue is within 1.1e-10 relative of
+# dirichlet_eigenvalue_formula.
 MAX_SL_NODES = 2000
 
 
@@ -80,30 +83,37 @@ class ModeSet:
 
 
 def discretize(problem: SLProblem) -> Discretization:
-    """Assemble ``K = D^T diag(p_half) D / h^2 + diag(q)``.
+    """Assemble ``K = D^T diag(p_half) D / h^2 + diag(q)`` from its stencil.
 
-    ``D`` maps node values to their differences across the flux
-    interfaces of the chosen boundary condition.  The coefficients are
-    evaluated point by point, so scalar-only callables work.
+    Row ``i`` of ``D`` is ``e_hi - e_lo`` for the node pair ``(lo, hi)``
+    across flux interface ``i``, so ``D^T diag(p_half) D`` has ``p_half[i]``
+    at ``(lo, lo)`` and ``(hi, hi)`` and ``-p_half[i]`` at ``(lo, hi)`` and
+    ``(hi, lo)``; writing those entries, in O(n) work, gives the bits of
+    the dense product.  The coefficients are evaluated point by point, so
+    scalar-only callables work.
     """
     n = problem.n
     if problem.bc == "dirichlet":
-        # interface i sits between nodes i-1 and i; the end values are zero
+        # interface i sits between nodes i-1 and i; the end values are zero,
+        # so the boundary nodes -1 and n both land on a padded index n
         h = 1.0 / (n + 1)
         grid = (np.arange(n) + 1.0) * h
         interfaces = (np.arange(n + 1) + 0.5) * h
-        d = np.eye(n + 1, n) - np.eye(n + 1, n, -1)
+        lo = np.arange(-1, n)
+        hi = lo + 1
     elif problem.bc == "neumann":
         # cell midpoints; no flux through the ends
         h = 1.0 / n
         grid = (np.arange(n) + 0.5) * h
         interfaces = np.arange(1, n) * h
-        d = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+        lo = np.arange(n - 1)
+        hi = lo + 1
     else:  # periodic: interface i sits between nodes i and i+1 (mod n)
         h = 1.0 / n
         grid = np.arange(n) * h
         interfaces = (np.arange(n) + 0.5) * h
-        d = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+        lo = np.arange(n)
+        hi = (lo + 1) % n
     p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
     q = np.asarray([problem.q(x) for x in grid], dtype=float)
     rho = np.asarray([problem.rho(x) for x in grid], dtype=float)
@@ -114,7 +124,15 @@ def discretize(problem: SLProblem) -> Discretization:
         raise ValueError("diffusion coefficient must be positive and finite")
     if not np.all(np.isfinite(q)):
         raise ValueError("potential q must be finite on the grid")
-    k = d.T @ (p_half[:, None] * d) / h ** 2 + np.diag(q)
+    # a node meets at most two interfaces, so its diagonal sum has the
+    # product's bits, and each (lo, hi) pair is written once
+    diagonal = np.zeros(n + 1)
+    diagonal[lo] += p_half
+    diagonal[hi] += p_half
+    k = np.zeros((n + 1, n + 1))
+    k[lo, hi] = k[hi, lo] = -p_half / h ** 2
+    k = k[:n, :n]
+    k[np.arange(n), np.arange(n)] = diagonal[:n] / h ** 2 + q
     return Discretization(stiffness=k, rho=rho, grid=grid, h=h)
 
 

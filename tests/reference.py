@@ -9,8 +9,10 @@ multiplier by these kernels, then its pull-back by
 ``apply_control_adjoint``.  ``fd_gradient_check_by_direction`` is the
 central-difference check as two single forward solves per direction.
 ``lyapunov_by_scipy`` is the Lyapunov solve through SciPy's own
-``solve_continuous_lyapunov``, and ``json_numbers_by_object_array`` the
-JSON number conversion through an object array, each in its first form.
+``solve_continuous_lyapunov``, ``json_numbers_by_object_array`` the
+JSON number conversion through an object array, and
+``sturm_stiffness_by_product`` the Sturm-Liouville stiffness as the
+dense triple product, each in its first form.
 """
 
 import warnings
@@ -85,6 +87,29 @@ def lyapunov_by_scipy(a, q):
     if residual > 1e-9 * np.linalg.norm(q):
         raise NumericalError(f"Lyapunov residual too large ({residual:.3e})")
     return p
+
+
+def sturm_stiffness_by_product(problem):
+    """``K = D^T diag(p_half) D / h^2 + diag(q)``, with ``D`` formed densely."""
+    n = problem.n
+    if problem.bc == "dirichlet":
+        h = 1.0 / (n + 1)
+        grid = (np.arange(n) + 1.0) * h
+        interfaces = (np.arange(n + 1) + 0.5) * h
+        d = np.eye(n + 1, n) - np.eye(n + 1, n, -1)
+    elif problem.bc == "neumann":
+        h = 1.0 / n
+        grid = (np.arange(n) + 0.5) * h
+        interfaces = np.arange(1, n) * h
+        d = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+    else:
+        h = 1.0 / n
+        grid = np.arange(n) * h
+        interfaces = (np.arange(n) + 0.5) * h
+        d = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    p_half = np.asarray([problem.p(x) for x in interfaces], dtype=float)
+    q = np.asarray([problem.q(x) for x in grid], dtype=float)
+    return d.T @ (p_half[:, None] * d) / h ** 2 + np.diag(q)
 
 
 def json_numbers_by_object_array(values, name):

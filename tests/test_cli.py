@@ -168,6 +168,7 @@ def test_adjoint_check_overflowing_operator_exit_3(capsys, tmp_path):
     assert code == 3
     payload = json.loads(out)
     assert payload["error"] == "numerical-failure"
+    assert "overflows" in payload["detail"]
     assert "max_defect" not in payload
 
 

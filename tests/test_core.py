@@ -163,6 +163,68 @@ def test_norm_equality_of_adjoint():
         assert abs(na - nb) <= 1e-8 * na
 
 
+def test_operator_norm_is_sigma_1_of_the_one_factorization():
+    # the same bits as svd's sigma_1, whichever of the two runs first
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        norm_first = random_operator(rng, m, n, weighted=trial % 2 == 1)
+        svd_first = DenseOperator(norm_first.domain, norm_first.codomain,
+                                  norm_first.entries)
+        nrm = operator_norm(norm_first)
+        sigma = svd(svd_first).sigma
+        assert bits(nrm) == bits(sigma[0]) == bits(svd(norm_first).sigma[0])
+        assert bits(operator_norm(svd_first)) == bits(nrm)
+
+
+def test_operator_norm_matches_the_spectral_norm_of_the_whitened_matrix():
+    rng = np.random.default_rng(42)
+    for m, n in [(1, 1), (3, 5), (6, 4), (12, 12), (36, 32)]:
+        for _ in range(4):
+            op = random_operator(rng, m, n, weighted=True)
+            expected = np.linalg.norm(op.whitened(), 2)
+            assert abs(operator_norm(op) - expected) <= 1e-14 * expected
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_consistency_check_reads_the_cached_factorization(monkeypatch):
+    # no SVD once the operator is factored, one on a fresh operator; a
+    # supplied adjoint is factored for its own norm
+    calls = count_svd_calls(monkeypatch)
+    rng = np.random.default_rng(43)
+    op = random_operator(rng, 6, 5, weighted=True)
+    svd(op)
+    calls.clear()
+    adjoint_consistency_check(op, trials=10)
+    assert len(calls) == 0
+    fresh = random_operator(rng, 6, 5, weighted=True)
+    adjoint_consistency_check(fresh, trials=10)
+    assert len(calls) == 1
+    adjoint_consistency_check(fresh, trials=10, adjoint_op=adjoint(fresh))
+    assert len(calls) == 2
+
+
+def test_consistency_check_normalizes_by_the_larger_norm_of_a_supplied_adjoint():
+    rng = np.random.default_rng(44)
+    op = random_operator(rng, 4, 3, weighted=True)
+    doubled = DenseOperator(op.codomain, op.domain, 2.0 * adjoint(op).entries)
+    report = adjoint_consistency_check(op, trials=50, seed=5, adjoint_op=doubled)
+    expected = max(per_pair_defects(op, doubled, 50, seed=5))
+    assert operator_norm(doubled) == pytest.approx(2.0 * operator_norm(op), rel=1e-12)
+    assert report.max_defect == pytest.approx(expected, rel=1e-12)
+
+
 # -- consistency report --------------------------------------------------------
 
 def test_consistency_check_constructed_adjoint():

@@ -83,26 +83,54 @@ def test_every_private_module_name_is_read():
     assert unread == []
 
 
-def scipy_import_scopes(node, scope):
-    """The dotted scope (module, class, function) of each import of SciPy under ``node``."""
+def scopes_where(node, scope, hit):
+    """The dotted scope (module, class, function) of each node under ``node``
+    that ``hit`` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from scipy_import_scopes(child, f"{scope}.{child.name}")
+            yield from scopes_where(child, f"{scope}.{child.name}", hit)
             continue
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom) and not child.level:
-            modules = [child.module]
-        else:
-            modules = []
-        if any(name == "scipy" or name.startswith("scipy.") for name in modules):
+        if hit(child):
             yield scope
-        yield from scipy_import_scopes(child, scope)
+        yield from scopes_where(child, scope, hit)
+
+
+def package_scopes_where(hit):
+    return [scope for path in sorted(Path(adjointkit.__file__).parent.glob("*.py"))
+            for scope in scopes_where(ast.parse(path.read_text()), path.stem, hit)]
+
+
+def imports_scipy(node):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in modules)
+
+
+def calls(node, name):
+    """Whether ``node`` calls ``name`` (such as ``linalg.svd``) under any module prefix."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(name)
 
 
 def test_only_lyapunov_solve_imports_scipy():
     # loading scipy.linalg adds about 27 MB of resident memory; no module may pay
     # for it at import, and no command but a Lyapunov solve may pay for it at all
-    scopes = [scope for path in sorted(Path(adjointkit.__file__).parent.glob("*.py"))
-              for scope in scipy_import_scopes(ast.parse(path.read_text()), path.stem)]
-    assert scopes == ["stability.lyapunov_solve"]
+    assert package_scopes_where(imports_scipy) == ["stability.lyapunov_solve"]
+
+
+def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
+    # every singular value comes from the operator's one cached factorization;
+    # the 2-norm stays only where a symmetry defect is measured against |B|
+    assert package_scopes_where(lambda node: calls(node, "linalg.svd")) == [
+        "core._factors"]
+
+    def spectral_norm(node):
+        if not calls(node, "linalg.norm"):
+            return False
+        ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        return any(ast.unparse(o) in ("2", "-2") for o in ords)
+
+    assert package_scopes_where(spectral_norm) == ["spectral.eig_self_adjoint"] * 2

@@ -143,7 +143,7 @@ def test_svd_overflowing_operator_raises():
 
 
 def test_sign_convention_bitwise_equal_to_column_loop():
-    from adjointkit.spectral import _fix_signs
+    from adjointkit.core import _fix_signs
 
     def loop_oracle(vectors):
         out = vectors.copy()

@@ -153,6 +153,36 @@ def test_lyapunov_singular_emits_no_warning():
     assert caught == []
 
 
+@pytest.mark.parametrize("a, q", [
+    ([[-1e-160]], [[1e160]]),
+    ([[-1e-160, 1e-160], [0.0, -1e-160]], [[1e160, 0.0], [0.0, 1e160]]),
+], ids=["scalar", "jordan-block"])
+def test_lyapunov_refuses_a_solution_beyond_the_float_range(a, q):
+    # P = Q / 2|a| overflows; dtrsyl solves for scale * P with scale < 1, which
+    # SciPy's route multiplied back in, returning [[0.5]] and overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="beyond the float range"):
+            lyapunov_solve(np.array(a), np.array(q))
+
+
+@pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "overflowing"])
+def test_lyapunov_residual_gate_refuses_a_non_finite_residual(monkeypatch, fill):
+    # a residual of NaN or inf must fail the gate, and without a warning
+    import scipy.linalg.lapack as lapack
+    dtrsyl = lapack.dtrsyl
+
+    def spoiled(*args, **kwargs):
+        y, scale, info = dtrsyl(*args, **kwargs)
+        return np.full_like(y, fill), scale, info
+
+    monkeypatch.setattr(lapack, "dtrsyl", spoiled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="residual too large"):
+            lyapunov_solve(-np.eye(2), np.eye(2))
+
+
 def test_lyapunov_matches_kronecker_oracle():
     rng = np.random.default_rng(56)
     for n in range(2, 17):

@@ -7,6 +7,8 @@ from adjointkit.sturm import (MAX_SL_NODES, SLProblem,
                               fourier_coefficients, reconstruct, solve_modes,
                               truncation_error)
 
+from reference import bits, sturm_stiffness_by_product
+
 
 def sine_series_coefficient_oracle(n_mode, samples=200000):
     """High-resolution quadrature of integral x(1-x) sqrt(2) sin(n pi x) dx."""
@@ -38,6 +40,22 @@ def test_constant_coefficient_stiffness_is_exactly_d_transpose_d(bc):
     h = 1.0 / (n + 1) if bc == "dirichlet" else 1.0 / n
     assert disc.h == h
     assert np.array_equal(disc.stiffness, d.T @ d / h ** 2)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+def test_stiffness_has_the_bits_of_the_dense_product(bc):
+    # variable p, and q of both signs; the sizes cross 64 and 128 nodes
+    for n in list(range(3, 40)) + [63, 64, 127, 255]:
+        problem = SLProblem(p=lambda x: 1.0 + 0.7 * np.sin(7.0 * x) ** 2 + x / 3.0,
+                            q=lambda x: np.cos(5.0 * x) - 0.3,
+                            rho=lambda x: 1.0 + x, bc=bc, n=n)
+        k = discretize(problem).stiffness
+        expected = sturm_stiffness_by_product(problem)
+        assert np.array_equal(bits(k), bits(expected)), n
+        # off the band and the periodic corners every entry is +0.0, not -0.0
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        band = (offset <= 1) | ((offset == n - 1) & (bc == "periodic"))
+        assert not np.any(bits(k)[~band]), n
 
 
 def test_neumann_constants_in_null_space():
