@@ -6,12 +6,14 @@ adjoint of ``A`` is the unique map with ``(A u, v) = (u, A* v)`` in
 those products; for a dense matrix it is ``M_dom^{-1} A^T M_cod``, the
 plain transpose when both metrics are the identity.  A space built
 without a metric stores the identity as its own Cholesky factor and
-skips the checks and the factorization; every map after that is the
-one a weighted space takes.  Everything here is
-immutable after construction and safe to share across threads.  The one
-lazily filled field, an operator's SVD (``_factors``, which both
-``spectral.svd`` and ``operator_norm`` read), is benign under a race: two
-threads may both factor the operator, and they store identical
+skips the checks and the factorization.  A diagonal factor, the
+identity among them, is applied entrywise by its reciprocal, as the
+triangular solve itself does; a dense one goes through
+``np.linalg.solve``, called only by the space's own maps.  Everything
+here is immutable after construction and safe to share across threads.
+The one lazily filled field, an operator's SVD (``_factors``, which both
+``spectral.svd`` and ``operator_norm`` read), is benign under a race:
+two threads may both factor the operator, and they store identical
 read-only arrays.
 """
 
@@ -107,6 +109,9 @@ class InnerProductSpace:
     The metric must be symmetric positive definite; the Cholesky factor
     is computed once and reused for all metric solves.  Without a metric
     the identity is both metric and factor, read-only like every other.
+    A diagonal factor (the identity, a quadrature weight ``h I``) is
+    applied entrywise through its pivots and their reciprocals, kept as
+    read-only columns; any other goes through ``np.linalg.solve``.
     """
 
     def __init__(self, dim: int, metric: np.ndarray | None = None):
@@ -117,17 +122,23 @@ class InnerProductSpace:
         if metric is None:  # the identity is its own Cholesky factor
             self.metric = self._chol = _frozen(np.eye(dim))
             self.is_euclidean = True
-            return
-        metric = checked_matrix(metric, "metric", (dim, dim), "dim x dim")
-        scale = np.abs(metric).max()
-        if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
-            raise ValueError("metric is not symmetric")
-        try:
-            self._chol = _frozen(np.linalg.cholesky(metric))
-        except np.linalg.LinAlgError:
-            raise ValueError("metric is not positive definite") from None
-        self.metric = _frozen(metric)
-        self.is_euclidean = bool(np.array_equal(metric, np.eye(self.dim)))
+        else:
+            metric = checked_matrix(metric, "metric", (dim, dim), "dim x dim")
+            scale = np.abs(metric).max()
+            if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
+                raise ValueError("metric is not symmetric")
+            try:
+                self._chol = _frozen(np.linalg.cholesky(metric))
+            except np.linalg.LinAlgError:
+                raise ValueError("metric is not positive definite") from None
+            self.metric = _frozen(metric)
+            self.is_euclidean = bool(np.array_equal(metric, np.eye(self.dim)))
+        # the pivots of a Cholesky factor are positive, so it is diagonal
+        # exactly when they are its only nonzero entries
+        self._pivots = self._recip = None
+        if np.count_nonzero(self._chol) == dim:
+            self._pivots = _frozen(np.diagonal(self._chol)[:, None])
+            self._recip = _frozen(1.0 / self._pivots)
 
     @property
     def cholesky(self) -> np.ndarray:
@@ -145,12 +156,44 @@ class InnerProductSpace:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
-        """Solve ``M w = x`` through the cached Cholesky factor."""
-        return self.unwhiten(np.linalg.solve(self._chol, x))
+        """Solve ``M w = x`` through the cached Cholesky factor: ``L^{-T} L^{-1} x``.
+
+        A diagonal factor takes two entrywise steps, a dense one two solves.
+        """
+        return self.unwhiten(self._solve(x))
 
     def unwhiten(self, coords: np.ndarray) -> np.ndarray:
-        """Map metric-orthonormal coordinates back: ``L^{-T} c``, by one solve."""
-        return np.linalg.solve(self._chol.T, coords)
+        """Map metric-orthonormal coordinates back: ``L^{-T} c``.
+
+        One solve with a dense factor; one entrywise step with a diagonal one.
+        """
+        return self._solve(coords, transposed=True)
+
+    def _solve(self, b, transposed=False) -> np.ndarray:
+        """``L^{-1} b``, or ``L^{-T} b``: the one place a metric is solved with.
+
+        A diagonal factor is applied by its reciprocal, as OpenBLAS's
+        triangular solve behind ``np.linalg.solve`` does, so no inverse
+        is formed and the bits are the LU route's (an exact zero aside,
+        whose sign the LU route may flip): ``dtrsm`` multiplies several
+        right-hand sides by the reciprocal pivots, and a single one is
+        divided by the pivots.  The result is C-contiguous either way.
+        """
+        if self._recip is None:
+            return np.linalg.solve(self._chol.T if transposed else self._chol, b)
+        b = np.asarray(b)
+        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
+            raise ValueError(f"right-hand side shape {b.shape} does not match "
+                             f"space dimension {self.dim}")
+        if b.ndim == 2 and b.shape[1] > 1:
+            return np.multiply(b, self._recip, order="C")
+        return b / (self._pivots if b.ndim == 2 else self._pivots[:, 0])
+
+    def _whiten(self, x: np.ndarray) -> np.ndarray:
+        """``L^T x`` for a matrix ``x``; a diagonal factor scales its rows, exactly."""
+        if self._pivots is None:
+            return self._chol.T @ x
+        return np.multiply(self._pivots, x, order="C")
 
     def __repr__(self):
         kind = "euclidean" if self.is_euclidean else "weighted"
@@ -183,10 +226,15 @@ class DenseOperator:
         """The matrix in metric-orthonormal coordinates, ``L_cod^T A L_dom^{-T}``.
 
         Its Euclidean singular values are those of the operator between
-        the weighted norms.
+        the weighted norms.  Both factors are applied by the spaces' own
+        maps, so a diagonal one scales columns or rows entrywise.  A
+        result past the float range raises ``NumericalError``.
         """
-        b = np.linalg.solve(self.domain.cholesky, self.entries.T).T
-        return self.codomain.cholesky.T @ b
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.codomain._whiten(self.domain._solve(self.entries.T).T)
+        if not np.isfinite(w).all():
+            raise NumericalError("whitened operator overflows the float range")
+        return w
 
     def __repr__(self):
         return f"DenseOperator({self.shape[0]}x{self.shape[1]})"
@@ -210,10 +258,15 @@ class AdjointReport:
 def adjoint(op: DenseOperator) -> DenseOperator:
     """Adjoint operator, ``M_dom^{-1} A^T M_cod`` with swapped spaces.
 
-    The domain metric is inverted by two solves with its Cholesky factor
-    (``apply_inverse_metric``); no explicit matrix inverse is formed.
+    The domain metric is inverted through its Cholesky factor
+    (``apply_inverse_metric``): two solves with a dense factor, two
+    entrywise steps with a diagonal one; no explicit matrix inverse is
+    formed.  Entries past the float range raise ``NumericalError``.
     """
-    entries = op.domain.apply_inverse_metric(op.entries.T @ op.codomain.metric)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = op.domain.apply_inverse_metric(op.entries.T @ op.codomain.metric)
+    if not np.isfinite(entries).all():
+        raise NumericalError("adjoint overflows the float range")
     return DenseOperator(op.codomain, op.domain, entries)
 
 
@@ -332,7 +385,7 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
     if len(cols) > space.dim:
         raise ValueError("input vectors are linearly dependent "
                          "(more vectors than the dimension)")
-    w = space.cholesky.T @ np.column_stack(cols)
+    w = space._whiten(np.column_stack(cols))
     q, r = np.linalg.qr(w)
     pivots = np.diag(r)
     if not np.all(np.abs(pivots) > _DEP_TOL * np.linalg.norm(w, axis=0).max()):

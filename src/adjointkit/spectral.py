@@ -7,10 +7,12 @@ its singular values are those of ``A`` between the weighted norms.
 LAPACK (``eigh``, ``svd``) factors ``B`` directly, never the normal
 operator ``A* A``, which would square the condition number, and vectors
 are mapped back through ``L^{-T}`` by ``InnerProductSpace.unwhiten`` so
-they come out orthonormal in the metric.  The full codomain basis of the
-SVD spans the null space of ``A*`` past the rank, and
-``left_coefficients`` expands data in that basis for every consumer of
-the singular system.  Each operator is factored once, by
+they come out orthonormal in the metric.  A diagonal factor (the
+identity, a quadrature weight) is applied entrywise by its reciprocal,
+as the triangular solve itself does; only a dense one is solved with.
+The full codomain basis of the SVD spans the null space of ``A*`` past
+the rank, and ``left_coefficients`` expands data in that basis for
+every consumer of the singular system.  Each operator is factored once, by
 ``core._factors``: its singular values and bases are kept on it,
 read-only, and ``core.operator_norm`` reads the same factorization.
 """

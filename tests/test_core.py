@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
                         orthonormalize)
 from adjointkit.core import DenseOperator, json_numbers
 from adjointkit.errors import NumericalError
+from adjointkit.leastsq import integration_operator
 from adjointkit.rand import Lcg
 from adjointkit.spectral import svd
 from reference import bits, json_numbers_by_object_array
@@ -97,20 +99,122 @@ def test_euclidean_adjoint_is_transpose():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (5, 1), (3, 7), (9, 6), (12, 12), (39, 20)])
 def test_identity_metric_maps_return_their_input_exactly(m, n):
-    # Euclidean spaces take the general Cholesky route; with L = I every
-    # solve and product must give back the input's values, not just close ones
+    # Euclidean spaces take the diagonal route with L = I: every map must
+    # give back the input's values, not just close ones
     rng = np.random.default_rng(1000 * m + n)
     op = random_operator(rng, m, n)
     space = op.codomain
     x, y = rng.standard_normal((2, m))
     coords = rng.standard_normal((m, 3))
     q = np.linalg.qr(rng.standard_normal((m, min(m, 3))))[0]
-    assert np.array_equal(op.whitened(), op.entries)
+    assert np.array_equal(bits(op.whitened()), bits(op.entries))
     assert np.array_equal(adjoint(op).entries, op.entries.T)
     assert np.array_equal(space.inner(x, y), x @ y)
-    assert np.array_equal(space.apply_inverse_metric(x), x)
-    assert np.array_equal(space.unwhiten(coords), coords)
+    assert np.array_equal(bits(space.apply_inverse_metric(x)), bits(x))
+    assert np.array_equal(bits(space.unwhiten(coords)), bits(coords))
     assert np.array_equal(orthogonal_projector(q, space).entries, q @ q.T)
+
+
+def lu_route(space):
+    """``space`` with its diagonal path off, so every map goes through ``np.linalg.solve``."""
+    twin = copy.copy(space)
+    twin._pivots = twin._recip = None
+    return twin
+
+
+def diagonal_metric(kind, n, rng):
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "h":
+        return np.eye(n) / (n + 1)
+    return np.diag(rng.uniform(0.05, 20.0, n))
+
+
+DIAGONAL_KINDS = ["identity", "h", "random"]
+
+
+@pytest.mark.parametrize("kind", DIAGONAL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 48, 64])
+def test_diagonal_maps_have_the_bits_of_the_solves(kind, n):
+    # one or several right-hand sides, each against np.linalg.solve on the stored factor
+    rng = np.random.default_rng([31, n, DIAGONAL_KINDS.index(kind)])
+    space = InnerProductSpace(n, diagonal_metric(kind, n, rng))
+    l = space.cholesky
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 1)),
+                rng.standard_normal((n, 3)), rng.standard_normal((n, n)),
+                np.asfortranarray(rng.standard_normal((n, n + 2)))):
+        for got, want in ((space.unwhiten(rhs), np.linalg.solve(l.T, rhs)),
+                          (space.apply_inverse_metric(rhs),
+                           np.linalg.solve(l.T, np.linalg.solve(l, rhs)))):
+            assert got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("kind", DIAGONAL_KINDS)
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (5, 5), (48, 48), (64, 5), (2, 64)])
+def test_diagonal_metric_results_have_the_bits_of_the_solve_route(kind, m, n):
+    rng = np.random.default_rng([32, m, n, DIAGONAL_KINDS.index(kind)])
+    fast = matrix_operator(rng.standard_normal((m, n)), diagonal_metric(kind, n, rng),
+                           diagonal_metric(kind, m, rng))
+    slow = DenseOperator(lu_route(fast.domain), lu_route(fast.codomain), fast.entries)
+    l_dom, l_cod = fast.domain.cholesky, fast.codomain.cholesky
+    pairs = [(fast.whitened(), l_cod.T @ np.linalg.solve(l_dom, fast.entries.T).T),
+             (fast.whitened(), slow.whitened()),
+             (adjoint(fast).entries, adjoint(slow).entries)]
+    got, want = svd(fast), svd(slow)
+    assert got.rank == want.rank
+    pairs += [(getattr(got, f), getattr(want, f))
+              for f in ("sigma", "right_vectors", "left_vectors")]
+    vectors = list(rng.standard_normal((min(n, 4), n)))
+    pairs.append((orthonormalize(vectors, fast.domain), orthonormalize(vectors, slow.domain)))
+    for a, b in pairs:
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.array_equal(bits(a), bits(b))
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one on each call of ``np.linalg.<name>``."""
+    calls = []
+    lapack = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lapack(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, solves", [("integration48", 0), ("euclidean64", 0),
+                                          ("diagonal3x2", 0), ("dense2x3", 5),
+                                          ("dense-domain", 4), ("dense-codomain", 1)])
+def test_the_factor_structure_not_the_size_decides_the_solves(monkeypatch, name, solves):
+    # svd: whitening and two unwhitenings; constructed adjoint: two solves with L_dom
+    rng = np.random.default_rng(33)
+    b, c = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+    dense2, dense3 = b @ b.T + 2 * np.eye(2), c @ c.T + 3 * np.eye(3)
+    op = {"integration48": lambda: integration_operator(48),
+          "euclidean64": lambda: matrix_operator(rng.standard_normal((64, 64))),
+          "diagonal3x2": lambda: matrix_operator(rng.standard_normal((3, 2)),
+                                                 np.diag([1.0, 2.0]), np.diag([3.0, 1.0, 0.5])),
+          "dense2x3": lambda: matrix_operator(rng.standard_normal((3, 2)), dense2, dense3),
+          "dense-domain": lambda: matrix_operator(rng.standard_normal((3, 2)), dense2),
+          "dense-codomain": lambda: matrix_operator(rng.standard_normal((3, 2)), None, dense3),
+          }[name]()
+    calls = count_calls(monkeypatch, "solve")
+    svd(op)
+    adjoint_consistency_check(op, trials=10)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("metric", [None, np.diag([2.0, 3.0]), [[2.0, 1.0], [1.0, 3.0]]])
+def test_metric_maps_refuse_a_mismatched_length(metric):
+    space = InnerProductSpace(2, metric)
+    for bad in (np.ones(3), np.ones((3, 2))):
+        with pytest.raises(ValueError):
+            space.unwhiten(bad)
+        with pytest.raises(ValueError):
+            space.apply_inverse_metric(bad)
 
 
 def test_weighted_codomain_adjoint_matches_transpose_times_metric():
@@ -186,22 +290,10 @@ def test_operator_norm_matches_the_spectral_norm_of_the_whitened_matrix():
             assert abs(operator_norm(op) - expected) <= 1e-14 * expected
 
 
-def count_svd_calls(monkeypatch):
-    calls = []
-    lapack_svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lapack_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
 def test_consistency_check_reads_the_cached_factorization(monkeypatch):
     # no SVD once the operator is factored, one on a fresh operator; a
     # supplied adjoint is factored for its own norm
-    calls = count_svd_calls(monkeypatch)
+    calls = count_calls(monkeypatch, "svd")
     rng = np.random.default_rng(43)
     op = random_operator(rng, 6, 5, weighted=True)
     svd(op)

@@ -121,6 +121,13 @@ def test_only_lyapunov_solve_imports_scipy():
     assert package_scopes_where(imports_scipy) == ["stability.lyapunov_solve"]
 
 
+def test_only_the_space_solves_with_its_metric():
+    # every metric solve goes through the space's maps, which take the diagonal
+    # path where the factor allows; r0's solve with V is not a metric solve
+    assert package_scopes_where(lambda node: calls(node, "linalg.solve")) == [
+        "core.InnerProductSpace._solve", "stability.r0"]
+
+
 def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
     # every singular value comes from the operator's one cached factorization;
     # the 2-norm stays only where a symmetry defect is measured against |B|
