@@ -119,7 +119,7 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
         coeff = np.abs(coeffs[:dec.rank])
         ratio = coeff / sigma
         cumulative = np.cumsum(ratio * ratio)
-        defect = null_defect(dec, y, coeffs)
+        defect = null_defect(dec, coeffs)
     _finite(coeff=coeff, ratio=ratio, cumulative=cumulative, null_defect=defect)
     rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(), cumulative.tolist())
     return PicardTable(rows=tuple(PicardRow(i + 1, *row) for i, row in enumerate(rows)),

@@ -133,16 +133,17 @@ def left_coefficients(s: SvdResult, y: np.ndarray) -> np.ndarray:
     return s.left_vectors.T @ (s.codomain.metric @ y)
 
 
-def null_defect(s: SvdResult, y: np.ndarray, coeffs: np.ndarray) -> float:
+def null_defect(s: SvdResult, coeffs: np.ndarray) -> float:
     """Relative norm ``|P_{N(A*)} y| / |y|`` of the data outside the range.
 
-    ``coeffs`` is ``left_coefficients(s, y)``; its entries past the rank
-    are the coordinates of the null-space component.
+    ``coeffs = left_coefficients(s, y)`` are coordinates in an orthonormal
+    basis, so ``|y| = |coeffs|``; both norms are taken on ``coeffs / max|coeffs|``.
     """
-    y_norm = s.codomain.norm(y)
-    if y_norm == 0.0:
+    largest = np.abs(coeffs).max()
+    if largest == 0.0:
         return 0.0
-    return float(np.linalg.norm(coeffs[s.rank:]) / y_norm)
+    scaled = coeffs / largest
+    return float(np.linalg.norm(scaled[s.rank:]) / np.linalg.norm(scaled))
 
 
 def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> dict:
@@ -155,7 +156,7 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
     _check_tol(tol, "tol")
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
-    defect = null_defect(dec, y, left_coefficients(dec, y))
+    defect = null_defect(dec, left_coefficients(dec, y))
     return {"solvable": bool(defect <= tol), "defect": defect}
 
 

@@ -12,23 +12,46 @@ central-difference check as two single forward solves per direction.
 ``solve_continuous_lyapunov``, ``json_numbers_by_object_array`` the
 JSON number conversion through an object array, and
 ``sturm_stiffness_by_product`` the Sturm-Liouville stiffness as the
-dense triple product, each in its first form.
+dense triple product, each in its first form.  ``adjoint_defect_by_pairs``
+is the randomized adjoint check one probe pair at a time, on the metric
+side rather than through the whitened matrices.
 """
 
 import warnings
 
 import numpy as np
 
+from adjointkit.core import operator_norm
 from adjointkit.errors import NumericalError
 from adjointkit.network import NetworkTrainingProblem
 from adjointkit.optim import reduced_gradient
 from adjointkit.pde import AdvectionControlProblem
+from adjointkit.rand import Lcg
 from adjointkit.stability import SingularLyapunovError
 
 
 def bits(a):
     """The IEEE bit patterns of a float array, for exact comparisons."""
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def adjoint_defect_by_pairs(op, b, trials, seed):
+    """``adjoint_consistency_check(op, trials, seed, b).max_defect`` pair by pair.
+
+    Row k of ``Lcg(seed)``, split as ``(xi, eta)``, is mapped to ``u = L_dom^{-T} xi``
+    and ``v = L_cod^{-T} eta`` by explicit solves; ``(A u, v) - (u, B v)`` is taken
+    through the spaces' inner products and divided by ``max(|A|, |B|)``.  The result
+    is three times the RMS of those defects.
+    """
+    n = op.domain.dim
+    scale = max(operator_norm(op), operator_norm(b))
+    defects = []
+    for row in Lcg(seed).matrix(trials, n + op.codomain.dim):
+        u = np.linalg.solve(op.domain.cholesky.T, row[:n])
+        v = np.linalg.solve(op.codomain.cholesky.T, row[n:])
+        defect = op.codomain.inner(op.matvec(u), v) - op.domain.inner(u, b.matvec(v))
+        defects.append(defect / scale)
+    return 3.0 * float(np.sqrt(np.mean(np.square(defects))))
 
 
 def dense_state_jacobian(problem, u, z):

@@ -378,6 +378,17 @@ def test_picard_csv_shape(capsys, tmp_path):
     assert lines[-1].startswith("# null_defect=")
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_picard_null_defect_does_not_depend_on_the_scale_of_the_data(capsys, tmp_path, scale):
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                           "entries": [scale, 0.0, 0.0, 0.0]})
+    rhs = write_json(tmp_path / "rhs.json", [scale, scale])
+    code, out, err = run(capsys, "picard", "--op", op, "--rhs", rhs)
+    assert (code, err) == (0, "")
+    assert float(out.strip().splitlines()[-1].split("=")[1]) == pytest.approx(np.sqrt(0.5),
+                                                                             rel=1e-15)
+
+
 def test_solve_and_picard_repeated_runs_byte_identical(capsys, tmp_path):
     rng = np.random.default_rng(82)
     entries = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 4))

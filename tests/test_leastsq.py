@@ -298,6 +298,13 @@ def test_picard_null_space_data():
     assert table.null_defect == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_picard_null_defect_does_not_depend_on_the_scale_of_the_data(scale):
+    table = picard_diagnostic(matrix_operator([[scale, 0.0], [0.0, 0.0]]), [scale, scale])
+    assert [(row.ratio, row.cumulative) for row in table.rows] == [(1.0, 1.0)]
+    assert table.null_defect == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
 def test_picard_null_defect_matches_solvability_and_weighted_residual():
     rng = np.random.default_rng(61)
     entries = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))  # rank 2

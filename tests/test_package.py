@@ -141,3 +141,13 @@ def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
         return any(ast.unparse(o) in ("2", "-2") for o in ords)
 
     assert package_scopes_where(spectral_norm) == ["spectral.eig_self_adjoint"] * 2
+
+
+def test_the_adjoint_check_sees_operators_only_through_their_whitened_matrices():
+    # the probes are metric-orthonormal coordinates, so no metric product belongs in it
+    def reads_metric(node):
+        return isinstance(node, ast.Attribute) and node.attr == "metric"
+
+    scopes = package_scopes_where(reads_metric)
+    assert "core.InnerProductSpace.inner" in scopes
+    assert "core.adjoint_consistency_check" not in scopes

@@ -374,6 +374,14 @@ def test_solvability_zero_rhs():
     assert verdict["solvable"] and verdict["defect"] == 0.0
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200, 1e300])
+def test_solvability_defect_does_not_depend_on_the_scale_of_the_data(scale):
+    # both norms come from the scaled coefficients; squaring y underflows or overflows
+    verdict = solvability_check(matrix_operator([[1.0, 0.0], [0.0, 0.0]]), [scale, scale])
+    assert not verdict["solvable"]
+    assert verdict["defect"] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
 # -- projectors ------------------------------------------------------------------
 
 def test_projector_onto_first_axis():
