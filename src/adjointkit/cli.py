@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .core import adjoint_consistency_check, json_numbers, operator_from_record
+from .core import (adjoint_consistency_check, checked_size, json_numbers,
+                   operator_from_record)
 from .errors import NumericalError
 from .leastsq import normal_solve, picard_diagnostic, tikhonov_solve
 from .network import ACTIVATIONS, NetworkSpec, init_parameters, train
@@ -203,8 +204,8 @@ def cmd_r0(args) -> str:
 
 def cmd_sturm(args) -> str:
     problem = constant_coefficient_problem(args.bc, n=args.n)
-    if not 1 <= args.modes <= args.n:  # reject before assembly and the O(n^3) eigensolve
-        raise ValueError(f"requested {args.modes} modes from an {args.n}-point grid")
+    # reject before assembly and the O(n^3) eigensolve
+    checked_size(args.modes, "--modes", 1, args.n)
     modes = solve_modes(discretize(problem), args.modes)
     header = "lambda," + ",".join(f"v{i + 1}" for i in range(args.n))
     rows = [(lam, *col) for lam, col in zip(modes.eigenvalues.tolist(),

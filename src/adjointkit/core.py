@@ -37,10 +37,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def checked_size(size, name: str) -> int:
-    """``size`` as an int: an integer, or an integral float such as ``2.0``.
+def checked_size(size, name: str, low: int = 0, high: int | None = None) -> int:
+    """``size`` as an int in ``[low, high]``: an integer, or an integral float such as ``2.0``.
 
-    A bool, NaN, inf or any other value raises ``ValueError`` naming ``name``.
+    A bool, NaN, inf or any other value, or one outside the range (``high``
+    ``None`` is unbounded), raises ``ValueError`` naming ``name``.
     """
     if isinstance(size, float):
         integral = size.is_integer()  # false for inf and NaN
@@ -48,7 +49,11 @@ def checked_size(size, name: str) -> int:
         integral = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
     if not integral:
         raise ValueError(f"{name} must be an integer, got {size!r}")
-    return int(size)
+    size = int(size)
+    if size < low or high is not None and size > high:
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {size}")
+    return size
 
 
 def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
@@ -65,18 +70,16 @@ def checked_vector(v, dim: int, what: str, where: str) -> np.ndarray:
     return v
 
 
-def checked_matrix(a, what: str, shape=None, where="", cap=None) -> np.ndarray:
+def checked_matrix(a, what: str, shape=None, where="") -> np.ndarray:
     """``a`` as a float array with finite entries, of ``shape`` (``where`` names it).
 
-    Without ``shape`` it must be square, non-empty and at most ``cap`` rows.
+    Without ``shape`` it must be square and non-empty.
     Otherwise ``ValueError`` names ``what`` the matrix is and its shape.
     """
     a = np.asarray(a, dtype=float)
     if shape is None:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ValueError(f"{what} must be square and non-empty, got shape {a.shape}")
-        if cap is not None and a.shape[0] > cap:
-            raise ValueError(f"{what} shape {a.shape}: size capped at n={cap}")
     elif a.shape != shape:
         raise ValueError(f"{what} shape {a.shape} does not match {where} {shape}")
     if not np.all(np.isfinite(a)):
@@ -106,7 +109,7 @@ def json_numbers(values, name: str) -> np.ndarray:
 
 
 class InnerProductSpace:
-    """Real space of dimension ``dim`` with inner product ``x^T M y``.
+    """Real space of dimension ``dim >= 1`` with inner product ``x^T M y``.
 
     The metric must be symmetric positive definite; the Cholesky factor
     is computed once and reused for all metric solves.  Without a metric
@@ -117,9 +120,7 @@ class InnerProductSpace:
     """
 
     def __init__(self, dim: int, metric: np.ndarray | None = None):
-        dim = checked_size(dim, "dim")
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
+        dim = checked_size(dim, "dim", 1)
         self.dim = dim
         if metric is None:  # the identity is its own Cholesky factor
             self.metric = self._chol = _frozen(np.eye(dim))
@@ -337,9 +338,7 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     (``operator_norm``).  A norm or defect that overflows raises
     ``NumericalError`` rather than certifying.
     """
-    trials = checked_size(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = checked_size(trials, "trials", 1)
     b = adjoint(op) if adjoint_op is None else adjoint_op
     if b.domain.dim != op.codomain.dim or b.codomain.dim != op.domain.dim:
         raise ValueError("candidate adjoint has incompatible shape")
@@ -373,7 +372,8 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
     ``j`` span the first ``j`` inputs.  Raises ``ValueError`` when the
     input is linearly dependent (a pivot below 1e-12 of the largest
     whitened input norm, taken on ``W / max|W|``; all zero; or more
-    vectors than the dimension).  Each vector passes ``checked_vector``.
+    vectors than the dimension).  Each vector passes ``checked_vector``;
+    a ``W`` past the float range raises ``NumericalError``.
     """
     cols = [checked_vector(v, space.dim, "vector", "space dimension") for v in vectors]
     if not cols:
@@ -381,7 +381,10 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
     if len(cols) > space.dim:
         raise ValueError("input vectors are linearly dependent "
                          "(more vectors than the dimension)")
-    w = space._whiten(np.column_stack(cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = space._whiten(np.column_stack(cols))
+    if not np.isfinite(w).all():
+        raise NumericalError("whitened vectors overflow the float range")
     q, r = np.linalg.qr(w)
     pivots = np.diag(r)
     largest = np.abs(w).max()
@@ -409,14 +412,12 @@ def operator_to_record(op: DenseOperator) -> dict:
 
 def operator_from_record(rec: dict) -> DenseOperator:
     try:
-        m, n = checked_size(rec["rows"], "rows"), checked_size(rec["cols"], "cols")
+        m, n = checked_size(rec["rows"], "rows", 1), checked_size(rec["cols"], "cols", 1)
         shapes = {"entries": (m, n), "domain_metric": (n, n), "codomain_metric": (m, m)}
         arrays = {key: json_numbers(rec[key], key) for key in shapes
                   if key == "entries" or rec.get(key) is not None}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from None
-    if m < 1 or n < 1:
-        raise ValueError(f"rows and cols must be positive, got rows {m}, cols {n}")
     for key, values in arrays.items():
         if values.size != np.prod(shapes[key]):
             raise ValueError(f"{key}: expected {np.prod(shapes[key])} entries, got {values.size}")

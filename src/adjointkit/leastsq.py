@@ -134,14 +134,13 @@ def instability_demo(op: DenseOperator, y: np.ndarray, mode_index: int,
     solution by ``delta / s_N * u_N``, so the returned ratio
     ``|x~ - x| / |y~ - y|`` equals ``1 / s_N``; it grows without bound
     as the mode index approaches the spectral tail.  ``delta`` must be
-    non-zero and finite.
+    non-zero and finite, and the mode index in ``[1, rank]``, checked
+    once the SVD gives the rank.
     """
     if not 0.0 < abs(delta) < np.inf:
         raise ValueError(f"perturbation size must be non-zero and finite, got {delta}")
-    mode_index = checked_size(mode_index, "mode index")
     dec = svd(op)
-    if not 1 <= mode_index <= dec.rank:
-        raise ValueError(f"mode index {mode_index} exceeds rank {dec.rank}")
+    mode_index = checked_size(mode_index, "mode index", 1, dec.rank)
     x = normal_solve(op, y)
     perturbation = delta * dec.left_vectors[:, mode_index - 1]
     x_tilde = normal_solve(op, y + perturbation)
@@ -154,11 +153,9 @@ def integration_operator(n: int) -> DenseOperator:
     Lower-triangular with constant entries ``h = 1/n``; both spaces
     carry the metric ``h I`` so inner products approximate the L2
     pairing and the singular values converge to those of the continuous
-    integration operator.
+    integration operator.  It takes ``n >= 2`` cells.
     """
-    n = checked_size(n, "n")
-    if n < 2:
-        raise ValueError("need at least two quadrature cells")
+    n = checked_size(n, "n", 2)
     h = 1.0 / n
     entries = h * np.tril(np.ones((n, n)))
     metric = np.diag(np.full(n, h))

@@ -42,7 +42,7 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layer widths (input first) and the componentwise activation name."""
+    """Layer widths (input first, each at least 1) and the componentwise activation name."""
     layer_sizes: tuple
     activation: str = "tanh"
 
@@ -50,9 +50,7 @@ class NetworkSpec:
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least one layer (two sizes)")
         object.__setattr__(self, "layer_sizes",  # frozen: store the ints
-                           tuple(checked_size(s, "layer size") for s in self.layer_sizes))
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
+                           tuple(checked_size(s, "layer size", 1) for s in self.layer_sizes))
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 

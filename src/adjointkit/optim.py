@@ -200,8 +200,6 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
     iters = checked_size(iters, "iters")
-    if iters < 0:
-        raise ValueError(f"iters must be nonnegative, got {iters}")
     z = _checked_control(problem, z0).copy()
     history, backtracks = [], []
     start = step

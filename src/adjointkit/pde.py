@@ -35,16 +35,14 @@ from .optim import ConstrainedProblem
 class AdvectionControlProblem(ConstrainedProblem):
     """Scalar inflow control of constant-velocity transport.
 
-    State: nodal values on a uniform grid of n cells (n+1 nodes).
+    State: nodal values on a uniform grid of n >= 2 cells (n+1 nodes).
     Control: the single inflow flux datum.  The eliminated objective is
     ``z^2 / (2 beta^2)`` and its derivative ``z / beta^2``; the adjoint
     route reproduces both to roundoff.
     """
 
     def __init__(self, n: int, beta: float):
-        n = checked_size(n, "n")
-        if n < 2:
-            raise ValueError("need at least two grid cells")
+        n = checked_size(n, "n", 2)
         if not 0.0 < beta < np.inf:
             raise ValueError("transport velocity must be positive and finite")
         self.n = n
@@ -106,7 +104,7 @@ class AdvectionControlProblem(ConstrainedProblem):
 class EllipticInversionProblem(ConstrainedProblem):
     """Recover a log-diffusivity field from interior observations.
 
-    State: n interior nodal values with Dirichlet lift (g0, g1).
+    State: n >= 3 interior nodal values with Dirichlet lift (g0, g1).
     Control: n+1 midpoint samples of the log coefficient.  An optional
     quadratic penalty ``0.5 kappa h |z|^2`` regularizes the inversion
     towards the constant coefficient ``exp(0) = 1``.
@@ -118,9 +116,7 @@ class EllipticInversionProblem(ConstrainedProblem):
     """
 
     def __init__(self, n: int, g0: float, g1: float, u_obs, kappa: float = 0.0):
-        n = checked_size(n, "n")
-        if n < 3:
-            raise ValueError("need at least three interior nodes")
+        n = checked_size(n, "n", 3)
         if not (np.isfinite(g0) and np.isfinite(g1)):
             raise ValueError("boundary data g0 and g1 must be finite")
         self.n = n
@@ -250,7 +246,7 @@ def build_elliptic_problem(n: int, g0: float, g1: float, u_obs,
 def default_target_field(n: int) -> np.ndarray:
     """Smooth log-diffusivity ``0.8 sin(2 pi x)`` that synthesizes inversion data.
 
-    Sampled at the ``n + 1`` cell midpoints; a fractional ``n`` is a ``ValueError``.
+    Sampled at the ``n + 1`` cell midpoints; ``n`` must be a non-negative integer.
     """
     n = checked_size(n, "n")
     mid = (np.arange(n + 1) + 0.5) / (n + 1)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DenseOperator, InnerProductSpace, _factors, checked_vector
+from .errors import NumericalError
 
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
@@ -151,12 +152,17 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
 
     The equation is solvable exactly when ``y`` is orthogonal to
     ``N(A*)``; the defect reported is the relative norm of the offending
-    component.  A NaN, negative or infinite ``tol`` raises ``ValueError``.
+    component.  A NaN, negative or infinite ``tol`` raises ``ValueError``;
+    coefficients of ``y`` past the float range raise ``NumericalError``.
     """
     _check_tol(tol, "tol")
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
-    defect = null_defect(dec, left_coefficients(dec, y))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is refused below
+        defect = null_defect(dec, left_coefficients(dec, y))
+    if not np.isfinite(defect):
+        raise NumericalError("solvability defect is not finite "
+                             "(the data's coefficients overflow the float range)")
     return {"solvable": bool(defect <= tol), "defect": defect}
 
 

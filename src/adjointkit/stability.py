@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_matrix
+from .core import checked_matrix, checked_size
 from .errors import NumericalError
 
-MAX_LYAPUNOV_DIM = 64
+MAX_LYAPUNOV_DIM = 64  # rows of A accepted: the high of each checked_size on them
 _LYAP_RESIDUAL_TOL = 1e-9
 _EQUILIBRIUM_TOL = 1e-8
 
@@ -72,9 +72,11 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     it, and this raises ``SingularLyapunovError``.  No Schur form, a
     solution beyond the float range (``dtrsyl`` scales it down), or a
     residual above 1e-9 of ``|Q|`` or not finite, raises ``NumericalError``.
+    More than ``MAX_LYAPUNOV_DIM`` rows is a ``ValueError``, before any O(n^3) work.
     """
     from scipy.linalg.lapack import dgees, dtrsyl
-    a = checked_matrix(a, "A", cap=MAX_LYAPUNOV_DIM)
+    a = checked_matrix(a, "A")
+    checked_size(len(a), "A rows", 1, MAX_LYAPUNOV_DIM)
     q = checked_matrix(q, "Q", a.shape, "A")
     if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
         raise ValueError("Q must be symmetric")
@@ -136,9 +138,11 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
 
     All leading-column entries strictly positive means Hurwitz; a zero
     entry flags an imaginary-axis eigenvalue and is reported as a
-    boundary non-Hurwitz verdict rather than an error.
+    boundary non-Hurwitz verdict rather than an error.  More than
+    ``MAX_LYAPUNOV_DIM`` rows is a ``ValueError``, before any O(n^3) work.
     """
-    a = checked_matrix(a, "matrix", cap=MAX_LYAPUNOV_DIM)
+    a = checked_matrix(a, "matrix")
+    checked_size(len(a), "matrix rows", 1, MAX_LYAPUNOV_DIM)
     n = a.shape[0]
     coeffs = characteristic_polynomial(a)
     tol = 1e-10 * max(np.abs(coeffs).max(), 1.0)

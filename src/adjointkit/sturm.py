@@ -28,16 +28,19 @@ import numpy as np
 from .core import checked_size, checked_vector
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
-# Largest grid accepted.  Assembly writes O(n) stencil entries into a dense
-# O(n^2) matrix; the dense eigensolve takes O(n^3) time.  At n = 2000 every
-# constant-coefficient dirichlet eigenvalue is within 1.1e-10 relative of
-# dirichlet_eigenvalue_formula.
+# Largest grid accepted, the high of SLProblem's checked_size.  Assembly writes
+# O(n) stencil entries into a dense O(n^2) matrix; the dense eigensolve takes
+# O(n^3) time.  At n = 2000 every constant-coefficient dirichlet eigenvalue is
+# within 1.1e-10 relative of dirichlet_eigenvalue_formula.
 MAX_SL_NODES = 2000
 
 
 @dataclass(frozen=True)
 class SLProblem:
-    """Coefficients (callables of x), boundary condition, and grid size."""
+    """Coefficients (callables of x), boundary condition, and grid size.
+
+    ``n`` must be in ``[3, MAX_SL_NODES]``; no grid is built until ``discretize``.
+    """
     p: callable
     q: callable
     rho: callable
@@ -47,11 +50,8 @@ class SLProblem:
     def __post_init__(self):
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        object.__setattr__(self, "n", checked_size(self.n, "n"))  # frozen: store the int
-        if self.n < 3:
-            raise ValueError("grid must have at least three nodes")
-        if self.n > MAX_SL_NODES:
-            raise ValueError(f"grid has {self.n} nodes; the cap is {MAX_SL_NODES}")
+        object.__setattr__(self, "n",  # frozen: store the int
+                           checked_size(self.n, "n", 3, MAX_SL_NODES))
 
 
 def constant_coefficient_problem(bc: str = "dirichlet", n: int = 63) -> SLProblem:
@@ -137,16 +137,14 @@ def discretize(problem: SLProblem) -> Discretization:
 
 
 def solve_modes(disc: Discretization, k: int) -> ModeSet:
-    """First ``k`` eigenpairs of ``K v = lambda diag(rho) v``, ascending.
+    """First ``k`` eigenpairs of ``K v = lambda diag(rho) v``, ascending, ``1 <= k <= n``.
 
     The weight is folded in symmetrically through its square root, LAPACK
     ``eigh`` solves the standard problem (eigenvalues come out
     ascending), and modes are scaled to unit discrete weighted L2 norm.
     """
     n = disc.stiffness.shape[0]
-    k = checked_size(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"requested {k} modes from an {n}-point grid")
+    k = checked_size(k, "k", 1, n)
     d_half = np.sqrt(disc.rho)
     sym = disc.stiffness / np.outer(d_half, d_half)
     vals, vecs = np.linalg.eigh(sym)
@@ -168,15 +166,12 @@ def reconstruct(coefficients: np.ndarray, modes: ModeSet,
                 n_terms: int | None = None) -> np.ndarray:
     """Sum of the first ``n_terms`` coefficients times their modes, all by default.
 
-    A term count that is not a non-negative integer, or that exceeds the
-    modes or the coefficients available, is a ``ValueError``.
+    The term count, ``len(coefficients)`` by default, must be in ``[0, available]``,
+    the fewer of the modes and the coefficients; any other is a ``ValueError``.
     """
-    cut = len(coefficients) if n_terms is None else checked_size(n_terms, "term count")
     available = min(len(coefficients), modes.modes.shape[1])
-    if cut < 0:
-        raise ValueError(f"term count must be non-negative, got {cut}")
-    if cut > available:
-        raise ValueError(f"term count {cut} exceeds available modes ({available})")
+    cut = checked_size(len(coefficients) if n_terms is None else n_terms, "term count",
+                       0, available)
     return modes.modes[:, :cut] @ np.asarray(coefficients[:cut], dtype=float)
 
 

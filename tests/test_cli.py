@@ -637,7 +637,7 @@ def test_sturm_rejects_modes_before_assembly(capsys, monkeypatch):
     for modes in ("0", "21"):
         code, out, err = run(capsys, "sturm", "--n", "20", "--modes", modes)
         assert (code, out) == (2, "")
-        assert f"requested {modes} modes from an 20-point grid" in err
+        assert f"--modes must be in [1, 20], got {modes}" in err
 
 
 def subcommand_choices(command, dest):
@@ -656,7 +656,7 @@ def test_sturm_grid_above_cap_exit_2(capsys):
     code, out, err = run(capsys, "sturm", "--n", str(MAX_SL_NODES + 1))
     assert code == 2
     assert out == ""
-    assert f"the cap is {MAX_SL_NODES}" in err
+    assert f"n must be in [3, {MAX_SL_NODES}], got {MAX_SL_NODES + 1}" in err
 
 
 # -- train ----------------------------------------------------------------------------

@@ -506,6 +506,15 @@ def test_orthonormalize_refuses_zero_and_non_finite_input(vectors, match):
         orthonormalize(vectors, InnerProductSpace(2))
 
 
+def test_orthonormalize_refuses_whitened_input_past_the_float_range():
+    # L^T V = 1e200 * 1e150 overflows; the space's metric is fine and so is V
+    space = InnerProductSpace(2, np.diag([1e300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflow"):
+            orthonormalize([[1e200, 1.0]], space)
+
+
 def test_orthonormalize_rejects_more_vectors_than_dimension():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="dependent"):

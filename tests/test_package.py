@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import adjointkit
+from adjointkit.core import checked_matrix
 from adjointkit.optim import ConstrainedProblem
 
 
@@ -151,3 +153,68 @@ def test_the_adjoint_check_sees_operators_only_through_their_whitened_matrices()
     scopes = package_scopes_where(reads_metric)
     assert "core.InnerProductSpace.inner" in scopes
     assert "core.adjoint_consistency_check" not in scopes
+
+
+def package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(adjointkit.__file__).parent.glob("*.py"))}
+
+
+def sizes_checked_again(tree):
+    """``function: test`` of each ``if`` that raises on a name ``checked_size`` bound.
+
+    A name is bound by an assignment, or by ``object.__setattr__`` on a frozen
+    record, whose value calls ``checked_size``; an ``if`` below the binding
+    that reads the name is a range test outside the gate.
+    """
+    hits = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {}  # name -> line of its first binding
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and any(
+                    calls(sub, "checked_size") for sub in ast.walk(node.value)):
+                names = [ast.unparse(t) for target in node.targets
+                         for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+            elif (calls(node, "__setattr__") and len(node.args) == 3
+                  and any(calls(sub, "checked_size") for sub in ast.walk(node.args[2]))):
+                names = [f"{ast.unparse(node.args[0])}.{node.args[1].value}"]
+            else:
+                continue
+            for name in names:
+                bound[name] = min(bound.get(name, node.lineno), node.lineno)
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.If) and any(
+                    isinstance(sub, ast.Raise) for stmt in node.body for sub in ast.walk(stmt))):
+                continue
+            read = {ast.unparse(sub) for sub in ast.walk(node.test)
+                    if isinstance(sub, (ast.Name, ast.Attribute))}
+            if any(bound[name] < node.lineno for name in read & bound.keys()):
+                hits.append(f"{func.name}: {ast.unparse(node.test)}")
+    return hits
+
+
+CAPS = {"MAX_LYAPUNOV_DIM", "MAX_SL_NODES"}
+
+
+def cap_reads(tree):
+    """``(cap, whether it is the high of a checked_size call)`` for each read of a cap."""
+    highs = {id(bound) for node in ast.walk(tree) if calls(node, "checked_size")
+             for bound in node.args[3:4] + [kw.value for kw in node.keywords
+                                            if kw.arg == "high"]}
+    return [(node.id, id(node) in highs) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in CAPS and isinstance(node.ctx, ast.Load)]
+
+
+def test_every_size_range_lives_in_checked_size():
+    # a size is range-checked once, by the bounds of its checked_size call
+    trees = package_trees()
+    assert {name: hits for name, tree in trees.items()
+            if (hits := sizes_checked_again(tree))} == {}
+    # each cap is read, only ever as a high, and checked_matrix has no cap of its own
+    reads = [read for tree in trees.values() for read in cap_reads(tree)]
+    assert {cap for cap, _ in reads} == CAPS
+    assert [cap for cap, high in reads if not high] == []
+    assert list(inspect.signature(checked_matrix).parameters) == [
+        "a", "what", "shape", "where"]

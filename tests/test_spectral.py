@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,14 @@ def test_solvability_defect_does_not_depend_on_the_scale_of_the_data(scale):
     verdict = solvability_check(matrix_operator([[1.0, 0.0], [0.0, 0.0]]), [scale, scale])
     assert not verdict["solvable"]
     assert verdict["defect"] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
+def test_solvability_refuses_data_whose_coefficients_overflow():
+    # (y, v_1) = sqrt(2) * 1.5e308 is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            solvability_check(matrix_operator([[1.0, 1.0], [1.0, 1.0]]), [1.5e308, 1.5e308])
 
 
 # -- projectors ------------------------------------------------------------------

@@ -11,13 +11,14 @@ short or long, which must be refused by a message naming the key.
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjointkit.cli import main
+from adjointkit.cli import cmd_sturm, main
 from adjointkit.core import (DenseOperator, InnerProductSpace,
                              adjoint_consistency_check,
                              matrix_operator, operator_from_record,
@@ -36,7 +37,7 @@ from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
 from adjointkit.stability import (MAX_LYAPUNOV_DIM, hurwitz_check, is_spd,
                                   jacobian_verdict, lyapunov_solve, r0)
-from adjointkit.sturm import (SLProblem, constant_coefficient_problem,
+from adjointkit.sturm import (MAX_SL_NODES, SLProblem, constant_coefficient_problem,
                               discretize, fourier_coefficients, reconstruct,
                               solve_modes, truncation_error)
 
@@ -68,7 +69,7 @@ def kkt(u=(1.0,) * 5, z=(1.0,), y=(1.0,) * 5):
 
 LIBRARY_CASES = {
     # core
-    "space-dim-0": (lambda: InnerProductSpace(0), "dimension must be positive"),
+    "space-dim-0": (lambda: InnerProductSpace(0), "dim must be >= 1, got 0"),
     "metric-shape": (lambda: InnerProductSpace(2, np.eye(3)), "metric shape"),
     "space-dim-fractional": (lambda: InnerProductSpace(2.5, np.eye(2)),
                              "dim must be an integer, got 2.5"),
@@ -89,9 +90,9 @@ LIBRARY_CASES = {
         "malformed operator record"),
     "record-rows-negative": (lambda: operator_from_record(
         {"rows": -2, "cols": -2, "entries": [1.0, 2.0, 3.0, 4.0]}),
-        "rows and cols must be positive, got rows -2, cols -2"),
+        "rows must be >= 1, got -2"),
     "record-cols-zero": (lambda: operator_from_record({"rows": 1, "cols": 0, "entries": []}),
-                         "rows and cols must be positive, got rows 1, cols 0"),
+                         "cols must be >= 1, got 0"),
     "record-rows-fractional": (lambda: operator_from_record(
         {"rows": 2.5, "cols": 2, "entries": [1.0, 2.0, 3.0, 4.0]}),
         "rows must be an integer, got 2.5"),
@@ -203,10 +204,11 @@ LIBRARY_CASES = {
     "r0-0d": (lambda: r0(2.0, 1.0), "matrix F must be square and non-empty, got shape ()"),
     "jacobian-verdict-0d": (lambda: jacobian_verdict(3.0), "square and non-empty, got shape ()"),
     "hurwitz-above-cap": (lambda: hurwitz_check(-np.eye(MAX_LYAPUNOV_DIM + 1)),
-                          f"capped at n={MAX_LYAPUNOV_DIM}"),
+                          re.escape(f"matrix rows must be in [1, {MAX_LYAPUNOV_DIM}], "
+                                    f"got {MAX_LYAPUNOV_DIM + 1}")),
     # sturm
     "sturm-n-2": (lambda: constant_coefficient_problem("dirichlet", n=2),
-                  "at least three nodes"),
+                  re.escape(f"n must be in [3, {MAX_SL_NODES}], got 2")),
     "sturm-n-fractional": (lambda: constant_coefficient_problem("dirichlet", n=4.5),
                            "n must be an integer, got 4.5"),
     "sturm-p-zero": (lambda: discretize(SLProblem(p=lambda x: 0.0, q=lambda x: 0.0,
@@ -225,7 +227,7 @@ LIBRARY_CASES = {
     "sturm-sample-inf": (lambda: truncation_error([0.0, 1.0, -INF, 1.0, 0.0], sturm_modes(), [2]),
                          "sample has non-finite entries"),
     "sturm-too-many-terms": (lambda: truncation_error(np.ones(5), sturm_modes(), [4]),
-                             "exceeds available modes"),
+                             re.escape("term count must be in [0, 3], got 4")),
     "sturm-terms-fractional": (lambda: truncation_error(np.ones(5), sturm_modes(), [2.5]),
                                "term count must be an integer, got 2.5"),
     "sturm-modes-fractional": (lambda: solve_modes(sturm_grid(), 2.5),
@@ -235,9 +237,9 @@ LIBRARY_CASES = {
     "reconstruct-terms-fractional": (lambda: reconstruct(np.ones(3), sturm_modes(), 2.5),
                                      "term count must be an integer, got 2.5"),
     "reconstruct-too-many-terms": (lambda: reconstruct(np.ones(3), sturm_modes(), 99),
-                                   re.escape("term count 99 exceeds available modes (3)")),
+                                   re.escape("term count must be in [0, 3], got 99")),
     "reconstruct-too-few-coefficients": (lambda: reconstruct(np.ones(2), sturm_modes(), 3),
-                                         re.escape("term count 3 exceeds available modes (2)")),
+                                         re.escape("term count must be in [0, 2], got 3")),
     # pde
     "elliptic-u_obs-nan": (lambda: build_elliptic_problem(7, 0.0, 1.0, [0.0, 0.0, 0.0, NAN,
                                                                         0.0, 0.0, 0.0]),
@@ -292,6 +294,65 @@ def test_is_spd_rejects_non_finite(p):
 def test_instability_demo_rejects_degenerate_delta(delta):
     with pytest.raises(ValueError, match="non-zero and finite"):
         instability_demo(matrix_operator(np.diag([2.0, 1.0])), np.ones(2), 1, delta)
+
+
+# size -> (the gate's name, low, high, a call that takes the size): every bounded size
+BOUNDED_SIZES = {
+    "space-dim": ("dim", 1, None, InnerProductSpace),
+    "adjoint-check-trials": ("trials", 1, None,
+                             lambda k: adjoint_consistency_check(OP_2X3, trials=k)),
+    "record-rows": ("rows", 1, None, lambda m: operator_from_record(
+        {"rows": m, "cols": 1, "entries": [1.0] * m})),
+    "record-cols": ("cols", 1, None, lambda n: operator_from_record(
+        {"rows": 1, "cols": n, "entries": [1.0] * n})),
+    "integration-n": ("n", 2, None, integration_operator),
+    "instability-mode": ("mode index", 1, 2, lambda k: instability_demo(
+        matrix_operator(np.diag([2.0, 1.0])), np.ones(2), k, 0.1)),
+    "layer-size": ("layer size", 1, None, lambda s: NetworkSpec((2, s, 1))),
+    "descent-iters": ("iters", 0, None,
+                      lambda k: gradient_descent(ADVECTION_4, [1.0], 1.0, k, 0.0)),
+    "advection-n": ("n", 2, None, lambda n: AdvectionControlProblem(n, 1.0)),
+    "elliptic-n": ("n", 3, None,
+                   lambda n: EllipticInversionProblem(n, 0.0, 1.0, np.zeros(n))),
+    "target-field-n": ("n", 0, None, default_target_field),
+    "sturm-n": ("n", 3, MAX_SL_NODES,  # construction only: no grid is assembled
+                lambda n: constant_coefficient_problem("dirichlet", n=n)),
+    "sturm-modes": ("k", 1, 5, lambda k: solve_modes(sturm_grid(), k)),
+    "reconstruct-terms": ("term count", 0, 3,
+                          lambda k: reconstruct(np.ones(3), sturm_modes(), k)),
+    "cli-sturm-modes": ("--modes", 1, 5, lambda k: cmd_sturm(
+        SimpleNamespace(bc="dirichlet", n=5, modes=k))),
+    "hurwitz-rows": ("matrix rows", 1, MAX_LYAPUNOV_DIM, lambda n: hurwitz_check(-np.eye(n))),
+    "lyapunov-rows": ("A rows", 1, MAX_LYAPUNOV_DIM,
+                      lambda n: lyapunov_solve(-np.eye(n), np.eye(n))),
+}
+# checked_matrix refuses an empty matrix before the row count reaches the gate
+EMPTY_MATRIX_FIRST = {"hurwitz-rows", "lyapunov-rows"}
+
+
+@pytest.mark.parametrize("size_id", BOUNDED_SIZES)
+def test_bounded_size_refused_outside_its_range(size_id):
+    name, low, high, call = BOUNDED_SIZES[size_id]
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    for size in [low - 1] + ([] if high is None else [high + 1]):
+        message = f"^{re.escape(f'{name} must be {bound}, got {size}')}$"
+        if size < low and size_id in EMPTY_MATRIX_FIRST:
+            message = "must be square and non-empty"
+        with pytest.raises(ValueError, match=message):
+            call(size)
+
+
+@pytest.mark.parametrize("size_id", BOUNDED_SIZES)
+def test_bounded_size_accepted_at_its_bounds(size_id):
+    _, low, high, call = BOUNDED_SIZES[size_id]
+    for size in [low] + ([] if high is None else [high]):
+        call(size)
+
+
+def test_reconstruct_refuses_more_coefficients_than_modes_by_default():
+    # without n_terms every coefficient is summed, and the last two have no mode to multiply
+    with pytest.raises(ValueError, match=re.escape("term count must be in [0, 3], got 5")):
+        reconstruct(np.ones(5), sturm_modes())
 
 
 ADVECTION = build_advection_problem(8, 1.0)  # reads z[0] alone, so z[1:] must be refused
@@ -418,7 +479,7 @@ CLI_CASES = {
     "svd-metric-size": (["svd", "--op", "{op_short_metric}"],
                         "domain_metric: expected 4 entries, got 3"),
     "svd-negative-sizes": (["svd", "--op", "{op_negative}"],
-                           "rows and cols must be positive, got rows -2, cols -2"),
+                           "rows must be >= 1, got -2"),
     "svd-fractional-rows": (["svd", "--op", "{op_fractional}"],
                             "rows must be an integer, got 2.5"),
     "svd-overflowing-rows": (["svd", "--op", "{op_overflowing}"],
