@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .core import (adjoint_consistency_check, checked_size, json_numbers,
-                   operator_from_record)
+from .core import (adjoint_consistency_check, checked_finite, checked_size,
+                   json_numbers, operator_from_record)
 from .errors import NumericalError
 from .leastsq import normal_solve, picard_diagnostic, tikhonov_solve
 from .network import ACTIVATIONS, NetworkSpec, init_parameters, train
@@ -84,12 +84,12 @@ def _json_text(payload) -> str:
 
 
 def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        raise NumericalError("result has non-finite values")
     return f"{float(x):.17g}"
 
 
 def _csv(rows, header: str) -> str:
+    rows = list(rows)
+    checked_finite(table=[v for row in rows for v in row if isinstance(v, float)])
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
@@ -125,7 +125,9 @@ def cmd_svd(args) -> str:
 def cmd_solve(args) -> str:
     op, y = _load_op_rhs(args)
     x = normal_solve(op, y)
-    residual = op.codomain.norm(op.matvec(x) - y)
+    with np.errstate(all="ignore"):
+        residual = op.codomain.norm(op.matvec(x) - y)
+    checked_finite(residual_norm=residual)
     return _json_text({"x": x.tolist(), "residual_norm": residual})
 
 

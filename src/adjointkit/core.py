@@ -7,6 +7,7 @@ those products; for a dense matrix it is ``M_dom^{-1} A^T M_cod``, the
 plain transpose when both metrics are the identity.  Its randomized
 check probes the whitened matrices of ``A`` and ``A*`` with seeded pairs
 and estimates the Frobenius norm of their mismatch, at any dimension.
+A result past the float range is refused by one gate, ``checked_finite``.
 A space built without a metric stores the identity as its own Cholesky
 factor and skips the checks and the factorization.  A diagonal factor,
 the identity among them, is applied entrywise by its reciprocal, as the
@@ -85,6 +86,16 @@ def checked_matrix(a, what: str, shape=None, where="") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} has non-finite entries (shape {a.shape})")
     return a
+
+
+def checked_finite(**values):
+    """Raise ``NumericalError`` naming every value with an entry that is not finite.
+
+    The one refusal of a result past the float range, computed under
+    ``np.errstate(all="ignore")`` so that an overflow reaches it, not a warning.
+    """
+    if bad := [name for name, value in values.items() if not np.isfinite(value).all()]:
+        raise NumericalError(f"non-finite {', '.join(bad)}: the result overflows the float range")
 
 
 def json_numbers(values, name: str) -> np.ndarray:
@@ -233,10 +244,9 @@ class DenseOperator:
         maps, so a diagonal one scales columns or rows entrywise.  A
         result past the float range raises ``NumericalError``.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             w = self.codomain._whiten(self.domain._solve(self.entries.T).T)
-        if not np.isfinite(w).all():
-            raise NumericalError("whitened operator overflows the float range")
+        checked_finite(whitened_matrix=w)
         return w
 
     def __repr__(self):
@@ -268,10 +278,9 @@ def adjoint(op: DenseOperator) -> DenseOperator:
     entrywise steps with a diagonal one; no explicit matrix inverse is
     formed.  Entries past the float range raise ``NumericalError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         entries = op.domain.apply_inverse_metric(op.entries.T @ op.codomain.metric)
-    if not np.isfinite(entries).all():
-        raise NumericalError("adjoint overflows the float range")
+    checked_finite(adjoint_entries=entries)
     return DenseOperator(op.codomain, op.domain, entries)
 
 
@@ -297,9 +306,7 @@ def _factors(op: DenseOperator) -> tuple:
     """
     if op._svd is None:
         left_w, sigma, right_wt = np.linalg.svd(op.whitened(), full_matrices=True)
-        if not np.all(np.isfinite(sigma)):
-            raise NumericalError("singular values are non-finite "
-                                 "(the operator norm overflows)")
+        checked_finite(sigma=sigma)
         right = op.domain.unwhiten(right_wt.T)
         signs = _dominant_signs(right)
         right *= signs
@@ -350,16 +357,14 @@ def adjoint_consistency_check(op: DenseOperator, trials: int = 100, seed: int = 
     rng = Lcg(seed)
     n = op.domain.dim
     total = 0.0
-    # an overflowing probe is reported by the finiteness test, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         gap = op.whitened().T - b.whitened()
         for start in range(0, trials, _PROBE_BLOCK):
             rows = rng.matrix(min(_PROBE_BLOCK, trials - start), n + op.codomain.dim)
             defects = np.vecdot(rows[:, :n] @ gap, rows[:, n:]) / scale
             total += float(defects @ defects)
     estimate = 3.0 * float(np.sqrt(total / trials))
-    if not np.isfinite(estimate):
-        raise NumericalError("adjoint defect is not finite")
+    checked_finite(adjoint_defect=estimate)
     return AdjointReport(trials=trials, max_defect=estimate)
 
 
@@ -381,10 +386,9 @@ def orthonormalize(vectors, space: InnerProductSpace) -> np.ndarray:
     if len(cols) > space.dim:
         raise ValueError("input vectors are linearly dependent "
                          "(more vectors than the dimension)")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         w = space._whiten(np.column_stack(cols))
-    if not np.isfinite(w).all():
-        raise NumericalError("whitened vectors overflow the float range")
+    checked_finite(whitened_vectors=w)
     q, r = np.linalg.qr(w)
     pivots = np.diag(r)
     largest = np.abs(w).max()

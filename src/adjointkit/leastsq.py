@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace, checked_size, checked_vector
-from .errors import NumericalError
+from .core import (DenseOperator, InnerProductSpace, checked_finite, checked_size,
+                   checked_vector)
 from .spectral import left_coefficients, null_defect, svd
 
 
@@ -52,12 +52,6 @@ class TikhonovSolution:
     prior_distance: float
 
 
-def _finite(**values):
-    """Raise ``NumericalError`` naming every value with an entry that is not finite."""
-    if bad := [name for name, value in values.items() if not np.isfinite(value).all()]:
-        raise NumericalError(f"non-finite {', '.join(bad)}: the result overflows the float range")
-
-
 def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution via the SVD pseudo-inverse.
 
@@ -68,9 +62,9 @@ def normal_solve(op: DenseOperator, y: np.ndarray) -> np.ndarray:
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     r = dec.rank
-    with np.errstate(all="ignore"):  # _finite reports an overflow
+    with np.errstate(all="ignore"):
         x = dec.right_vectors[:, :r] @ (left_coefficients(dec, y)[:r] / dec.sigma[:r])
-    _finite(x=x)
+    checked_finite(x=x)
     return x
 
 
@@ -93,13 +87,13 @@ def tikhonov_solve(op: DenseOperator, y: np.ndarray, kappa: float,
     s = dec.sigma
     # s / (s^2 + kappa) as 1 / (s + kappa / s), since s^2 overflows from
     # s = 1.3e154 on; s = 0 (or kappa / s past the float range) gives 1 / inf = 0
-    with np.errstate(all="ignore"):  # and _finite reports an overflow of the results
+    with np.errstate(all="ignore"):
         c = left_coefficients(dec, y - op.matvec(x0))[:s.size]
         f = 1.0 / (s + kappa / s)
         x = x0 + dec.right_vectors[:, :s.size] @ (f * c)
         residual_norm = op.codomain.norm(op.matvec(x) - y)
         prior_distance = op.domain.norm(x - x0)
-    _finite(x=x, residual_norm=residual_norm, prior_distance=prior_distance)
+    checked_finite(x=x, residual_norm=residual_norm, prior_distance=prior_distance)
     return TikhonovSolution(x=x, kappa=float(kappa), residual_norm=residual_norm,
                             prior_distance=prior_distance)
 
@@ -114,13 +108,13 @@ def picard_diagnostic(op: DenseOperator, y: np.ndarray) -> PicardTable:
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
     sigma = dec.sigma[:dec.rank]
-    with np.errstate(all="ignore"):  # _finite reports an overflow
+    with np.errstate(all="ignore"):
         coeffs = left_coefficients(dec, y)
         coeff = np.abs(coeffs[:dec.rank])
         ratio = coeff / sigma
         cumulative = np.cumsum(ratio * ratio)
         defect = null_defect(dec, coeffs)
-    _finite(coeff=coeff, ratio=ratio, cumulative=cumulative, null_defect=defect)
+    checked_finite(coeff=coeff, ratio=ratio, cumulative=cumulative, null_defect=defect)
     rows = zip(sigma.tolist(), coeff.tolist(), ratio.tolist(), cumulative.tolist())
     return PicardTable(rows=tuple(PicardRow(i + 1, *row) for i, row in enumerate(rows)),
                        null_defect=defect)

@@ -28,7 +28,7 @@ from .rand import Lcg
 
 
 def _logistic(t, out=None):
-    with np.errstate(over="ignore"):  # exp(-t) = inf below t = -709: 1 / (1 + inf) = 0 is exact
+    with np.errstate(all="ignore"):  # exp(-t) = inf below t = -709: 1 / (1 + inf) = 0 is exact
         return np.divide(1.0, 1.0 + np.exp(-t), out=out)
 
 

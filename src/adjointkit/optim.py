@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import checked_size, checked_vector
+from .core import checked_finite, checked_size, checked_vector
 from .errors import NumericalError
 
 ARMIJO_SLOPE = 1e-4
@@ -128,13 +128,16 @@ def reduced_gradient(problem: ConstrainedProblem, z: np.ndarray) -> ReducedGradi
     One forward solve, one adjoint solve and the gradient assembly; the
     report also carries the state and the multiplier, which
     ``kkt_residuals`` turns into residual norms.
-    A control of the wrong length or with non-finite entries is a ``ValueError``.
+    A control of the wrong length or with non-finite entries is a ``ValueError``;
+    an objective or gradient past the float range is a ``NumericalError``.
     """
     z = _checked_control(problem, z)
-    u = problem.solve_forward(z)
-    y, g = _adjoint_gradient(problem, u, z)
-    return ReducedGradientReport(f_value=float(problem.objective(u, z)), gradient=g,
-                                 state=u, multiplier=y)
+    with np.errstate(all="ignore"):
+        u = problem.solve_forward(z)
+        y, g = _adjoint_gradient(problem, u, z)
+        f = float(problem.objective(u, z))
+    checked_finite(objective=f, gradient=g)
+    return ReducedGradientReport(f_value=f, gradient=g, state=u, multiplier=y)
 
 
 def reduced_objective(problem: ConstrainedProblem, z: np.ndarray) -> float:
@@ -159,22 +162,25 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     controls.  That is 2p forward solves per step by the default row
     loop, and two stacked forward solves per step and block for a problem
     that overrides it, such as ``EllipticInversionProblem``; the errors
-    are those of the per-direction loop, bit for bit.
+    are those of the per-direction loop, bit for bit.  An adjoint gradient
+    or an error past the float range is a ``NumericalError``.
     """
     z = _checked_control(problem, z)
     if not all(0.0 < h < np.inf for h in steps):
         raise ValueError("finite-difference steps must be positive and finite")
-    _, grad = _adjoint_gradient(problem, problem.solve_forward(z), z)
     p = problem.control_dim
     out = {}
-    for h in steps:
-        fd = np.zeros(p)
-        for lo in range(0, p, _FD_BLOCK):
-            e = h * np.eye(min(_FD_BLOCK, p - lo), p, lo)  # rows h e_lo, h e_(lo+1), ...
-            fd[lo:lo + len(e)] = (problem.reduced_objectives(z + e)
-                                  - problem.reduced_objectives(z - e)) / (2.0 * h)
-        scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
-        out[h] = float(np.linalg.norm(fd - grad) / scale)
+    with np.errstate(all="ignore"):
+        _, grad = _adjoint_gradient(problem, problem.solve_forward(z), z)
+        for h in steps:
+            fd = np.zeros(p)
+            for lo in range(0, p, _FD_BLOCK):
+                e = h * np.eye(min(_FD_BLOCK, p - lo), p, lo)  # rows h e_lo, h e_(lo+1), ...
+                fd[lo:lo + len(e)] = (problem.reduced_objectives(z + e)
+                                      - problem.reduced_objectives(z - e)) / (2.0 * h)
+            scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
+            out[h] = float(np.linalg.norm(fd - grad) / scale)
+    checked_finite(gradient=grad, relative_errors=list(out.values()))
     return out
 
 
@@ -191,8 +197,10 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     8 times the last step.  A trial costs one forward solve and one
     objective; a trial whose forward solve raises ``NumericalError`` is
     rejected like one that fails the test, and ``backtracks`` counts each
-    search's rejected trials.  An iteration adds one adjoint solve, which
-    returns the control pull-back too, at the accepted trial's state.
+    search's rejected trials, so is one whose objective overflows.  An
+    iteration adds one adjoint solve, which returns the control pull-back
+    too, at the accepted trial's state.  A start objective or gradient
+    norm past the float range raises ``NumericalError`` naming its stage.
     Residual norms come only from ``kkt_residuals``.
     """
     if not 0.0 < step < np.inf:
@@ -203,39 +211,45 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
     z = _checked_control(problem, z0).copy()
     history, backtracks = [], []
     start = step
-    for k in range(iters):
-        try:
-            if k == 0:  # later iterations start at the trial the line search accepted
-                stage = "forward solve"
-                u = problem.solve_forward(z)
-                f_curr = float(problem.objective(u, z))
-            stage = "adjoint solve"
-            _, g = _adjoint_gradient(problem, u, z)
-        except NumericalError as exc:
-            raise NumericalError(f"{stage} failed at iteration {k}: {exc}") from None
-        gnorm = float(np.sqrt(g @ g))  # np.linalg.norm's own formula for a real vector
-        history.append((k, f_curr, gnorm, 0.0))
-        if gnorm <= tol:
-            return DescentResult(z=z, history=history, converged=True, iterations=k,
-                                 backtracks=backtracks)
-        alpha = start
-        for rejected in range(MAX_BACKTRACKS):
-            candidate = z - alpha * g
+    with np.errstate(all="ignore"):
+        for k in range(iters):
             try:
-                u = problem.solve_forward(candidate)
-            except NumericalError:
-                pass
+                if k == 0:  # later iterations start at the trial the line search accepted
+                    stage = "forward solve"
+                    u = problem.solve_forward(z)
+                    stage = "objective"
+                    f_curr = float(problem.objective(u, z))
+                    checked_finite(objective=f_curr)
+                stage = "adjoint solve"
+                _, g = _adjoint_gradient(problem, u, z)
+                gnorm = float(np.sqrt(g @ g))  # np.linalg.norm's own formula for a real vector
+                if k == 0:  # a later gradient past the float range fails its line search
+                    stage = "gradient"
+                    checked_finite(gradient_norm=gnorm)
+            except NumericalError as exc:
+                raise NumericalError(f"{stage} failed at iteration {k}: {exc}") from None
+            history.append((k, f_curr, gnorm, 0.0))
+            if gnorm <= tol:
+                return DescentResult(z=z, history=history, converged=True, iterations=k,
+                                     backtracks=backtracks)
+            alpha = start
+            for rejected in range(MAX_BACKTRACKS):
+                candidate = z - alpha * g
+                try:
+                    u = problem.solve_forward(candidate)
+                except NumericalError:
+                    pass
+                else:
+                    f_new = float(problem.objective(u, candidate))
+                    if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
+                        break
+                alpha *= 0.5
             else:
-                f_new = float(problem.objective(u, candidate))
-                if f_new <= f_curr - ARMIJO_SLOPE * alpha * gnorm * gnorm:
-                    break
-            alpha *= 0.5
-        else:
-            raise NumericalError(f"line search failed at iteration {k}")
-        history[-1] = (k, f_curr, gnorm, alpha)
-        backtracks.append(rejected)
-        start = min(step, WARM_START_GROWTH * alpha)
-        z, f_curr = candidate, f_new
+                raise NumericalError(f"line search failed at iteration {k}")
+            history[-1] = (k, f_curr, gnorm, alpha)
+            backtracks.append(rejected)
+            start = min(step, WARM_START_GROWTH * alpha)
+            z, f_curr = candidate, f_new
     return DescentResult(z=z, history=history, converged=False, iterations=iters,
                          backtracks=backtracks)
 

@@ -27,7 +27,7 @@ both at O(h^2), and neither adjoint has a null space.
 
 import numpy as np
 
-from .core import checked_size, checked_vector
+from .core import checked_finite, checked_size, checked_vector
 from .errors import NumericalError
 from .optim import ConstrainedProblem
 
@@ -38,7 +38,8 @@ class AdvectionControlProblem(ConstrainedProblem):
     State: nodal values on a uniform grid of n >= 2 cells (n+1 nodes).
     Control: the single inflow flux datum.  The eliminated objective is
     ``z^2 / (2 beta^2)`` and its derivative ``z / beta^2``; the adjoint
-    route reproduces both to roundoff.
+    route reproduces both to roundoff.  A state ``-z / beta`` past the
+    float range raises ``NumericalError``, as the elliptic solve does.
     """
 
     def __init__(self, n: int, beta: float):
@@ -61,7 +62,10 @@ class AdvectionControlProblem(ConstrainedProblem):
         return r
 
     def solve_forward(self, z):
-        return np.full(self.state_dim, -z[0] / self.beta)
+        with np.errstate(all="ignore"):
+            u0 = -z[0] / self.beta
+        checked_finite(state=u0)
+        return np.full(self.state_dim, u0)
 
     def apply_state_jacobian(self, u, z, du):
         out = np.empty(self.state_dim)
@@ -164,7 +168,9 @@ class EllipticInversionProblem(ConstrainedProblem):
         reduction over all its rows per condition, ``max(w)`` in place of the
         sum test, so it fails as a whole exactly when some row fails.
         """
-        with np.errstate(all="ignore"):  # the guard below reports instead
+        # the guard below reports instead of checked_finite: a w of 0 (exp(z)
+        # overflowed) is finite, yet no cell resistance
+        with np.errstate(all="ignore"):
             w = self.h / np.exp(z)
             w_sum = w.sum() if z.ndim == 1 else w.sum(axis=-1, keepdims=True)  # column of totals
             if rhs is None:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace, _factors, checked_vector
-from .errors import NumericalError
+from .core import DenseOperator, InnerProductSpace, _factors, checked_finite, checked_vector
 
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
@@ -158,11 +157,9 @@ def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> d
     _check_tol(tol, "tol")
     y = checked_vector(y, op.codomain.dim, "right-hand side", "codomain dimension")
     dec = svd(op)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is refused below
+    with np.errstate(all="ignore"):
         defect = null_defect(dec, left_coefficients(dec, y))
-    if not np.isfinite(defect):
-        raise NumericalError("solvability defect is not finite "
-                             "(the data's coefficients overflow the float range)")
+    checked_finite(null_defect=defect)
     return {"solvable": bool(defect <= tol), "defect": defect}
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_matrix, checked_size
+from .core import checked_finite, checked_matrix, checked_size
 from .errors import NumericalError
 
 MAX_LYAPUNOV_DIM = 64  # rows of A accepted: the high of each checked_size on them
@@ -94,8 +94,8 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NumericalError("Lyapunov solution is beyond the float range")
     p = u @ y @ u.T
     p = 0.5 * (p + p.T)
-    # an overflowing residual is inf or NaN, and the test below refuses both
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a tolerance gate, not checked_finite: it refuses an inf or NaN residual too
+    with np.errstate(all="ignore"):
         residual = np.linalg.norm(p @ a + a.T @ p + q)
         bound = _LYAP_RESIDUAL_TOL * np.linalg.norm(q)
     if not residual <= bound:
@@ -167,20 +167,23 @@ def linearize(f, x_eq: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the vector field at an equilibrium.
 
     The step is ``1e-5 (1 + |x_eq|)``.  A residual ``|f(x_eq)|`` above
-    1e-8, or NaN, raises ``ValueError``.
+    1e-8, or not finite, raises ``ValueError``; a step or Jacobian past the
+    float range raises ``NumericalError``.
     """
     x_eq = np.asarray(x_eq, dtype=float)
     n = x_eq.size
-    h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
-    residual = np.linalg.norm(np.asarray(f(x_eq), dtype=float))
-    if not residual <= _EQUILIBRIUM_TOL:
-        raise ValueError(f"point is not an equilibrium (|f| = {residual:.3e})")
-    jac = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (np.asarray(f(x_eq + e), dtype=float)
-                     - np.asarray(f(x_eq - e), dtype=float)) / (2.0 * h)
+    with np.errstate(all="ignore"):
+        h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
+        residual = np.linalg.norm(np.asarray(f(x_eq), dtype=float))
+        if not residual <= _EQUILIBRIUM_TOL:
+            raise ValueError(f"point is not an equilibrium (|f| = {residual:.3e})")
+        jac = np.zeros((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            jac[:, j] = (np.asarray(f(x_eq + e), dtype=float)
+                         - np.asarray(f(x_eq - e), dtype=float)) / (2.0 * h)
+    checked_finite(step=h, jacobian=jac)
     return jac
 
 
@@ -190,7 +193,7 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     LAPACK computes every eigenvalue, so imprimitive next-generation
     matrices (host-vector models) need no special care.  A warning is
     issued when negative entries show up, since the splitting is then
-    epidemiologically suspect.
+    epidemiologically suspect.  A singular ``V`` raises ``NumericalError``.
     """
     f_matrix = checked_matrix(f_matrix, "new-infection matrix F")
     v_matrix = checked_matrix(v_matrix, "transition matrix V", f_matrix.shape, "F")
@@ -198,8 +201,7 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
         k = np.linalg.solve(v_matrix.T, f_matrix.T).T
     except np.linalg.LinAlgError:
         raise NumericalError("transition matrix V is singular") from None
-    if not np.all(np.isfinite(k)):
-        raise NumericalError("next-generation matrix is not finite")
+    checked_finite(next_generation_matrix=k)
     if k.min() < -1e-12 * max(np.abs(k).max(), 1.0):
         warnings.warn("next-generation matrix has negative entries; "
                       "the F/V splitting may be invalid", RuntimeWarning)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_size, checked_vector
+from .core import checked_finite, checked_size, checked_vector
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 # Largest grid accepted, the high of SLProblem's checked_size.  Assembly writes
@@ -90,7 +90,8 @@ def discretize(problem: SLProblem) -> Discretization:
     at ``(lo, lo)`` and ``(hi, hi)`` and ``-p_half[i]`` at ``(lo, hi)`` and
     ``(hi, lo)``; writing those entries, in O(n) work, gives the bits of
     the dense product.  The coefficients are evaluated point by point, so
-    scalar-only callables work.
+    scalar-only callables work.  A ``K`` past the float range raises
+    ``NumericalError``.
     """
     n = problem.n
     if problem.bc == "dirichlet":
@@ -126,13 +127,15 @@ def discretize(problem: SLProblem) -> Discretization:
         raise ValueError("potential q must be finite on the grid")
     # a node meets at most two interfaces, so its diagonal sum has the
     # product's bits, and each (lo, hi) pair is written once
-    diagonal = np.zeros(n + 1)
-    diagonal[lo] += p_half
-    diagonal[hi] += p_half
-    k = np.zeros((n + 1, n + 1))
-    k[lo, hi] = k[hi, lo] = -p_half / h ** 2
-    k = k[:n, :n]
-    k[np.arange(n), np.arange(n)] = diagonal[:n] / h ** 2 + q
+    with np.errstate(all="ignore"):
+        diagonal = np.zeros(n + 1)
+        diagonal[lo] += p_half
+        diagonal[hi] += p_half
+        k = np.zeros((n + 1, n + 1))
+        k[lo, hi] = k[hi, lo] = -p_half / h ** 2
+        k = k[:n, :n]
+        k[np.arange(n), np.arange(n)] = diagonal[:n] / h ** 2 + q
+    checked_finite(stiffness=k)
     return Discretization(stiffness=k, rho=rho, grid=grid, h=h)
 
 
@@ -142,11 +145,14 @@ def solve_modes(disc: Discretization, k: int) -> ModeSet:
     The weight is folded in symmetrically through its square root, LAPACK
     ``eigh`` solves the standard problem (eigenvalues come out
     ascending), and modes are scaled to unit discrete weighted L2 norm.
+    A folded matrix past the float range raises ``NumericalError``.
     """
     n = disc.stiffness.shape[0]
     k = checked_size(k, "k", 1, n)
     d_half = np.sqrt(disc.rho)
-    sym = disc.stiffness / np.outer(d_half, d_half)
+    with np.errstate(all="ignore"):
+        sym = disc.stiffness / np.outer(d_half, d_half)
+    checked_finite(folded_stiffness=sym)
     vals, vecs = np.linalg.eigh(sym)
     modes = (vecs / d_half[:, None]) / np.sqrt(disc.h)
     return ModeSet(eigenvalues=vals[:k], modes=modes[:, :k], disc=disc)

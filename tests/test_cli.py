@@ -175,18 +175,19 @@ def test_adjoint_check_overflowing_operator_exit_3(capsys, tmp_path):
 @pytest.mark.parametrize("codomain_metric", [[1e300, 0.0, 0.0, 1e300],
                                              [1e300, 1e299, 1e299, 1e300]],
                          ids=["diagonal", "dense"])
-@pytest.mark.parametrize("command, detail", [("adjoint-check", "adjoint overflows"),
-                                             ("svd", "whitened operator overflows")])
+@pytest.mark.parametrize("command, value", [("adjoint-check", "adjoint_entries"),
+                                            ("svd", "whitened_matrix")],
+                         ids=["adjoint-check-adjoint overflows", "svd-whitened operator overflows"])
 def test_overflowing_weighted_operator_exit_3_without_warnings(capsys, tmp_path, command,
-                                                               detail, codomain_metric):
+                                                               value, codomain_metric):
     # finite entries and metric, but L_cod^T A and A^T M_cod pass the float range:
     # a numerical failure, not bad input, and no RuntimeWarning on stderr
     record = {"rows": 2, "cols": 2, "entries": [1e200] * 4, "codomain_metric": codomain_metric}
     op = write_json(tmp_path / "op.json", record)
     code, out, err = run(capsys, command, "--op", op)
     assert (code, err) == (3, "")
-    assert json.loads(out) == {"error": "numerical-failure",
-                               "detail": f"{detail} the float range"}
+    assert json.loads(out) == {"error": "numerical-failure", "detail": f"non-finite {value}: "
+                               "the result overflows the float range"}
 
 
 def test_adjoint_check_deterministic(capsys, tmp_path):

@@ -361,7 +361,8 @@ def test_consistency_check_refuses_overflowing_operator():
     op = matrix_operator(np.full((2, 2), 8e307))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(NumericalError, match="^non-finite adjoint_defect: the result "
+                           "overflows the float range$"):
             adjoint_consistency_check(op, trials=100, seed=42,
                                       adjoint_op=matrix_operator(-op.entries.T))
 

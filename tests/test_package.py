@@ -218,3 +218,35 @@ def test_every_size_range_lives_in_checked_size():
     assert [cap for cap, high in reads if not high] == []
     assert list(inspect.signature(checked_matrix).parameters) == [
         "a", "what", "shape", "where"]
+
+
+# scopes that open an errstate block but keep a test of their own: the elliptic
+# solve's guard, which also refuses a finite resistance of 0, the logistic
+# activation whose overflow to 1 / (1 + inf) = 0 is exact, and the Lyapunov
+# residual and scale tests, tolerance gates that refuse inf and NaN too
+OWN_FINITENESS_TESTS = ["network._logistic", "pde.EllipticInversionProblem._solve",
+                        "stability.lyapunov_solve"]
+
+
+def raises_numerical_error_on_isfinite(node):
+    """Whether ``node`` is an ``if`` on an ``isfinite`` test that raises ``NumericalError``."""
+    return (isinstance(node, ast.If)
+            and any(calls(sub, "isfinite") for sub in ast.walk(node.test))
+            and any(isinstance(sub, ast.Raise) and sub.exc is not None
+                    and ast.unparse(sub.exc).startswith("NumericalError(")
+                    for stmt in node.body for sub in ast.walk(stmt)))
+
+
+def test_every_non_finite_result_is_refused_by_checked_finite():
+    # a result past the float range is a NumericalError from one gate, after
+    # an errstate block that turns the overflow into an inf instead of a warning
+    errstates = [node for tree in package_trees().values() for node in ast.walk(tree)
+                 if calls(node, "np.errstate")]
+    assert errstates
+    assert [ast.unparse(node) for node in errstates
+            if node.args or [(kw.arg, ast.unparse(kw.value)) for kw in node.keywords]
+            != [("all", "'ignore'")]] == []
+    opening = set(package_scopes_where(lambda node: calls(node, "np.errstate")))
+    gated = set(package_scopes_where(lambda node: calls(node, "checked_finite")))
+    assert sorted(opening - gated) == OWN_FINITENESS_TESTS
+    assert package_scopes_where(raises_numerical_error_on_isfinite) == ["core.checked_finite"]

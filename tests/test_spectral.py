@@ -388,7 +388,8 @@ def test_solvability_refuses_data_whose_coefficients_overflow():
     # (y, v_1) = sqrt(2) * 1.5e308 is past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(NumericalError, match="^non-finite null_defect: the result "
+                           "overflows the float range$"):
             solvability_check(matrix_operator([[1.0, 1.0], [1.0, 1.0]]), [1.5e308, 1.5e308])
 
 

@@ -492,7 +492,8 @@ def test_r0_cross_infection_matrices():
 
 
 def test_r0_non_finite_next_generation_matrix_raises():
-    with pytest.raises(NumericalError, match="not finite"):
+    with pytest.raises(NumericalError, match="^non-finite next_generation_matrix: the result "
+                       "overflows the float range$"):
         r0(np.array([[1e10, 0.0], [0.0, 0.0]]), np.diag([1e-300, 1.0]))
 
 
