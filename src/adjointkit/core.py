@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NumericalError
 from .rand import Lcg
 
-_SYM_TOL = 1e-12
 _DEP_TOL = 1e-12
 _PROBE_BLOCK = 256  # probe pairs drawn and tested per pass; bounds the memory
 
@@ -88,6 +87,16 @@ def checked_matrix(a, what: str, shape=None, where="") -> np.ndarray:
     return a
 
 
+def checked_symmetric(a: np.ndarray, what: str):
+    """Raise ``ValueError`` naming ``what`` unless ``max|a - a^T| <= 1e-12 max|a|``.
+
+    Tested on ``a / max|a|``, so no scale decides it and nothing overflows.
+    """
+    unit = a / (np.abs(a).max() or 1.0)  # a zero matrix is symmetric
+    if np.abs(unit - unit.T).max() > 1e-12:
+        raise ValueError(f"{what} is not symmetric")
+
+
 def checked_finite(**values):
     """Raise ``NumericalError`` naming every value with an entry that is not finite.
 
@@ -122,8 +131,8 @@ def json_numbers(values, name: str) -> np.ndarray:
 class InnerProductSpace:
     """Real space of dimension ``dim >= 1`` with inner product ``x^T M y``.
 
-    The metric must be symmetric positive definite; the Cholesky factor
-    is computed once and reused for all metric solves.  Without a metric
+    The metric must be symmetric (``checked_symmetric``) and positive definite;
+    the Cholesky factor is computed once and reused.  Without a metric
     the identity is both metric and factor, read-only like every other.
     A diagonal factor (the identity, a quadrature weight ``h I``) is
     applied entrywise through its pivots and their reciprocals, kept as
@@ -138,9 +147,7 @@ class InnerProductSpace:
             self.is_euclidean = True
         else:
             metric = checked_matrix(metric, "metric", (dim, dim), "dim x dim")
-            scale = np.abs(metric).max()
-            if np.abs(metric - metric.T).max() > _SYM_TOL * max(scale, 1.0):
-                raise ValueError("metric is not symmetric")
+            checked_symmetric(metric, "metric")
             try:
                 self._chol = _frozen(np.linalg.cholesky(metric))
             except np.linalg.LinAlgError:

@@ -63,20 +63,24 @@ class SubspaceBases:
 def eig_self_adjoint(op: DenseOperator) -> EigResult:
     """Spectral decomposition of a self-adjoint operator.
 
-    The input must map a space to itself, and its whitened matrix
-    ``B = L^T A L^{-T}`` must be symmetric to ``|B - B^T|_2 <= 1e-8 |B|_2``;
-    otherwise a ``ValueError`` is raised.  LAPACK ``eigh`` diagonalizes
-    the symmetric part of ``B``; eigenvalues are returned descending
-    with metric-orthonormal eigenvectors.
+    The input must map a space to itself.  LAPACK ``eigh`` diagonalizes
+    ``0.5 B + 0.5 B^T`` of the whitened ``B = L^T A L^{-T}``; an eigenvalue past
+    the float range is a ``NumericalError``.  Then ``|B - B^T|_F <= 1e-8 max|lambda|``,
+    taken on ``B / max|B_ij|`` so that nothing overflows, must hold, else a
+    ``ValueError`` reports that defect; it implies ``|B - B^T|_2 <= 1e-8 |B|_2``
+    (``max|lambda| = |sym B|_2 <= |B|_2``) with no SVD.  Eigenvalues are
+    returned descending with metric-orthonormal eigenvectors.
     """
     space = op.domain
     if op.codomain.dim != space.dim or not np.array_equal(op.codomain.metric, space.metric):
         raise ValueError("operator must map a space to itself")
     b = op.whitened()
-    defect = np.linalg.norm(b - b.T, 2)
-    if defect > _SELF_ADJOINT_TOL * np.linalg.norm(b, 2):
+    vals, vecs = np.linalg.eigh(0.5 * b + 0.5 * b.T)
+    checked_finite(eigenvalues=vals)
+    scale = np.abs(b).max() or 1.0  # B = 0 is self-adjoint
+    defect = np.linalg.norm(b / scale - b.T / scale)
+    if defect > _SELF_ADJOINT_TOL * np.abs(vals).max() / scale:
         raise ValueError(f"operator is not self-adjoint (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(0.5 * (b + b.T))
     return EigResult(eigenvalues=vals[::-1], eigenvectors=space.unwhiten(vecs[:, ::-1]))
 
 

@@ -9,8 +9,8 @@ recursion).  The certificate route solves the Lyapunov equation
 
 by the Bartels-Stewart method (a real Schur form and a triangular
 Sylvester solve, the two LAPACK calls ``dgees`` and ``dtrsyl`` that
-SciPy wraps) and checks that P is symmetric positive definite, which
-holds exactly for Hurwitz A.  ``lyapunov_solve`` is the one place that
+SciPy wraps); P is exactly symmetric and finite, and a Cholesky factor
+of P exists exactly for Hurwitz A.  ``lyapunov_solve`` is the one place that
 imports SciPy, so no other routine pays for loading it.
 Verdicts chain the two: tabulate, certify, and insist the answers
 agree; only a singular Lyapunov equation counts as "no certificate".
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_finite, checked_matrix, checked_size
+from .core import checked_finite, checked_matrix, checked_size, checked_symmetric
 from .errors import NumericalError
 
 MAX_LYAPUNOV_DIM = 64  # rows of A accepted: the high of each checked_size on them
@@ -61,7 +61,7 @@ class SingularLyapunovError(NumericalError):
 
 
 def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve ``P A + A^T P + Q = 0`` for symmetric P.
+    """Solve ``P A + A^T P + Q = 0`` for P, returned exactly symmetric.
 
     Bartels-Stewart straight from LAPACK, O(n^3): ``dgees`` gives the real
     Schur form ``A^T = U T U^T``, ``dtrsyl`` solves ``T Y + Y T^T = -U^T Q U``
@@ -72,14 +72,13 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     it, and this raises ``SingularLyapunovError``.  No Schur form, a
     solution beyond the float range (``dtrsyl`` scales it down), or a
     residual above 1e-9 of ``|Q|`` or not finite, raises ``NumericalError``.
-    More than ``MAX_LYAPUNOV_DIM`` rows is a ``ValueError``, before any O(n^3) work.
+    Over ``MAX_LYAPUNOV_DIM`` rows, or an asymmetric Q, is a ``ValueError``, before O(n^3) work.
     """
     from scipy.linalg.lapack import dgees, dtrsyl
     a = checked_matrix(a, "A")
     checked_size(len(a), "A rows", 1, MAX_LYAPUNOV_DIM)
     q = checked_matrix(q, "Q", a.shape, "A")
-    if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1.0):
-        raise ValueError("Q must be symmetric")
+    checked_symmetric(q, "Q")
     # workspace query first, as scipy.linalg.schur does, so that U and T keep
     # its bits whichever block sizes LAPACK chooses for that workspace
     lwork = int(dgees(lambda wr, wi: None, a.T, lwork=-1)[-2][0])
@@ -101,20 +100,6 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not residual <= bound:
         raise NumericalError(f"Lyapunov residual too large ({residual:.3e})")
     return p
-
-
-def is_spd(p: np.ndarray) -> bool:
-    """Finite entries, symmetry and a successful Cholesky factorization."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        return False
-    if np.abs(p - p.T).max() > 1e-10 * max(np.abs(p).max(), 1e-300):
-        return False
-    try:
-        np.linalg.cholesky(p)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
@@ -191,9 +176,9 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     """Spectral radius of ``F V^{-1}``: its largest eigenvalue modulus.
 
     LAPACK computes every eigenvalue, so imprimitive next-generation
-    matrices (host-vector models) need no special care.  A warning is
-    issued when negative entries show up, since the splitting is then
-    epidemiologically suspect.  A singular ``V`` raises ``NumericalError``.
+    matrices (host-vector models) need no special care.  An entry below
+    -1e-12 of ``max|K|`` warns: the splitting is then epidemiologically
+    suspect.  A singular ``V`` raises ``NumericalError``.
     """
     f_matrix = checked_matrix(f_matrix, "new-infection matrix F")
     v_matrix = checked_matrix(v_matrix, "transition matrix V", f_matrix.shape, "F")
@@ -202,7 +187,7 @@ def r0(f_matrix: np.ndarray, v_matrix: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         raise NumericalError("transition matrix V is singular") from None
     checked_finite(next_generation_matrix=k)
-    if k.min() < -1e-12 * max(np.abs(k).max(), 1.0):
+    if k.min() < -1e-12 * np.abs(k).max():
         warnings.warn("next-generation matrix has negative entries; "
                       "the F/V splitting may be invalid", RuntimeWarning)
     return float(np.abs(np.linalg.eigvals(k)).max())
@@ -214,15 +199,19 @@ def stability_verdict(f, x_eq) -> StabilityReport:
 
 
 def jacobian_verdict(a: np.ndarray) -> StabilityReport:
-    """Tabulate and certify ``x' = A x``; the two routes must agree."""
+    """Tabulate and certify ``x' = A x``; the two routes must agree.
+
+    ``P = lyapunov_solve(A, I)`` is exactly symmetric and finite, so Cholesky alone certifies it.
+    """
     verdict = hurwitz_check(a)
     p = None
     spd = False
     try:
         p = lyapunov_solve(a, np.eye(len(a)))
-        spd = is_spd(p)
-    except SingularLyapunovError:
-        pass  # A and -A share an eigenvalue, so A is not Hurwitz
+        np.linalg.cholesky(p)
+        spd = True
+    except (SingularLyapunovError, np.linalg.LinAlgError):
+        pass  # A and -A share an eigenvalue, or P is not positive definite: not Hurwitz
     if verdict.hurwitz != spd:
         raise NumericalError(
             "tabulation and Lyapunov certificate disagree; the spectrum is "

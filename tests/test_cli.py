@@ -239,6 +239,19 @@ def test_adjoint_check_tiny_spd_metric_returns(tmp_path):
     assert json.loads(proc.stdout)["max_defect"] <= 1e-12
 
 
+def test_huge_asymmetric_metric_exits_2_under_warnings_as_errors(tmp_path):
+    # its skew part, 2e308 unscaled, is tested on the metric over its largest entry
+    op = write_json(tmp_path / "op.json", {"rows": 2, "cols": 2,
+                                            "entries": [1.0, 0.0, 0.0, 1.0],
+                                            "domain_metric": [1e308, 1e308, -1e308, 1e308]})
+    src = str(Path(adjointkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "adjointkit.cli", "svd",
+                           "--op", op], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: metric is not symmetric\n")
+
+
 # -- svd -------------------------------------------------------------------------
 
 def test_svd_reference_sigma_line(capsys, tmp_path):

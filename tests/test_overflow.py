@@ -20,7 +20,7 @@ from adjointkit.errors import NumericalError
 from adjointkit.leastsq import normal_solve, picard_diagnostic, tikhonov_solve
 from adjointkit.optim import fd_gradient_check, gradient_descent, reduced_gradient
 from adjointkit.pde import AdvectionControlProblem, make_elliptic_demo
-from adjointkit.spectral import solvability_check, svd
+from adjointkit.spectral import eig_self_adjoint, solvability_check, svd
 from adjointkit.stability import linearize, logistic, r0, stability_verdict
 from adjointkit.sturm import SLProblem, discretize, solve_modes
 
@@ -61,6 +61,9 @@ LIBRARY_CASES = {
         "non-finite adjoint_defect" + OVERFLOW),
     "orthonormalize": (lambda: orthonormalize([[1e200, 1.0]], InnerProductSpace(
         2, np.diag([1e300, 1.0]))), NumericalError, "non-finite whitened_vectors" + OVERFLOW),
+    # |lambda_max| = 3 * 7e307 is past the range, though every entry of B is finite
+    "eigenvalues": (lambda: eig_self_adjoint(matrix_operator(np.full((3, 3), 7e307))),
+                    NumericalError, "non-finite eigenvalues" + OVERFLOW),
     "solvability": (lambda: solvability_check(matrix_operator([[1.0, 1.0], [1.0, 1.0]]),
                                               [1.5e308, 1.5e308]), NumericalError,
                     "non-finite null_defect" + OVERFLOW),

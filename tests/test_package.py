@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 from pathlib import Path
 
@@ -131,8 +132,8 @@ def test_only_the_space_solves_with_its_metric():
 
 
 def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
-    # every singular value comes from the operator's one cached factorization;
-    # the 2-norm stays only where a symmetry defect is measured against |B|
+    # every singular value comes from the operator's one cached factorization,
+    # and no 2-norm is taken: a symmetry defect is measured by the Frobenius norm
     assert package_scopes_where(lambda node: calls(node, "linalg.svd")) == [
         "core._factors"]
 
@@ -142,7 +143,33 @@ def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
         ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
         return any(ast.unparse(o) in ("2", "-2") for o in ords)
 
-    assert package_scopes_where(spectral_norm) == ["spectral.eig_self_adjoint"] * 2
+    assert package_scopes_where(spectral_norm) == []
+
+
+class DropTransposes(ast.NodeTransformer):
+    def visit_Attribute(self, node):
+        node = self.generic_visit(node)
+        return node.value if node.attr == "T" else node
+
+
+def without_transposes(node):
+    """``node``'s source with every ``.T`` dropped, so ``a.T / s`` reads ``a / s``."""
+    return ast.unparse(DropTransposes().visit(copy.deepcopy(node)))
+
+
+def subtracts_a_transpose(node):
+    """Whether ``node`` is a symmetry test's skew part: ``x - x.T``, ``x.T - x``, or
+    the same with the transpose inside, such as ``a / s - a.T / s``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and ast.unparse(node.left) != ast.unparse(node.right)
+            and without_transposes(node.left) == without_transposes(node.right))
+
+
+def test_every_symmetry_test_lives_in_checked_symmetric():
+    # an input matrix's symmetry is tested once, against its own scale; the
+    # self-adjointness test of a whitened operator is the one other skew part
+    assert package_scopes_where(subtracts_a_transpose) == [
+        "core.checked_symmetric", "spectral.eig_self_adjoint"]
 
 
 def test_the_adjoint_check_sees_operators_only_through_their_whitened_matrices():

@@ -83,6 +83,49 @@ def test_eig_rejects_skew_part_the_random_probes_miss():
             eig_self_adjoint(matrix_operator(a))
 
 
+def test_eig_self_adjointness_test_is_never_looser_than_the_2_norm_test():
+    # |B - B^T|_F <= 1e-8 max|lambda(sym B)| implies |B - B^T|_2 <= 1e-8 |B|_2; the skew
+    # parts span the cut, full or of rank two (Frobenius norm closest to the 2-norm)
+    rng = np.random.default_rng(35)
+    accepted = 0
+    for trial in range(1200):
+        n = int(rng.integers(2, 41))
+        s = rng.standard_normal((n, n))
+        if trial % 2:
+            u, v = rng.standard_normal((2, n))
+            k = np.outer(u, v) - np.outer(v, u)
+        else:
+            k = rng.standard_normal((n, n))
+            k -= k.T
+        b = ((s + s.T) / np.linalg.norm(s + s.T, 2)
+             + 10.0 ** rng.uniform(-12.0, -5.0) * k / np.linalg.norm(k, 2))
+        if trial % 4 < 2:
+            op = matrix_operator(b)
+        else:  # A = L^{-T} B L^T, whose whitened matrix L^T A L^{-T} is B
+            space = InnerProductSpace(n, spd_metric(rng, n))
+            chol = space.cholesky
+            op = DenseOperator(space, space, np.linalg.solve(chol.T, b @ chol.T))
+        try:
+            eig_self_adjoint(op)
+        except ValueError:
+            continue
+        accepted += 1
+        w = op.whitened()
+        assert np.linalg.norm(w - w.T, 2) <= 1e-8 * np.linalg.norm(w, 2)
+    assert 300 <= accepted <= 900
+
+
+def test_eig_near_the_float_range_without_warnings():
+    # B + B^T overflows, 0.5 B + 0.5 B^T does not; the skew part is tested scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eig_self_adjoint(matrix_operator([[1e308, 1e308], [1e308, -1e308]]))
+        np.testing.assert_allclose(res.eigenvalues, np.sqrt(2.0) * np.array([1e308, -1e308]),
+                                   rtol=1e-15)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            eig_self_adjoint(matrix_operator([[1e308, -1e308], [1e308, 1e308]]))
+
+
 def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(11)
     for trial in range(12):

@@ -17,7 +17,7 @@ from adjointkit import selftest, stability
 from adjointkit.errors import NumericalError
 from adjointkit.stability import (HurwitzVerdict, SeirsModel, SingularLyapunovError,
                                   characteristic_polynomial, damped_oscillator,
-                                  hurwitz_check, is_spd, jacobian_verdict,
+                                  hurwitz_check, jacobian_verdict,
                                   linearize, logistic, lyapunov_solve, r0,
                                   stability_verdict)
 from reference import bits, lyapunov_by_scipy
@@ -399,7 +399,7 @@ def test_hurwitz_equals_lyapunov_certificate_over_constructed_matrices():
         a = matrix_with_spectrum(rng, eigs)
         tabulated = hurwitz_check(a).hurwitz
         try:
-            certified = is_spd(lyapunov_solve(a, np.eye(n)))
+            certified = bool(np.linalg.eigvalsh(lyapunov_solve(a, np.eye(n)))[0] > 0.0)
         except NumericalError:
             certified = False
         disagreements += int(tabulated != certified)
@@ -465,6 +465,22 @@ def test_r0_warns_on_negative_entries():
         r0(-np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_r0_negative_entry_warning_does_not_depend_on_scale(scale):
+    # with V = I, K = F, whose entry -1e-3 is a thousandth of its largest at any scale
+    with pytest.warns(RuntimeWarning, match="negative entries"):
+        r0(scale * np.array([[0.5, 1.0], [-1e-3, 0.2]]), np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_r0_seirs_splitting_is_silent(scale):
+    model = SeirsModel(*(scale * rate for rate in (0.3, 0.5, 0.25, 0.02, 0.05)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = r0(*model.next_generation_split())
+    assert value == pytest.approx(model.reproduction_number, rel=1e-12)
+
+
 def test_r0_matches_polynomial_root_oracle():
     # roots of the characteristic polynomial of F V^{-1}, n <= 4
     rng = np.random.default_rng(55)
@@ -502,7 +518,7 @@ def test_r0_non_finite_next_generation_matrix_raises():
 def test_verdict_damped_oscillator():
     report = stability_verdict(damped_oscillator, np.zeros(2))
     assert report.hurwitz and report.spd_certificate
-    assert is_spd(report.lyapunov_p)
+    np.linalg.cholesky(report.lyapunov_p)  # raises unless P is positive definite
     assert report.spectral_abscissa_bound < 0.0
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from adjointkit.cli import cmd_sturm, main
 from adjointkit.core import (DenseOperator, InnerProductSpace,
-                             adjoint_consistency_check,
+                             adjoint_consistency_check, checked_symmetric,
                              matrix_operator, operator_from_record,
                              orthonormalize)
 from adjointkit.leastsq import (instability_demo, integration_operator, normal_solve,
@@ -35,8 +35,8 @@ from adjointkit.pde import (AdvectionControlProblem, EllipticInversionProblem,
 from adjointkit.selftest import run_suites
 from adjointkit.spectral import (eig_self_adjoint, orthogonal_projector,
                                  solvability_check)
-from adjointkit.stability import (MAX_LYAPUNOV_DIM, hurwitz_check, is_spd,
-                                  jacobian_verdict, lyapunov_solve, r0)
+from adjointkit.stability import (MAX_LYAPUNOV_DIM, hurwitz_check, jacobian_verdict,
+                                  lyapunov_solve, r0)
 from adjointkit.sturm import (MAX_SL_NODES, SLProblem, constant_coefficient_problem,
                               discretize, fourier_coefficients, reconstruct,
                               solve_modes, truncation_error)
@@ -51,6 +51,9 @@ NARROW_LAYERS = Parameters([np.ones((1, 2)), np.ones((5, 1))], [np.zeros(1), np.
 
 
 NAN, INF = float("nan"), float("inf")
+# off symmetric by 1e7 times the diagonal at scale 1e-20, far below any floor of 1,
+# and by a skew part of 2e308, past the float range unless taken scaled
+ASYMMETRIC = {"tiny": [1e-20, 1e-13, 0.0, 1e-20], "huge": [1e308, 1e308, -1e308, 1e308]}
 ADVECTION_4 = build_advection_problem(4, 1.0)  # state_dim 5, control_dim 1
 
 
@@ -71,6 +74,9 @@ LIBRARY_CASES = {
     # core
     "space-dim-0": (lambda: InnerProductSpace(0), "dim must be >= 1, got 0"),
     "metric-shape": (lambda: InnerProductSpace(2, np.eye(3)), "metric shape"),
+    **{f"metric-asymmetric-{size}": (
+        lambda entries=entries: InnerProductSpace(2, np.reshape(entries, (2, 2))),
+        "^metric is not symmetric$") for size, entries in ASYMMETRIC.items()},
     "space-dim-fractional": (lambda: InnerProductSpace(2.5, np.eye(2)),
                              "dim must be an integer, got 2.5"),
     "adjoint-check-trials-bool": (lambda: adjoint_consistency_check(OP_2X3, trials=True),
@@ -193,6 +199,9 @@ LIBRARY_CASES = {
                          "length space.dim"),
     # stability
     "lyapunov-non-square": (lambda: lyapunov_solve(np.ones((2, 3)), np.eye(2)), "square"),
+    **{f"lyapunov-q-asymmetric-{size}": (
+        lambda entries=entries: lyapunov_solve(-np.eye(2), np.reshape(entries, (2, 2))),
+        "^Q is not symmetric$") for size, entries in ASYMMETRIC.items()},
     "hurwitz-non-square": (lambda: hurwitz_check(np.ones((2, 3))), "square"),
     "r0-non-square": (lambda: r0(np.ones((2, 3)), np.eye(2)), "square"),
     "r0-F-nan": (lambda: r0([[NAN]], [[1.0]]), "matrix F has non-finite entries"),
@@ -277,17 +286,6 @@ def test_integral_float_sizes_are_stored_as_ints():
     spec = NetworkSpec((2, 2.0, 1))
     assert spec.layer_sizes == (2, 2, 1) and all(type(s) is int for s in spec.layer_sizes)
     assert init_parameters(spec, seed=1).weights[1].shape == (1, 2)
-
-
-def test_is_spd_rejects_non_symmetric():
-    assert is_spd(np.array([[1.0, 1.0], [0.0, 1.0]])) is False
-
-
-@pytest.mark.parametrize("p", [[[float("nan")]],
-                               [[1.0, float("nan")], [float("nan"), 1.0]],
-                               [[float("inf")]]], ids=["nan", "nan-off-diagonal", "inf"])
-def test_is_spd_rejects_non_finite(p):
-    assert is_spd(p) is False
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
@@ -413,6 +411,40 @@ def test_training_sample_gate_names_the_shapes(data, bad_x):
     assert f"({a_obs.size}, 1)" in str(info.value)
 
 
+def symmetric_accepts(a):
+    try:
+        checked_symmetric(a, "a")
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("k", [-900, 0, 900])
+def test_symmetry_gate_cuts_at_1e_12_of_the_largest_entry(k):
+    # a skew part just under and just over the cut, at every scale
+    for skew, accepted in ((0.9e-12, True), (1.1e-12, False)):
+        a = np.array([[8.0, 1.0 + 8.0 * skew], [1.0, -3.0]])
+        assert symmetric_accepts(np.ldexp(a, k)) is accepted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.integers(-900, 900))
+def test_symmetry_gate_does_not_depend_on_scale(data, k):
+    # a symmetric matrix of entries 1e-3 to 10 in magnitude, one entry moved off by a
+    # relative skew near the 1e-12 cut; scaling by 2^k is exact, so nothing else moves
+    n = data.draw(st.integers(2, 5), label="n")
+    magnitudes = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n * n, max_size=n * n),
+                           label="magnitudes")
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n,
+                               max_size=n * n), label="signs")
+    a = np.reshape(np.multiply(magnitudes, signs), (n, n))
+    a = np.triu(a) + np.triu(a, 1).T
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                     unique=True), label="entry"))
+    a[i, j] *= 1.0 + data.draw(st.floats(-1e-10, 1e-10), label="relative skew")
+    assert symmetric_accepts(np.ldexp(a, k)) == symmetric_accepts(a)
+
+
 METRIC_KEYS = ("domain_metric", "codomain_metric")
 
 
@@ -509,6 +541,12 @@ CLI_CASES = {
                            "huge_pair.json: an integer is beyond the float range"),
     "stability-matrix-huge-int": (["stability", "--matrix", "{op_huge_square}"],
                                   "entries: an integer is beyond the float range"),
+    # an asymmetric metric on either side, whatever its scale
+    **{f"{command}-{key}-asymmetric-{size}": (
+        [command, "--op", f"{{op_{key}_{size}}}"] + ["--rhs", "{pair}"] * (command == "solve"),
+        "error: metric is not symmetric\n")
+       for command in ("svd", "adjoint-check", "solve") for key in METRIC_KEYS
+       for size in ASYMMETRIC},
 }
 
 
@@ -548,7 +586,10 @@ def test_cli_rejects_invalid_input(argv, message, capsys, tmp_path):
              "string_triple": [1.0, "0", 2.0],
              "op_huge_entries": {"rows": 1, "cols": 1, "entries": [10 ** 400]},
              "huge_pair": [10 ** 400, 1],
-             "op_huge_square": {"rows": 2, "cols": 2, "entries": [-1, 0, 10 ** 400, -1]}}
+             "op_huge_square": {"rows": 2, "cols": 2, "entries": [-1, 0, 10 ** 400, -1]},
+             **{f"op_{key}_{size}": {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0],
+                                     key: entries}
+                for key in METRIC_KEYS for size, entries in ASYMMETRIC.items()}}
     paths = {}
     for name, payload in files.items():
         paths[name] = tmp_path / f"{name}.json"
