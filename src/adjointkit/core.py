@@ -7,7 +7,8 @@ those products; for a dense matrix it is ``M_dom^{-1} A^T M_cod``, the
 plain transpose when both metrics are the identity.  Its randomized
 check probes the whitened matrices of ``A`` and ``A*`` with seeded pairs
 and estimates the Frobenius norm of their mismatch, at any dimension.
-A result past the float range is refused by one gate, ``checked_finite``.
+A result past the float range is refused by one gate, ``checked_finite``,
+and every norm is taken by one routine, ``euclidean_norm``.
 A space built without a metric stores the identity as its own Cholesky
 factor and skips the checks and the factorization.  A diagonal factor,
 the identity among them, is applied entrywise by its reciprocal, as the
@@ -20,6 +21,7 @@ two threads may both factor the operator, and they store identical
 read-only arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .rand import Lcg
 
 _DEP_TOL = 1e-12
 _PROBE_BLOCK = 256  # probe pairs drawn and tested per pass; bounds the memory
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,6 +110,29 @@ def checked_finite(**values):
         raise NumericalError(f"non-finite {', '.join(bad)}: the result overflows the float range")
 
 
+def euclidean_norm(x, square=None) -> float:
+    """The 2-norm of the float array ``x`` flattened: a matrix's Frobenius norm.
+
+    While ``square``, by default ``x.dot(x)`` on ``x.ravel(order="K")``, is
+    normal and finite, the norm is its square root, ``np.linalg.norm`` bit
+    for bit.  Otherwise it is ``s |x / s|`` with ``s = max|x|``, the scaling
+    of Blue's algorithm and LAPACK's ``dnrm2``: inf only for a norm past the
+    float range or an inf entry, 0 only for ``x = 0``.  A caller may pass its
+    own ``|x|^2`` as ``square``, such as ``u^T M u`` for ``x = L^T u``.  Only
+    ``x.dot(x)`` can warn, so a caller opens ``np.errstate(all="ignore")``.
+    """
+    x = np.asarray(x).ravel(order="K")
+    if square is None:
+        square = float(x.dot(x))
+    if _TINY <= square < math.inf:
+        return math.sqrt(square)
+    scale = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < scale < math.inf:  # zero, an inf entry or a NaN one: that is the norm
+        return scale
+    x = x / scale
+    return scale * math.sqrt(x.dot(x))
+
+
 def json_numbers(values, name: str) -> np.ndarray:
     """``values`` as a float array; a string or bool in it (NumPy reads ``"1e3"`` and
     ``true`` as numbers) or an integer beyond the float range raises ``ValueError``
@@ -174,7 +200,10 @@ class InnerProductSpace:
         return float(x @ self.metric @ y)
 
     def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
+        """``sqrt(x^T M x)``; ``euclidean_norm`` of ``L^T x`` where that is out of range."""
+        with np.errstate(all="ignore"):
+            square = self.inner(x, x)
+            return euclidean_norm(self._whiten(np.asarray(x, dtype=float)[:, None]), square)
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
         """Solve ``M w = x`` through the cached Cholesky factor: ``L^{-T} L^{-1} x``.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import checked_finite, checked_size, checked_vector
+from .core import checked_finite, checked_size, checked_vector, euclidean_norm
 from .errors import NumericalError
 
 ARMIJO_SLOPE = 1e-4
@@ -153,9 +153,9 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
     """Central-difference probe of the reduced gradient.
 
     Differences the eliminated objective along every control direction
-    and reports, per step size, the relative mismatch against the
-    adjoint-based gradient.  Errors decay like the square of the step
-    until roundoff takes over.
+    and reports, per step size, the mismatch ``|fd - g| / max(|g|, |fd|, 1e-12)``
+    against the adjoint gradient ``g``, norms by ``euclidean_norm``.  Errors
+    decay like the square of the step until roundoff takes over.
 
     The controls ``z + h e_j`` and ``z - h e_j`` go to ``reduced_objectives``
     in blocks of at most 32 directions, so the memory is O(32 p) for p
@@ -178,8 +178,8 @@ def fd_gradient_check(problem: ConstrainedProblem, z: np.ndarray,
                 e = h * np.eye(min(_FD_BLOCK, p - lo), p, lo)  # rows h e_lo, h e_(lo+1), ...
                 fd[lo:lo + len(e)] = (problem.reduced_objectives(z + e)
                                       - problem.reduced_objectives(z - e)) / (2.0 * h)
-            scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-12)
-            out[h] = float(np.linalg.norm(fd - grad) / scale)
+            scale = max(euclidean_norm(grad), euclidean_norm(fd), 1e-12)
+            out[h] = euclidean_norm(fd - grad) / scale
     checked_finite(gradient=grad, relative_errors=list(out.values()))
     return out
 
@@ -190,8 +190,9 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
 
     Each iteration halves the step until the sufficient-decrease test
     ``f(z - a g) <= f - 1e-4 a |g|^2`` passes, so the recorded objective
-    values are strictly decreasing.  The first search starts at ``step``
-    and each later one at ``min(step, 8 a)``, ``a`` the last accepted
+    values are non-increasing: once ``1e-4 a |g|^2`` is below the float
+    spacing of ``f``, the test accepts an equal objective.  The first search
+    starts at ``step`` and each later one at ``min(step, 8 a)``, ``a`` the last accepted
     step: every trial stays on the grid ``step / 2^j``, and a search
     accepts what one started at ``step`` would, unless that is more than
     8 times the last step.  A trial costs one forward solve and one
@@ -222,7 +223,7 @@ def gradient_descent(problem: ConstrainedProblem, z0: np.ndarray, step: float,
                     checked_finite(objective=f_curr)
                 stage = "adjoint solve"
                 _, g = _adjoint_gradient(problem, u, z)
-                gnorm = float(np.sqrt(g @ g))  # np.linalg.norm's own formula for a real vector
+                gnorm = euclidean_norm(g)
                 if k == 0:  # a later gradient past the float range fails its line search
                     stage = "gradient"
                     checked_finite(gradient_norm=gnorm)
@@ -259,13 +260,17 @@ def kkt_residuals(problem: ConstrainedProblem, u, z, y) -> dict:
 
     This is the one place that evaluates the constraint and adjoint residuals.
 
-    Each vector of the wrong length or with non-finite entries is a ``ValueError``.
+    A vector of the wrong length or not finite is a ``ValueError``; a norm past
+    the float range is a ``NumericalError`` naming its block.
     """
     u = checked_vector(u, problem.state_dim, "state", "state_dim")
     z = _checked_control(problem, z)
     y = checked_vector(y, problem.state_dim, "multiplier", "state_dim")
-    adjoint_block = problem.objective_grad_state(u, z) + problem.apply_state_adjoint(u, z, y)
-    control_block = problem.objective_grad_control(u, z) + problem.apply_control_adjoint(u, z, y)
-    return {"forward": float(np.linalg.norm(problem.residual(u, z))),
-            "adjoint": float(np.linalg.norm(adjoint_block)),
-            "control": float(np.linalg.norm(control_block))}
+    with np.errstate(all="ignore"):
+        norms = {"forward": euclidean_norm(problem.residual(u, z)),
+                 "adjoint": euclidean_norm(problem.objective_grad_state(u, z)
+                                           + problem.apply_state_adjoint(u, z, y)),
+                 "control": euclidean_norm(problem.objective_grad_control(u, z)
+                                           + problem.apply_control_adjoint(u, z, y))}
+    checked_finite(**norms)
+    return norms

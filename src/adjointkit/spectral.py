@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, InnerProductSpace, _factors, checked_finite, checked_vector
+from .core import (DenseOperator, InnerProductSpace, _factors, checked_finite, checked_vector,
+                   euclidean_norm)
 
 _SELF_ADJOINT_TOL = 1e-8
 DEFAULT_RANK_TOL_FACTOR = 1e-10
@@ -78,7 +79,7 @@ def eig_self_adjoint(op: DenseOperator) -> EigResult:
     vals, vecs = np.linalg.eigh(0.5 * b + 0.5 * b.T)
     checked_finite(eigenvalues=vals)
     scale = np.abs(b).max() or 1.0  # B = 0 is self-adjoint
-    defect = np.linalg.norm(b / scale - b.T / scale)
+    defect = euclidean_norm(b / scale - b.T / scale)
     if defect > _SELF_ADJOINT_TOL * np.abs(vals).max() / scale:
         raise ValueError(f"operator is not self-adjoint (defect {defect:.3e})")
     return EigResult(eigenvalues=vals[::-1], eigenvectors=space.unwhiten(vecs[:, ::-1]))
@@ -141,13 +142,13 @@ def null_defect(s: SvdResult, coeffs: np.ndarray) -> float:
     """Relative norm ``|P_{N(A*)} y| / |y|`` of the data outside the range.
 
     ``coeffs = left_coefficients(s, y)`` are coordinates in an orthonormal
-    basis, so ``|y| = |coeffs|``; both norms are taken on ``coeffs / max|coeffs|``.
+    basis, so ``|y| = |coeffs|``; both are ``euclidean_norm``s of ``coeffs / max|coeffs|``.
     """
     largest = np.abs(coeffs).max()
     if largest == 0.0:
         return 0.0
     scaled = coeffs / largest
-    return float(np.linalg.norm(scaled[s.rank:]) / np.linalg.norm(scaled))
+    return euclidean_norm(scaled[s.rank:]) / euclidean_norm(scaled)
 
 
 def solvability_check(op: DenseOperator, y: np.ndarray, tol: float = 1e-10) -> dict:

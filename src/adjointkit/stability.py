@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_finite, checked_matrix, checked_size, checked_symmetric
+from .core import checked_finite, checked_matrix, checked_size, checked_symmetric, euclidean_norm
 from .errors import NumericalError
 
 MAX_LYAPUNOV_DIM = 64  # rows of A accepted: the high of each checked_size on them
@@ -95,8 +95,8 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = 0.5 * (p + p.T)
     # a tolerance gate, not checked_finite: it refuses an inf or NaN residual too
     with np.errstate(all="ignore"):
-        residual = np.linalg.norm(p @ a + a.T @ p + q)
-        bound = _LYAP_RESIDUAL_TOL * np.linalg.norm(q)
+        residual = euclidean_norm(p @ a + a.T @ p + q)
+        bound = _LYAP_RESIDUAL_TOL * euclidean_norm(q)
     if not residual <= bound:
         raise NumericalError(f"Lyapunov residual too large ({residual:.3e})")
     return p
@@ -151,15 +151,15 @@ def hurwitz_check(a: np.ndarray) -> HurwitzVerdict:
 def linearize(f, x_eq: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the vector field at an equilibrium.
 
-    The step is ``1e-5 (1 + |x_eq|)``.  A residual ``|f(x_eq)|`` above
-    1e-8, or not finite, raises ``ValueError``; a step or Jacobian past the
-    float range raises ``NumericalError``.
+    The step is ``1e-5 (1 + |x_eq|)``, by ``euclidean_norm``.  A residual
+    ``|f(x_eq)|`` above 1e-8, or not finite, raises ``ValueError``; a step
+    or Jacobian past the float range raises ``NumericalError``.
     """
     x_eq = np.asarray(x_eq, dtype=float)
     n = x_eq.size
     with np.errstate(all="ignore"):
-        h = 1e-5 * (1.0 + np.linalg.norm(x_eq))
-        residual = np.linalg.norm(np.asarray(f(x_eq), dtype=float))
+        h = 1e-5 * (1.0 + euclidean_norm(x_eq))
+        residual = euclidean_norm(np.asarray(f(x_eq), dtype=float))
         if not residual <= _EQUILIBRIUM_TOL:
             raise ValueError(f"point is not an equilibrium (|f| = {residual:.3e})")
         jac = np.zeros((n, n))

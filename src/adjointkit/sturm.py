@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_finite, checked_size, checked_vector
+from .core import checked_finite, checked_size, checked_vector, euclidean_norm
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 # Largest grid accepted, the high of SLProblem's checked_size.  Assembly writes
@@ -71,7 +71,8 @@ class Discretization:
         return float(self.h * np.sum(self.rho * u * v))
 
     def weighted_norm(self, u) -> float:
-        return float(np.sqrt(max(self.weighted_inner(u, u), 0.0)))
+        """``sqrt(h sum(rho u^2))``; ``euclidean_norm`` of ``sqrt(h rho) u`` out of range."""
+        return euclidean_norm(np.sqrt(self.h * self.rho) * u, self.weighted_inner(u, u))
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,15 @@ def reconstruct(coefficients: np.ndarray, modes: ModeSet,
 
 
 def truncation_error(f: np.ndarray, modes: ModeSet, n_list) -> np.ndarray:
-    """Weighted L2 error of the N-term reconstruction, per requested ``0 <= N <= k``."""
+    """Weighted L2 error of the N-term reconstruction, per requested ``0 <= N <= k``;
+    one past the float range raises ``NumericalError``."""
     f = np.asarray(f, dtype=float)
-    coeffs = fourier_coefficients(f, modes)
-    out = []
-    for n_terms in n_list:
-        residual = f - reconstruct(coeffs, modes, n_terms)
-        out.append(modes.disc.weighted_norm(residual))
-    return np.array(out)
+    with np.errstate(all="ignore"):
+        coeffs = fourier_coefficients(f, modes)
+        errors = np.array([modes.disc.weighted_norm(f - reconstruct(coeffs, modes, n_terms))
+                           for n_terms in n_list])
+    checked_finite(truncation_error=errors)
+    return errors
 
 
 def dirichlet_eigenvalue_formula(n_mode: int, h: float) -> float:

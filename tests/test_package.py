@@ -146,6 +146,45 @@ def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
     assert package_scopes_where(spectral_norm) == []
 
 
+def same_source(*nodes):
+    return len({ast.unparse(node) for node in nodes}) == 1
+
+
+def self_product(node):
+    """Whether ``node`` squares an expression: ``x * x``, ``x @ x``, ``x ** 2``, a call
+    such as ``inner(x, x)`` on one argument twice, or ``x.dot(x)``."""
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, (ast.Mult, ast.MatMult)):
+            return same_source(node.left, node.right)
+        return isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2"
+    if not isinstance(node, ast.Call):
+        return False
+    if len(node.args) == 2 and same_source(*node.args):
+        return True
+    return (len(node.args) == 1 and isinstance(node.func, ast.Attribute)
+            and same_source(node.func.value, node.args[0]))
+
+
+def clamped_at_zero(node):
+    """Whether ``node`` is ``max(..., 0.0)``."""
+    return calls(node, "max") and any(ast.unparse(arg) in ("0", "0.0") for arg in node.args)
+
+
+def takes_a_norm(node):
+    """Whether ``node`` is a ``linalg.norm`` call, or a ``sqrt`` of a self-product or of
+    ``max(..., 0.0)``."""
+    if calls(node, "linalg.norm"):
+        return True
+    return calls(node, "sqrt") and any(self_product(sub) or clamped_at_zero(sub)
+                                       for arg in node.args for sub in ast.walk(arg))
+
+
+def test_every_norm_is_taken_by_euclidean_norm():
+    # one routine squares and scales; orthonormalize keeps its column norms (an axis,
+    # which the routine does not take) of w / max|w|, whose largest is in [1, sqrt(dim)]
+    assert package_scopes_where(takes_a_norm) == ["core.euclidean_norm", "core.orthonormalize"]
+
+
 class DropTransposes(ast.NodeTransformer):
     def visit_Attribute(self, node):
         node = self.generic_visit(node)
@@ -250,9 +289,12 @@ def test_every_size_range_lives_in_checked_size():
 # scopes that open an errstate block but keep a test of their own: the elliptic
 # solve's guard, which also refuses a finite resistance of 0, the logistic
 # activation whose overflow to 1 / (1 + inf) = 0 is exact, and the Lyapunov
-# residual and scale tests, tolerance gates that refuse inf and NaN too
-OWN_FINITENESS_TESTS = ["network._logistic", "pde.EllipticInversionProblem._solve",
-                        "stability.lyapunov_solve"]
+# residual and scale tests, tolerance gates that refuse inf and NaN too; and the
+# metric norm, whose x^T M x may overflow by design: euclidean_norm's range test
+# then takes L^T x, and a norm past the range is returned as inf for each caller
+# to refuse under its own name (residual_norm, prior_distance)
+OWN_FINITENESS_TESTS = ["core.InnerProductSpace.norm", "network._logistic",
+                        "pde.EllipticInversionProblem._solve", "stability.lyapunov_solve"]
 
 
 def raises_numerical_error_on_isfinite(node):
