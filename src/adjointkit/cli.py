@@ -1,12 +1,11 @@
 """Command-line entry point: one subcommand per module.
 
-Matrices and vectors travel as the operator JSON record
-({"rows", "cols", "entries", optional metrics}); per-index and
-per-iteration tables are CSV.  Each ``cmd_*`` returns the text it
-prints; ``main`` alone writes it (to ``--output`` or standard output)
-and alone sets the exit status: 0 success, 1 a failed selftest suite
-(its report on stdout), 2 validation problems, 3 numerical failures
-(with a diagnostic JSON payload).
+Matrices travel as the operator JSON record ({"rows", "cols", "entries",
+optional metrics}), vectors as flat JSON arrays of numbers, and tables as
+CSV.  Each ``cmd_*`` returns the text it prints; ``main`` alone writes it
+(to ``--output`` or standard output) and alone sets the exit status: 0
+success, 1 a failed selftest suite (its report on stdout), 2 validation
+problems, 3 numerical failures (with a diagnostic JSON payload).
 
 This layer parses JSON structure, ``--spec`` and the flags, and checks
 ``sturm --modes`` before the grid is assembled; the library routine that
@@ -55,11 +54,8 @@ def _load_operator(path: str):
 
 def _load_vector(path: str) -> np.ndarray:
     """A flat array; the consuming solver checks its length and entries."""
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = data.get("entries")
     try:
-        vec = json_numbers(data, path)
+        vec = json_numbers(_load_json(path), path)
     except TypeError:  # an object where a number belongs
         raise ValueError(f"expected a flat JSON array of numbers in {path}") from None
     if vec.ndim != 1:

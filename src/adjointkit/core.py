@@ -110,21 +110,18 @@ def checked_finite(**values):
         raise NumericalError(f"non-finite {', '.join(bad)}: the result overflows the float range")
 
 
-def euclidean_norm(x, square=None) -> float:
+def euclidean_norm(x) -> float:
     """The 2-norm of the float array ``x`` flattened: a matrix's Frobenius norm.
 
-    While ``square``, by default ``x.dot(x)`` on ``x.ravel(order="K")``, is
-    normal and finite, the norm is its square root, ``np.linalg.norm`` bit
-    for bit.  Otherwise it is ``s |x / s|`` with ``s = max|x|``, the scaling
-    of Blue's algorithm and LAPACK's ``dnrm2``: inf only for a norm past the
-    float range or an inf entry, 0 only for ``x = 0``.  A caller may pass its
-    own ``|x|^2`` as ``square``, such as ``u^T M u`` for ``x = L^T u``.  Only
-    ``x.dot(x)`` can warn, so a caller opens ``np.errstate(all="ignore")``.
+    While ``x.dot(x)`` on ``x.ravel(order="K")`` is normal and finite, the
+    norm is its square root, ``np.linalg.norm`` bit for bit.  Otherwise it
+    is ``s |x / s|`` with ``s = max|x|``, the scaling of Blue's algorithm and
+    LAPACK's ``dnrm2``: inf only for a norm past the float range or an inf
+    entry, 0 only for ``x = 0``.  Only ``x.dot(x)`` can warn, so a caller
+    opens ``np.errstate(all="ignore")``.
     """
     x = np.asarray(x).ravel(order="K")
-    if square is None:
-        square = float(x.dot(x))
-    if _TINY <= square < math.inf:
+    if _TINY <= (square := float(x.dot(x))) < math.inf:
         return math.sqrt(square)
     scale = float(np.abs(x).max(initial=0.0))
     if not 0.0 < scale < math.inf:  # zero, an inf entry or a NaN one: that is the norm
@@ -192,18 +189,19 @@ class InnerProductSpace:
         """Lower-triangular L with ``M = L L^T``."""
         return self._chol
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if x.shape != (self.dim,):
             raise ValueError("vector length does not match space dimension")
-        return float(x @ self.metric @ y)
+        return x
+
+    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float(self._vector(x) @ self.metric @ self._vector(y))
 
     def norm(self, x: np.ndarray) -> float:
-        """``sqrt(x^T M x)``; ``euclidean_norm`` of ``L^T x`` where that is out of range."""
+        """``sqrt(x^T M x)`` as ``euclidean_norm`` of the whitened column ``L^T x``."""
         with np.errstate(all="ignore"):
-            square = self.inner(x, x)
-            return euclidean_norm(self._whiten(np.asarray(x, dtype=float)[:, None]), square)
+            return euclidean_norm(self._whiten(self._vector(x)[:, None]))
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
         """Solve ``M w = x`` through the cached Cholesky factor: ``L^{-T} L^{-1} x``.

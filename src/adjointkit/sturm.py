@@ -67,12 +67,18 @@ class Discretization:
     grid: np.ndarray
     h: float
 
+    def _vector(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.rho.shape:
+            raise ValueError(f"expected a vector of length {self.rho.size}, got shape {u.shape}")
+        return u
+
     def weighted_inner(self, u, v) -> float:
-        return float(self.h * np.sum(self.rho * u * v))
+        return float(self.h * np.sum(self.rho * self._vector(u) * self._vector(v)))
 
     def weighted_norm(self, u) -> float:
-        """``sqrt(h sum(rho u^2))``; ``euclidean_norm`` of ``sqrt(h rho) u`` out of range."""
-        return euclidean_norm(np.sqrt(self.h * self.rho) * u, self.weighted_inner(u, u))
+        """``sqrt(h sum(rho u^2))`` as ``euclidean_norm`` of ``sqrt(h rho) u``."""
+        return euclidean_norm(np.sqrt(self.h * self.rho) * self._vector(u))
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,23 @@ def test_tikhonov_large_kappa_returns_prior(capsys, tmp_path):
     np.testing.assert_allclose(payload["x"], [1.0, 2.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("argv", [["solve", "--rhs", "{bad}"], ["picard", "--rhs", "{bad}"],
+                                  ["tikhonov", "--rhs", "{bad}", "--kappa", "1"],
+                                  ["tikhonov", "--rhs", "{pair}", "--kappa", "1", "--x0", "{bad}"]])
+@pytest.mark.parametrize("record", [{"rows": 5, "entries": [1.0, 2.0]},
+                                    {"rows": 2, "cols": 1, "entries": [1.0, 2.0]}])
+def test_vector_file_holding_a_record_exits_2(capsys, tmp_path, argv, record):
+    # a vector file is a flat array; a record, even one whose sizes fit, is not read
+    paths = {"op": write_json(tmp_path / "op.json",
+                              {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]}),
+             "pair": write_json(tmp_path / "pair.json", [1.0, 2.0]),
+             "bad": write_json(tmp_path / "record.json", record)}
+    code, out, err = run(capsys, argv[0], "--op", paths["op"],
+                         *[arg.format(**paths) for arg in argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a flat JSON array of numbers in {paths['bad']}\n"
+
+
 def test_picard_csv_shape(capsys, tmp_path):
     op = write_json(tmp_path / "op.json",
                     {"rows": 3, "cols": 3,

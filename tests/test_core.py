@@ -9,7 +9,7 @@ from adjointkit import (InnerProductSpace, adjoint, adjoint_consistency_check,
                         matrix_operator, operator_from_record,
                         operator_norm, operator_to_record, orthogonal_projector,
                         orthonormalize)
-from adjointkit.core import DenseOperator, json_numbers
+from adjointkit.core import DenseOperator, euclidean_norm, json_numbers
 from adjointkit.errors import NumericalError
 from adjointkit.leastsq import integration_operator
 from adjointkit.rand import Lcg
@@ -88,6 +88,22 @@ def test_inner_symmetry_and_dimension_error():
     assert space.inner(x, y) == pytest.approx(space.inner(y, x))
     with pytest.raises(ValueError):
         space.inner([1.0, 2.0], y)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 256])
+def test_norm_is_the_euclidean_norm_of_the_whitened_column(n):
+    # a Euclidean space keeps NumPy's bits; a weighted one forms L^T x and nothing else
+    rng = np.random.default_rng([37, n])
+    x = rng.standard_normal(n)
+    assert bits(InnerProductSpace(n).norm(x)) == bits(np.linalg.norm(x))
+    b = rng.standard_normal((n, n))
+    for metric in (np.diag(rng.uniform(0.05, 20.0, n)), b @ b.T + n * np.eye(n)):
+        space = InnerProductSpace(n, metric)
+        whitened = space.cholesky.T @ x[:, None]
+        assert bits(space.norm(x)) == bits(euclidean_norm(whitened))
+        assert space.norm(x) == pytest.approx(np.sqrt(x @ metric @ x), rel=1e-14)
+        with pytest.raises(ValueError, match="vector length does not match"):
+            space.norm(np.ones(n + 1))
 
 
 # -- adjoint -------------------------------------------------------------------
@@ -341,6 +357,23 @@ def test_consistency_check_detects_corruption():
 def test_consistency_check_zero_operator():
     op = matrix_operator(np.zeros((3, 2)))
     assert adjoint_consistency_check(op, trials=5, seed=1).max_defect == 0.0
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "diagonal", "dense"])
+def test_consistency_check_certifies_no_candidate_for_the_zero_operator(kind):
+    # the scale falls back on |B| when |A| = 0; normalizing by |A| alone would hit
+    # the zero-scale return and certify any candidate as the adjoint of zero
+    rng = np.random.default_rng(7)
+    if kind == "diagonal":
+        spaces = matrix_operator(np.zeros((3, 2)), diagonal_metric("random", 2, rng),
+                                 diagonal_metric("random", 3, rng))
+    else:
+        spaces = random_operator(rng, 3, 2, weighted=kind == "dense")
+    op = DenseOperator(spaces.domain, spaces.codomain, np.zeros((3, 2)))
+    candidate = DenseOperator(op.codomain, op.domain, np.ones((2, 3)))
+    for seed in (42, 7):
+        assert adjoint_consistency_check(op, seed=seed, adjoint_op=candidate).max_defect > 0.1
+        assert adjoint_consistency_check(op, seed=seed, adjoint_op=adjoint(op)).max_defect == 0.0
 
 
 def test_consistency_check_deterministic():

@@ -290,9 +290,10 @@ def test_every_size_range_lives_in_checked_size():
 # solve's guard, which also refuses a finite resistance of 0, the logistic
 # activation whose overflow to 1 / (1 + inf) = 0 is exact, and the Lyapunov
 # residual and scale tests, tolerance gates that refuse inf and NaN too; and the
-# metric norm, whose x^T M x may overflow by design: euclidean_norm's range test
-# then takes L^T x, and a norm past the range is returned as inf for each caller
-# to refuse under its own name (residual_norm, prior_distance)
+# metric norm, whose whitened vector L^T x and its dot product may overflow by
+# design: euclidean_norm rescales where the norm is in range, and a norm past the
+# range is returned as inf for each caller to refuse under its own name
+# (residual_norm, prior_distance)
 OWN_FINITENESS_TESTS = ["core.InnerProductSpace.norm", "network._logistic",
                         "pde.EllipticInversionProblem._solve", "stability.lyapunov_solve"]
 

@@ -331,3 +331,16 @@ def test_negative_term_count_rejected():
         reconstruct(coeffs, modes, n_terms=-1)
     # zero terms stays valid: the error is the whole norm
     assert truncation_error(f, modes, [0])[0] == disc.weighted_norm(f)
+
+
+@pytest.mark.parametrize("bad", [3.0, np.ones(1), np.ones(11), np.ones((10, 1))])
+def test_weighted_inner_and_norm_refuse_a_wrong_length(bad):
+    # a scalar or a length-1 array used to broadcast and read as a constant function
+    disc = discretize(constant_coefficient_problem("dirichlet", n=10))
+    message = re.escape(f"expected a vector of length 10, got shape {np.shape(bad)}")
+    with pytest.raises(ValueError, match=message):
+        disc.weighted_norm(bad)
+    for u, v in ((bad, np.ones(10)), (np.ones(10), bad)):
+        with pytest.raises(ValueError, match=message):
+            disc.weighted_inner(u, v)
+
