@@ -11,9 +11,10 @@ A result past the float range is refused by one gate, ``checked_finite``,
 and every norm is taken by one routine, ``euclidean_norm``.
 A space built without a metric stores the identity as its own Cholesky
 factor and skips the checks and the factorization.  A diagonal factor,
-the identity among them, is applied entrywise by its reciprocal, as the
-triangular solve itself does; a dense one goes through
-``np.linalg.solve``, called only by the space's own maps.  Everything
+the identity among them, is applied entrywise, by its pivots or their
+reciprocals; a dense one by products with ``L^T`` and ``L^{-1}``, the
+inverse formed once per space, whose error is of the order ``cond(L) u``
+of a triangular solve.  No space map solves a linear system.  Everything
 here is immutable after construction and safe to share across threads.
 The one lazily filled field, an operator's SVD (``_factors``, which both
 ``spectral.svd`` and ``operator_norm`` read), is benign under a race:
@@ -159,7 +160,8 @@ class InnerProductSpace:
     the identity is both metric and factor, read-only like every other.
     A diagonal factor (the identity, a quadrature weight ``h I``) is
     applied entrywise through its pivots and their reciprocals, kept as
-    read-only columns; any other goes through ``np.linalg.solve``.
+    read-only columns; any other by products with ``L^T`` and with
+    ``L^{-1}``, formed once, here, and kept read-only.
     """
 
     def __init__(self, dim: int, metric: np.ndarray | None = None):
@@ -179,10 +181,12 @@ class InnerProductSpace:
             self.is_euclidean = bool(np.array_equal(metric, np.eye(self.dim)))
         # the pivots of a Cholesky factor are positive, so it is diagonal
         # exactly when they are its only nonzero entries
-        self._pivots = self._recip = None
+        self._pivots = self._recip = self._inv = None
         if np.count_nonzero(self._chol) == dim:
             self._pivots = _frozen(np.diagonal(self._chol)[:, None])
             self._recip = _frozen(1.0 / self._pivots)
+        else:
+            self._inv = _frozen(np.linalg.inv(self._chol))
 
     @property
     def cholesky(self) -> np.ndarray:
@@ -192,7 +196,7 @@ class InnerProductSpace:
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise ValueError("vector length does not match space dimension")
+            raise ValueError(f"vector length {x.size} does not match space dimension {self.dim}")
         return x
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -204,38 +208,25 @@ class InnerProductSpace:
             return euclidean_norm(self._whiten(self._vector(x)[:, None]))
 
     def apply_inverse_metric(self, x: np.ndarray) -> np.ndarray:
-        """Solve ``M w = x`` through the cached Cholesky factor: ``L^{-T} L^{-1} x``.
-
-        A diagonal factor takes two entrywise steps, a dense one two solves.
-        """
+        """``M^{-1} x`` as ``L^{-T} L^{-1} x``: two products with the stored
+        inverse factor, or two entrywise steps with a diagonal one."""
         return self.unwhiten(self._solve(x))
 
     def unwhiten(self, coords: np.ndarray) -> np.ndarray:
-        """Map metric-orthonormal coordinates back: ``L^{-T} c``.
-
-        One solve with a dense factor; one entrywise step with a diagonal one.
-        """
+        """Map metric-orthonormal coordinates back: ``L^{-T} c``, one product
+        with the stored inverse factor or one entrywise step with a diagonal one."""
         return self._solve(coords, transposed=True)
 
     def _solve(self, b, transposed=False) -> np.ndarray:
-        """``L^{-1} b``, or ``L^{-T} b``: the one place a metric is solved with.
-
-        A diagonal factor is applied by its reciprocal, as OpenBLAS's
-        triangular solve behind ``np.linalg.solve`` does, so no inverse
-        is formed and the bits are the LU route's (an exact zero aside,
-        whose sign the LU route may flip): ``dtrsm`` multiplies several
-        right-hand sides by the reciprocal pivots, and a single one is
-        divided by the pivots.  The result is C-contiguous either way.
-        """
+        """``L^{-1} b``, or ``L^{-T} b``, C-contiguous: a product with the inverse formed
+        at construction, or the rows of ``b`` (never broadcast) times the reciprocals."""
         if self._recip is None:
-            return np.linalg.solve(self._chol.T if transposed else self._chol, b)
+            return (self._inv.T if transposed else self._inv) @ b
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != self.dim:
             raise ValueError(f"right-hand side shape {b.shape} does not match "
                              f"space dimension {self.dim}")
-        if b.ndim == 2 and b.shape[1] > 1:
-            return np.multiply(b, self._recip, order="C")
-        return b / (self._pivots if b.ndim == 2 else self._pivots[:, 0])
+        return np.multiply(self._recip if b.ndim == 2 else self._recip[:, 0], b, order="C")
 
     def _whiten(self, x: np.ndarray) -> np.ndarray:
         """``L^T x`` for a matrix ``x``; a diagonal factor scales its rows, exactly."""
@@ -267,7 +258,8 @@ class DenseOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.domain.dim,):
-            raise ValueError("input length does not match operator domain")
+            raise ValueError(f"input length {x.size} does not match operator domain "
+                             f"{self.domain.dim}")
         return self.entries @ x
 
     def whitened(self) -> np.ndarray:
@@ -308,9 +300,10 @@ def adjoint(op: DenseOperator) -> DenseOperator:
     """Adjoint operator, ``M_dom^{-1} A^T M_cod`` with swapped spaces.
 
     The domain metric is inverted through its Cholesky factor
-    (``apply_inverse_metric``): two solves with a dense factor, two
-    entrywise steps with a diagonal one; no explicit matrix inverse is
-    formed.  Entries past the float range raise ``NumericalError``.
+    (``apply_inverse_metric``): two products with the inverse factor
+    ``L_dom^{-1}`` that the space formed once, or two entrywise steps with
+    a diagonal factor; ``M_dom^{-1}`` itself is never formed.  Entries past
+    the float range raise ``NumericalError``.
     """
     with np.errstate(all="ignore"):
         entries = op.domain.apply_inverse_metric(op.entries.T @ op.codomain.metric)

@@ -8,8 +8,8 @@ LAPACK (``eigh``, ``svd``) factors ``B`` directly, never the normal
 operator ``A* A``, which would square the condition number, and vectors
 are mapped back through ``L^{-T}`` by ``InnerProductSpace.unwhiten`` so
 they come out orthonormal in the metric.  A diagonal factor (the
-identity, a quadrature weight) is applied entrywise by its reciprocal,
-as the triangular solve itself does; only a dense one is solved with.
+identity, a quadrature weight) is applied entrywise by its reciprocal;
+a dense one by a product with the inverse factor its space formed once.
 The full codomain basis of the SVD spans the null space of ``A*`` past
 the rank, and ``left_coefficients`` expands data in that basis for
 every consumer of the singular system.  Each operator is factored once, by

@@ -78,7 +78,8 @@ class Discretization:
 
     def weighted_norm(self, u) -> float:
         """``sqrt(h sum(rho u^2))`` as ``euclidean_norm`` of ``sqrt(h rho) u``."""
-        return euclidean_norm(np.sqrt(self.h * self.rho) * self._vector(u))
+        with np.errstate(all="ignore"):  # a norm past the range is inf, for callers to refuse
+            return euclidean_norm(np.sqrt(self.h * self.rho) * self._vector(u))
 
 
 @dataclass(frozen=True)

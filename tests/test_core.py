@@ -86,8 +86,14 @@ def test_inner_symmetry_and_dimension_error():
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
     assert space.inner(x, y) == pytest.approx(space.inner(y, x))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vector length 2 does not match space dimension 3$"):
         space.inner([1.0, 2.0], y)
+
+
+def test_matvec_names_both_lengths():
+    op = matrix_operator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^input length 2 does not match operator domain 3$"):
+        op.matvec(np.ones(2))
 
 
 @pytest.mark.parametrize("n", [1, 5, 64, 256])
@@ -102,7 +108,8 @@ def test_norm_is_the_euclidean_norm_of_the_whitened_column(n):
         whitened = space.cholesky.T @ x[:, None]
         assert bits(space.norm(x)) == bits(euclidean_norm(whitened))
         assert space.norm(x) == pytest.approx(np.sqrt(x @ metric @ x), rel=1e-14)
-        with pytest.raises(ValueError, match="vector length does not match"):
+        with pytest.raises(ValueError, match=f"vector length {n + 1} does not match "
+                                             f"space dimension {n}$"):
             space.norm(np.ones(n + 1))
 
 
@@ -131,10 +138,12 @@ def test_identity_metric_maps_return_their_input_exactly(m, n):
     assert np.array_equal(orthogonal_projector(q, space).entries, q @ q.T)
 
 
-def lu_route(space):
-    """``space`` with its diagonal path off, so every map goes through ``np.linalg.solve``."""
+def dense_route(space):
+    """``space`` with its diagonal path off, so every map is a product with a
+    factor or with the inverse factor, as for a dense metric."""
     twin = copy.copy(space)
     twin._pivots = twin._recip = None
+    twin._inv = np.linalg.inv(space.cholesky)
     return twin
 
 
@@ -152,18 +161,22 @@ DIAGONAL_KINDS = ["identity", "h", "random"]
 @pytest.mark.parametrize("kind", DIAGONAL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 5, 48, 64])
 def test_diagonal_maps_have_the_bits_of_the_solves(kind, n):
-    # one or several right-hand sides, each against np.linalg.solve on the stored factor
+    # one or several right-hand sides, each against the products with the inverse
+    # factor (whose off-diagonal zeros add nothing) and the reciprocal pivots
     rng = np.random.default_rng([31, n, DIAGONAL_KINDS.index(kind)])
     space = InnerProductSpace(n, diagonal_metric(kind, n, rng))
-    l = space.cholesky
+    twin = dense_route(space)
+    recip = 1.0 / np.diagonal(space.cholesky)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 1)),
                 rng.standard_normal((n, 3)), rng.standard_normal((n, n)),
                 np.asfortranarray(rng.standard_normal((n, n + 2)))):
-        for got, want in ((space.unwhiten(rhs), np.linalg.solve(l.T, rhs)),
-                          (space.apply_inverse_metric(rhs),
-                           np.linalg.solve(l.T, np.linalg.solve(l, rhs)))):
+        column = recip if rhs.ndim == 1 else recip[:, None]
+        for got, want, by_hand in ((space.unwhiten(rhs), twin.unwhiten(rhs), column * rhs),
+                                   (space.apply_inverse_metric(rhs),
+                                    twin.apply_inverse_metric(rhs), column * (column * rhs))):
             assert got.flags.c_contiguous
             assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(got), bits(by_hand))
 
 
 @pytest.mark.parametrize("kind", DIAGONAL_KINDS)
@@ -172,9 +185,9 @@ def test_diagonal_metric_results_have_the_bits_of_the_solve_route(kind, m, n):
     rng = np.random.default_rng([32, m, n, DIAGONAL_KINDS.index(kind)])
     fast = matrix_operator(rng.standard_normal((m, n)), diagonal_metric(kind, n, rng),
                            diagonal_metric(kind, m, rng))
-    slow = DenseOperator(lu_route(fast.domain), lu_route(fast.codomain), fast.entries)
+    slow = DenseOperator(dense_route(fast.domain), dense_route(fast.codomain), fast.entries)
     l_dom, l_cod = fast.domain.cholesky, fast.codomain.cholesky
-    pairs = [(fast.whitened(), l_cod.T @ np.linalg.solve(l_dom, fast.entries.T).T),
+    pairs = [(fast.whitened(), l_cod.T @ (fast.entries @ np.linalg.inv(l_dom).T)),
              (fast.whitened(), slow.whitened()),
              (adjoint(fast).entries, adjoint(slow).entries)]
     got, want = svd(fast), svd(slow)
@@ -201,12 +214,14 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("name, solves", [("integration48", 0), ("euclidean64", 0),
-                                          ("diagonal3x2", 0), ("dense2x3", 7),
-                                          ("dense-domain", 5), ("dense-codomain", 2)])
-def test_the_factor_structure_not_the_size_decides_the_solves(monkeypatch, name, solves):
-    # svd: whitening and two unwhitenings; constructed adjoint: two solves with L_dom;
-    # the check whitens A (with L_dom) and its adjoint (with L_cod)
+@pytest.mark.parametrize("name, inverses", [("integration48", 0), ("euclidean64", 0),
+                                            ("diagonal3x2", 0), ("dense2x3", 2),
+                                            ("dense-domain", 1), ("dense-codomain", 1)])
+def test_the_factor_structure_not_the_size_decides_the_solves(monkeypatch, name, inverses):
+    # no map solves a system: a dense factor is inverted once, when its space is
+    # built, and svd, the constructed adjoint and the check reuse that inverse;
+    # an identity or diagonal factor is never inverted
+    solves, inverted = count_calls(monkeypatch, "solve"), count_calls(monkeypatch, "inv")
     rng = np.random.default_rng(33)
     b, c = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
     dense2, dense3 = b @ b.T + 2 * np.eye(2), c @ c.T + 3 * np.eye(3)
@@ -218,10 +233,10 @@ def test_the_factor_structure_not_the_size_decides_the_solves(monkeypatch, name,
           "dense-domain": lambda: matrix_operator(rng.standard_normal((3, 2)), dense2),
           "dense-codomain": lambda: matrix_operator(rng.standard_normal((3, 2)), None, dense3),
           }[name]()
-    calls = count_calls(monkeypatch, "solve")
+    assert len(inverted) == inverses
     svd(op)
     adjoint_consistency_check(op, trials=10)
-    assert len(calls) == solves
+    assert (len(solves), len(inverted)) == (0, inverses)
 
 
 @pytest.mark.parametrize("metric", [None, np.diag([2.0, 3.0]), [[2.0, 1.0], [1.0, 3.0]]])
@@ -232,6 +247,40 @@ def test_metric_maps_refuse_a_mismatched_length(metric):
             space.unwhiten(bad)
         with pytest.raises(ValueError):
             space.apply_inverse_metric(bad)
+
+
+def metric_with_condition(rng, n, cond):
+    """A symmetric ``n x n`` metric whose eigenvalues run from 1 down to ``1 / cond``."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+@pytest.mark.parametrize("n", [8, 32, 64, 128, 256])
+def test_dense_maps_agree_with_the_triangular_solves(n, cond):
+    # a triangular solve and a product with the computed inverse factor each have a
+    # relative forward error of order cond(L) u (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., ch. 8 and 14), so one map may differ from the
+    # solve by that much; apply_inverse_metric's second map amplifies the first's
+    # error by up to cond(L) more, to cond(M) u = cond(L)^2 u.  Tested per column.
+    rng = np.random.default_rng([38, n, round(np.log10(cond))])
+    metric = metric_with_condition(rng, n, cond)
+    space = InnerProductSpace(n, metric)
+    l = space.cholesky
+    unit = np.finfo(float).eps / 2.0
+    one_map = unit * np.linalg.cond(l)
+    entries, rhs = rng.standard_normal((n, n)), rng.standard_normal((n, 4))
+    op = matrix_operator(entries, metric, metric)
+    cases = [(space.unwhiten(rhs), np.linalg.solve(l.T, rhs), one_map),
+             (space.unwhiten(rhs[:, 0]), np.linalg.solve(l.T, rhs[:, 0]), one_map),
+             (op.whitened(), l.T @ np.linalg.solve(l, entries.T).T, one_map),
+             (space.apply_inverse_metric(rhs),
+              np.linalg.solve(l.T, np.linalg.solve(l, rhs)), one_map * np.linalg.cond(l))]
+    for got, want, bound in cases:
+        got, want = got.reshape(n, -1), want.reshape(n, -1)
+        errors = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert errors.max() <= bound
 
 
 def test_weighted_codomain_adjoint_matches_transpose_times_metric():

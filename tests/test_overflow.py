@@ -35,8 +35,8 @@ def weighted_1e200():
     return matrix_operator(np.full((2, 2), 1e200), codomain_metric=np.diag([1e300, 1e300]))
 
 
-def sl_problem(p=1.0, rho=1.0):
-    return SLProblem(p=lambda x: p, q=lambda x: 0.0, rho=lambda x: rho, n=100)
+def sl_problem(p=1.0, rho=1.0, n=100):
+    return SLProblem(p=lambda x: p, q=lambda x: 0.0, rho=lambda x: rho, n=n)
 
 
 def descend(problem, z, step=1.0, tol=0.0):
@@ -216,6 +216,9 @@ def tiny_gradient_descent():
 FINITE_CASES = {
     "space-norm-huge": (lambda: InnerProductSpace(1).norm([1e200]), 1e200),
     "space-norm-tiny": (lambda: InnerProductSpace(1).norm([1e-200]), 1e-200),
+    # sqrt(h rho) u = sqrt(4 / 11) 1e200 on 10 nodes, whose squares pass the range
+    "sturm-weighted-norm-huge": (lambda: discretize(sl_problem(rho=4.0, n=10)).weighted_norm(
+        np.full(10, 1e200)), close(np.sqrt(40.0 / 11.0) * 1e200, rel=1e-15)),
     # |x_eq| = 1e300 makes the step 1e295, and the field is zero
     "linearize-step": (lambda: linearize(lambda x: np.zeros(2), np.array([1e300, 0.0])),
                        close(np.zeros((2, 2)), rel=0.0)),

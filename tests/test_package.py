@@ -36,14 +36,11 @@ def test_no_module_reads_the_environment():
     assert hits == []
 
 
-def test_no_module_forms_an_explicit_inverse():
-    # core.adjoint promises solves with the Cholesky factor, never a formed inverse
-    package = Path(adjointkit.__file__).parent
-    hits = [f"{path.name}:{number}"
-            for path in sorted(package.glob("*.py"))
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if "linalg.inv(" in line]
-    assert hits == []
+def test_only_a_space_inverts_and_only_its_cholesky_factor():
+    # a space with a dense factor forms L^{-1} once, when it is built; no module
+    # inverts a metric, an operator or anything else (pinv included)
+    assert package_scopes_where(lambda node: calls(node, "inv")) == [
+        "core.InnerProductSpace.__init__"]
 
 
 def test_every_constrained_problem_operation_is_abstract():
@@ -125,10 +122,9 @@ def test_only_lyapunov_solve_imports_scipy():
 
 
 def test_only_the_space_solves_with_its_metric():
-    # every metric solve goes through the space's maps, which take the diagonal
-    # path where the factor allows; r0's solve with V is not a metric solve
-    assert package_scopes_where(lambda node: calls(node, "linalg.solve")) == [
-        "core.InnerProductSpace._solve", "stability.r0"]
+    # the space's maps multiply by its factor or the inverse formed at construction,
+    # so no metric is solved with; r0's solve with V is not a metric solve
+    assert package_scopes_where(lambda node: calls(node, "linalg.solve")) == ["stability.r0"]
 
 
 def test_one_svd_per_operator_and_no_norm_by_an_svd_of_its_own():
@@ -290,12 +286,14 @@ def test_every_size_range_lives_in_checked_size():
 # solve's guard, which also refuses a finite resistance of 0, the logistic
 # activation whose overflow to 1 / (1 + inf) = 0 is exact, and the Lyapunov
 # residual and scale tests, tolerance gates that refuse inf and NaN too; and the
-# metric norm, whose whitened vector L^T x and its dot product may overflow by
-# design: euclidean_norm rescales where the norm is in range, and a norm past the
-# range is returned as inf for each caller to refuse under its own name
-# (residual_norm, prior_distance)
+# metric norm and the Sturm-Liouville weighted norm, whose scaled vectors (L^T x,
+# sqrt(h rho) u) and their dot products may overflow by design: euclidean_norm
+# rescales where the norm is in range, and a norm past the range is returned as
+# inf for each caller to refuse under its own name (residual_norm,
+# prior_distance, truncation_error)
 OWN_FINITENESS_TESTS = ["core.InnerProductSpace.norm", "network._logistic",
-                        "pde.EllipticInversionProblem._solve", "stability.lyapunov_solve"]
+                        "pde.EllipticInversionProblem._solve", "stability.lyapunov_solve",
+                        "sturm.Discretization.weighted_norm"]
 
 
 def raises_numerical_error_on_isfinite(node):
